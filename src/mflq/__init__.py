@@ -13,9 +13,9 @@ from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
 from .game import (DeltaEquilibrium, IntervalSolution, build_delta_equilibrium,
                    delta_local_optimality_check, jump_magnitudes,
                    ordering_report)
-from .integrators import (MatrixODEProblem, RiccatiCoefficients,
-                          RiccatiSolution, integrate_backward, k0_bound,
-                          rk4_backward, solve_lyapunov, solve_riccati)
+from .integrators import (RiccatiCoefficients, RiccatiSolution, k0_bound,
+                          rk4_backward, rk4_march, solve_lyapunov, solve_riccati,
+                          stage_times)
 from .openloop import (OpenLoopSolution, bsde_residual_check, solve_open_loop,
                        verify_open_loop_equilibrium)
 from .precommit import (PrecommitSolution, cost_via_lyapunov, precommit_bounds,
@@ -44,7 +44,7 @@ __all__ = [
     "bundled_problem", "bundled_document", "resolve_document",
     "apply_overrides", "BUNDLED",
     # integrators
-    "rk4_backward", "integrate_backward", "MatrixODEProblem",
+    "rk4_backward", "rk4_march", "stage_times",
     "solve_lyapunov", "solve_riccati", "RiccatiCoefficients",
     "RiccatiSolution", "k0_bound",
     # solvers

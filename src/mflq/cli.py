@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,13 +62,6 @@ def _matrix_header(prefix: str, r: int, c: int) -> list[str]:
     return [f"{prefix}_{i}{j}" for i in range(r) for j in range(c)]
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MFLQ_THREADS", "4")))
-    except ValueError:
-        return 4
-
-
 def _load(args):
     doc = resolve_document(args.problem)
     if getattr(args, "set", None):
@@ -105,9 +97,8 @@ def cmd_precommit(args) -> int:
 
     if args.sweep > 1:
         ts = np.linspace(0.0, problem.T, args.sweep + 1)[:-1]
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            sols = list(pool.map(lambda t: solve_precommitment(problem, float(t), h), ts))
-        rows = [[t, *s.Phat[0].reshape(-1)] for t, s in zip(ts, sols)]
+        rows = [[t, *solve_precommitment(problem, float(t), h).Phat[0].reshape(-1)]
+                for t in ts]
         write_csv(os.path.join(out, "values.csv"),
                   ["t"] + _matrix_header("Phat", n, n), rows)
 
@@ -326,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--sweep", type=int, default=0,
-                   help="also sweep initial times (concurrent)")
+                   help="also solve at the initial times k*T/SWEEP, k < SWEEP")
 
     p = add("open-loop", cmd_open_loop, help="open-loop equilibrium")
     p.add_argument("--h", type=float, default=None)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, ConvergenceError, IllPosedError
+from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
-from .types import ProblemData, TimeGrid, hat, min_eig
+from .integrators import feedback_gain, gain_path, rk4_march, stage_times
+from .types import ProblemData, TimeGrid, hat
 
 
 @dataclass(frozen=True)
@@ -80,24 +81,13 @@ def _assemble(eq: DeltaEquilibrium) -> tuple[np.ndarray, ...]:
     nodes = eq.partition.nodes
     Gm = np.full((J, J, n, n), np.nan)
     Gh = np.full((J, J, n, n), np.nan)
+    Gm[N] = problem.G.at_many(nodes)
+    Gh[N] = hp.G.at_many(nodes)
     for j in range(J):
-        tj = float(nodes[j])
-        Gm[N, j] = problem.G(tj)
-        Gh[N, j] = hp.G(tj)
         for i in range(j, N):
             Gm[i, j] = eq.node_triples[i, j, 1]
             Gh[i, j] = eq.node_triples[i, j, 1] + eq.node_triples[i, j, 2]
-    Th = np.empty((J, problem.m, n))
-    Thh = np.empty_like(Th)
-    for j in range(J):
-        s = float(nodes[j])
-        d, dh = Gm[j, j], Gh[j, j]
-        Bs, Cs, Ds = problem.B(s), problem.C(s), problem.D(s)
-        K = problem.R(s, s) + Ds.T @ d @ Ds
-        Th[j] = np.linalg.solve(K, Bs.T @ d + Ds.T @ d @ Cs)
-        Bh, Ch, Dh = hp.B(s), hp.C(s), hp.D(s)
-        Kh = hp.R(s, s) + Dh.T @ d @ Dh
-        Thh[j] = np.linalg.solve(Kh, Bh.T @ dh + Dh.T @ d @ Ch)
+    Th, Thh = _diagonal_gains(problem, hp, nodes, Gm, Gh)
     return Gm, Gh, Th, Thh
 
 
@@ -162,84 +152,66 @@ def direct_diagonal_solve(problem: ProblemData, h: float | None = None,
     if h is None:
         h = problem.T / 2000.0
     hp = hat(problem)
-    n = problem.n
     tg = np.linspace(0.0, problem.T, t_nodes + 1)
     J = t_nodes + 1
     sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
 
-    Z = np.empty((2, J, n, n))
-    for j in range(J):
-        Z[0, j] = problem.G(tg[j])
-        Z[1, j] = hp.G(tg[j])
-
-    G_levels = np.full((J, J, n, n), np.nan)
-    Gh_levels = np.full((J, J, n, n), np.nan)
+    Z = np.stack([problem.G.at_many(tg), hp.G.at_many(tg)])
+    G_levels = np.full((J,) + Z.shape[1:], np.nan)
+    Gh_levels = np.full_like(G_levels, np.nan)
     G_levels[-1] = Z[0]
     Gh_levels[-1] = Z[1]
 
-    def diag_pair(s, Zs):
-        j = min(int(np.searchsorted(tg, s, side="right")) - 1, J - 2)
-        j = max(j, 0)
-        w = (s - tg[j]) / (tg[j + 1] - tg[j])
-        d = (1.0 - w) * Zs[0, j] + w * Zs[0, j + 1]
-        dh = (1.0 - w) * Zs[1, j] + w * Zs[1, j + 1]
-        return d, dh
-
-    def rhs(s, Zs):
-        Ah, Bh, Ch, Dh = hp.A(s), hp.B(s), hp.C(s), hp.D(s)
-        d, dh = diag_pair(s, Zs)
-        K = hp.R(s, s) + Dh.T @ d @ Dh
-        if min_eig(K) < 0.5 * problem.delta:
-            raise IllPosedError(f"diagonal factor lost definiteness at s={s:g}")
-        Thh = np.linalg.solve(K, Bh.T @ dh + Dh.T @ d @ Ch)
-        M = Ah - Bh @ Thh
-        Nc = Ch - Dh @ Thh
-        Q = problem.Q.at_many(s, tg)
-        Qh = hp.Q.at_many(s, tg)
-        Rl = problem.R.at_many(s, tg)
-        Rhl = hp.R.at_many(s, tg)
-        G, Gh = Zs[0], Zs[1]
-        sand = np.einsum("ai,lab,bj->lij", Nc, G, Nc)
-        quad = np.einsum("ai,lab,bj->lij", Thh, Rl, Thh)
-        quadh = np.einsum("ai,lab,bj->lij", Thh, Rhl, Thh)
-        out = np.empty_like(Zs)
-        out[0] = -(G @ M + np.swapaxes(G @ M, -1, -2) + sand + Q + quad)
-        out[1] = -(Gh @ M + np.swapaxes(Gh @ M, -1, -2) + sand + Qh + quadh)
-        return out
-
     for lev in range(J - 1, 0, -1):
         a, b = tg[lev - 1], tg[lev]
-        dt = (b - a) / sub
-        for q in range(sub):
-            s = b - q * dt
-            k1 = rhs(s, Z)
-            k2 = rhs(s - 0.5 * dt, Z - 0.5 * dt * k1)
-            k3 = rhs(s - 0.5 * dt, Z - 0.5 * dt * k2)
-            k4 = rhs(s - dt, Z - dt * k3)
-            Z = Z - dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            Z = 0.5 * (Z + np.swapaxes(Z, -1, -2))
-            if not np.all(np.isfinite(Z)):
-                raise BlowUpError(f"limit-system march blew up near s={s - dt:g}",
-                                  time=float(s - dt))
+        times = np.linspace(a, b, sub + 1)
+        ss = stage_times(times)
+        # the diagonal at a stage time interpolates between the bracketing slices
+        w = (ss - a) / (b - a)
+        Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (hp.A, hp.B, hp.C, hp.D))
+        Rd = hp.R.at_many(ss, ss)
+        grid = ss[:, None], tg
+        Q, Qh = problem.Q.at_many(*grid), hp.Q.at_many(*grid)
+        Rl, Rhl = problem.R.at_many(*grid), hp.R.at_many(*grid)
+
+        def rhs(q, Zs, j=lev - 1):
+            Bs, Cs, Ds = Bh[q], Ch[q], Dh[q]
+            d, dh = (1.0 - w[q]) * Zs[:, j] + w[q] * Zs[:, j + 1]
+            Dd = Ds.T @ d
+            Thh = feedback_gain(Rd[q] + Dd @ Ds, Bs.T @ dh + Dd @ Cs,
+                                problem.delta, "diagonal factor", ss[q])
+            M = Ah[q] - Bs @ Thh
+            Nc = Cs - Ds @ Thh
+            # both slice stacks at once; the sandwich term reads Gamma only
+            ZM = Zs @ M
+            out = ZM + ZM.swapaxes(-1, -2) + Nc.T @ Zs[0] @ Nc
+            out[0] += Q[q]
+            out[0] += Thh.T @ Rl[q] @ Thh
+            out[1] += Qh[q]
+            out[1] += Thh.T @ Rhl[q] @ Thh
+            return -out
+
+        Z = rk4_march(rhs, times, Z, symmetric=True)[0]
         G_levels[lev - 1, :lev] = Z[0, :lev]
         Gh_levels[lev - 1, :lev] = Z[1, :lev]
 
-    Theta = np.empty((J, problem.m, n))
-    Theta_hat = np.empty_like(Theta)
-    for j in range(J):
-        s = float(tg[j])
-        d = G_levels[j, j]
-        dh = Gh_levels[j, j]
-        Bs, Cs, Ds = problem.B(s), problem.C(s), problem.D(s)
-        K = problem.R(s, s) + Ds.T @ d @ Ds
-        Theta[j] = np.linalg.solve(K, Bs.T @ d + Ds.T @ d @ Cs)
-        Bh, Ch, Dh = hp.B(s), hp.C(s), hp.D(s)
-        Kh = hp.R(s, s) + Dh.T @ d @ Dh
-        Theta_hat[j] = np.linalg.solve(Kh, Bh.T @ dh + Dh.T @ d @ Ch)
-
+    Theta, Theta_hat = _diagonal_gains(problem, hp, tg, G_levels, Gh_levels)
     return ClosedLoopSolution(problem=problem, grid=TimeGrid(tg),
                               Gamma=G_levels, Gamma_hat=Gh_levels,
                               Theta=Theta, Theta_hat=Theta_hat, trace=())
+
+
+def _diagonal_gains(problem, hp, nodes, Gm, Gh):
+    """Diagonal gain pair (Theta, Theta_hat) of a field pair at its nodes."""
+    idx = np.arange(len(nodes))
+    d, dh = Gm[idx, idx], Gh[idx, idx]
+    B, C, D, Bh, Ch, Dh = (f.at_many(nodes) for f in (
+        problem.B, problem.C, problem.D, hp.B, hp.C, hp.D))
+    Th = gain_path(d, d, B, C, D, problem.R.at_many(nodes, nodes), problem.delta,
+                   "R + D'Gamma D", nodes)
+    Thh = gain_path(dh, d, Bh, Ch, Dh, hp.R.at_many(nodes, nodes), problem.delta,
+                    "Rhat + Dhat'Gamma Dhat", nodes)
+    return Th, Thh
 
 
 def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dict:

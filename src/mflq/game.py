@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
+from .integrators import feedback_gain, gain_path, rk4_march, stage_times
 from .precommit import default_step
 from .simulate import MCConfig, aligned_time_grid, brownian_increments, simulate_closed_loop
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
@@ -92,11 +93,8 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     # Active triples, player-indexed; initialized at t_N where the first two
     # components coincide with that player's terminal weight.
     Tri = np.empty((N, 3, n, n))
-    for l in range(N):
-        Gl = problem.G(nodes[l])
-        Tri[l, 0] = Gl
-        Tri[l, 1] = Gl
-        Tri[l, 2] = problem.Gbar(nodes[l])
+    Tri[:, 0] = Tri[:, 1] = problem.G.at_many(nodes[:N])
+    Tri[:, 2] = problem.Gbar.at_many(nodes[:N])
     node_triples = np.full((N + 1, N, 3, n, n), np.nan)
     node_triples[N] = Tri
 
@@ -105,13 +103,13 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     intervals: list[IntervalSolution | None] = [None] * N
     segments: list[GainSegment] = []
     values = np.empty((N, n, n))
+    delta = problem.delta
 
     for k in range(N - 1, -1, -1):
         a, b = float(nodes[k]), float(nodes[k + 1])
         tk = a
         steps = max(50, math.ceil((b - a) / h - 1e-12))
         times_k = np.linspace(a, b, steps + 1)
-        dt = (b - a) / steps
 
         # Entering this interval the tilde components restart from the plain
         # ones (both players' views agree at the boundary).  Triples of players
@@ -119,54 +117,46 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         # Riccati pair, with which it coincides.
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
 
-        # Frozen-weight evaluators for the tracked players, batched over l.
-        t_anchor = nodes[:k + 1]
+        # Coefficients at the stage times; the tracked players' frozen weights
+        # are batched over the anchor axis l, player k's own anchor last.
+        ss = stage_times(times_k)
+        A, B, C, D, Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (
+            problem.A, problem.B, problem.C, problem.D, hp.A, hp.B, hp.C, hp.D))
+        ta = ss[:, None], nodes[:k + 1]
+        Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
+        Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
+        Qh, Rh = hp.Q.at_many(ss, tk), hp.R.at_many(ss, tk)
+        what = f"R + D'PD (interval {k})", f"Rhat + Dhat'P Dhat (interval {k})"
 
-        def rhs(s, state, _tk=tk, _k=k, _ta=t_anchor):
+        def rhs(q, state):
             P, Ph = state[0], state[1]
-            As, Bs = problem.A(s), problem.B(s)
-            Cs, Ds = problem.C(s), problem.D(s)
-            Ah, Bh, Ch, Dh = hp.A(s), hp.B(s), hp.C(s), hp.D(s)
-            K = problem.R(s, _tk) + Ds.T @ P @ Ds
-            if min_eig(K) < 0.5 * problem.delta:
-                raise IllPosedError(
-                    f"R + D'PD lost definiteness at s={s:g} (interval {_k})")
+            As, Bs, Cs, Ds = A[q], B[q], C[q], D[q]
+            Ahs, Bhs, Chs, Dhs = Ah[q], Bh[q], Ch[q], Dh[q]
             Lm = Bs.T @ P + Ds.T @ P @ Cs
-            Th = np.linalg.solve(K, Lm)
-            Kh = hp.R(s, _tk) + Dh.T @ P @ Dh
-            if min_eig(Kh) < 0.5 * problem.delta:
-                raise IllPosedError(
-                    f"Rhat + Dhat'P Dhat lost definiteness at s={s:g} (interval {_k})")
-            Lh = Bh.T @ Ph + Dh.T @ P @ Ch
-            Thh = np.linalg.solve(Kh, Lh)
+            Th = feedback_gain(Rl[q, -1] + Ds.T @ P @ Ds, Lm, delta, what[0], ss[q])
+            Lh = Bhs.T @ Ph + Dhs.T @ P @ Chs
+            Thh = feedback_gain(Rh[q] + Dhs.T @ P @ Dhs, Lh, delta, what[1], ss[q])
 
             out = np.empty_like(state)
             out[0] = -(P @ As + As.T @ P + Cs.T @ P @ Cs
-                       + problem.Q(s, _tk) - Lm.T @ Th)
-            out[1] = -(Ph @ Ah + Ah.T @ Ph + Ch.T @ P @ Ch
-                       + hp.Q(s, _tk) - Lh.T @ Thh)
+                       + Ql[q, -1] - Lm.T @ Th)
+            out[1] = -(Ph @ Ahs + Ahs.T @ Ph + Chs.T @ P @ Chs
+                       + Qh[q] - Lh.T @ Thh)
             Gt = state[2::3]
             Gm = state[3::3]
             Gb = state[4::3]
-            Ql = problem.Q.at_many(s, _ta)
-            Rl = problem.R.at_many(s, _ta)
-            Qbl = problem.Qbar.at_many(s, _ta)
-            Rbl = problem.Rbar.at_many(s, _ta)
             M1 = As - Bs @ Th
             N1 = Cs - Ds @ Th
-            M2 = Ah - Bh @ Thh
-            N2 = Ch - Dh @ Thh
-            qTh = np.einsum("ai,lab,bj->lij", Th, Rl, Th)
-            qThh = np.einsum("ai,lab,bj->lij", Thh, Rl, Thh)
-            qThhb = np.einsum("ai,lab,bj->lij", Thh, Rbl, Thh)
-            out[2::3] = -(Gt @ M1 + np.swapaxes(Gt @ M1, -1, -2)
-                          + np.einsum("ai,lab,bj->lij", N1, Gt, N1)
-                          + Ql + qTh)
-            out[3::3] = -(Gm @ M2 + np.swapaxes(Gm @ M2, -1, -2)
-                          + np.einsum("ai,lab,bj->lij", N2, Gt, N2)
-                          + Ql + qThh)
-            out[4::3] = -(Gb @ M2 + np.swapaxes(Gb @ M2, -1, -2)
-                          + Qbl + qThhb)
+            M2 = Ahs - Bhs @ Thh
+            N2 = Chs - Dhs @ Thh
+            Q, R = Ql[q], Rl[q]
+            GtM1, GmM2, GbM2 = Gt @ M1, Gm @ M2, Gb @ M2
+            out[2::3] = -(GtM1 + GtM1.swapaxes(-1, -2) + N1.T @ Gt @ N1
+                          + Q + Th.T @ R @ Th)
+            out[3::3] = -(GmM2 + GmM2.swapaxes(-1, -2) + N2.T @ Gt @ N2
+                          + Q + Thh.T @ R @ Thh)
+            out[4::3] = -(GbM2 + GbM2.swapaxes(-1, -2)
+                          + Qbl[q] + Thh.T @ Rbl[q] @ Thh)
             return out
 
         state = np.empty((2 + 3 * (k + 1), n, n))
@@ -176,39 +166,19 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         state[3::3] = Tri[:k + 1, 1]
         state[4::3] = Tri[:k + 1, 2]
 
-        P_path = np.empty((steps + 1, n, n))
-        Ph_path = np.empty((steps + 1, n, n))
-        P_path[-1] = state[0]
-        Ph_path[-1] = state[1]
-        for i in range(steps, 0, -1):
-            s = times_k[i]
-            k1 = rhs(s, state)
-            k2 = rhs(s - 0.5 * dt, state - 0.5 * dt * k1)
-            k3 = rhs(s - 0.5 * dt, state - 0.5 * dt * k2)
-            k4 = rhs(s - dt, state - dt * k3)
-            state = state - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            state = 0.5 * (state + np.swapaxes(state, -1, -2))
-            if not np.all(np.isfinite(state)):
-                raise IllPosedError(
-                    f"game recursion blew up at s={times_k[i - 1]:g} (interval {k})")
-            P_path[i - 1] = state[0]
-            Ph_path[i - 1] = state[1]
+        path = rk4_march(rhs, times_k, state, symmetric=True)
+        # copies, so the stored paths do not keep every triple's path alive
+        state, P_path, Ph_path = path[0], path[:, 0].copy(), path[:, 1].copy()
 
         Tri[:k + 1, 0] = state[2::3]
         Tri[:k + 1, 1] = state[3::3]
         Tri[:k + 1, 2] = state[4::3]
         node_triples[k, :k + 1] = Tri[:k + 1]
 
-        Theta = np.empty((steps + 1, m, n))
-        Theta_hat = np.empty_like(Theta)
-        for i, s in enumerate(times_k):
-            Bs, Cs, Ds = problem.B(s), problem.C(s), problem.D(s)
-            K = problem.R(s, tk) + Ds.T @ P_path[i] @ Ds
-            Theta[i] = np.linalg.solve(K, Bs.T @ P_path[i] + Ds.T @ P_path[i] @ Cs)
-            Bh, Ch, Dh = hp.B(s), hp.C(s), hp.D(s)
-            Kh = hp.R(s, tk) + Dh.T @ P_path[i] @ Dh
-            Theta_hat[i] = np.linalg.solve(
-                Kh, Bh.T @ Ph_path[i] + Dh.T @ P_path[i] @ Ch)
+        Theta = gain_path(P_path, P_path, B[::2], C[::2], D[::2], Rl[::2, -1], delta,
+                          what[0], times_k)
+        Theta_hat = gain_path(Ph_path, P_path, Bh[::2], Ch[::2], Dh[::2], Rh[::2],
+                              delta, what[1], times_k)
 
         intervals[k] = IntervalSolution(times=times_k, P=P_path, Phat=Ph_path,
                                         Theta=Theta, Theta_hat=Theta_hat)
@@ -253,32 +223,21 @@ def ordering_report(eq: DeltaEquilibrium, h: float | None = None) -> dict:
         a, b = float(nodes[k]), float(nodes[k + 1])
         tk = a
         steps = len(iv.times) - 1
-        dt = (b - a) / steps
+        ss = stage_times(iv.times)
+        A, C, Ah, Ch = (f.at_many(ss) for f in (problem.A, problem.C, hp.A, hp.C))
+        Q, Qh = problem.Q.at_many(ss, tk), hp.Q.at_many(ss, tk)
 
-        def lyap_rhs(s, Z, _tk=tk):
+        def lyap_rhs(q, Z):
             Pi, Pih = Z[0], Z[1]
-            As, Cs = problem.A(s), problem.C(s)
-            Ah, Ch = hp.A(s), hp.C(s)
+            As, Cs, Ahs, Chs = A[q], C[q], Ah[q], Ch[q]
             out = np.empty_like(Z)
-            out[0] = -(Pi @ As + As.T @ Pi + Cs.T @ Pi @ Cs + problem.Q(s, _tk))
-            out[1] = -(Pih @ Ah + Ah.T @ Pih + Ch.T @ Pi @ Ch + hp.Q(s, _tk))
+            out[0] = -(Pi @ As + As.T @ Pi + Cs.T @ Pi @ Cs + Q[q])
+            out[1] = -(Pih @ Ahs + Ahs.T @ Pih + Chs.T @ Pi @ Chs + Qh[q])
             return out
 
-        Z = np.stack([iv.P[-1], iv.Phat[-1]])
-        Pi_path = np.empty_like(iv.P)
-        Pih_path = np.empty_like(iv.Phat)
-        Pi_path[-1] = Z[0]
-        Pih_path[-1] = Z[1]
-        for i in range(steps, 0, -1):
-            s = iv.times[i]
-            k1 = lyap_rhs(s, Z)
-            k2 = lyap_rhs(s - 0.5 * dt, Z - 0.5 * dt * k1)
-            k3 = lyap_rhs(s - 0.5 * dt, Z - 0.5 * dt * k2)
-            k4 = lyap_rhs(s - dt, Z - dt * k3)
-            Z = Z - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            Z = 0.5 * (Z + np.swapaxes(Z, -1, -2))
-            Pi_path[i - 1] = Z[0]
-            Pih_path[i - 1] = Z[1]
+        Z = rk4_march(lyap_rhs, iv.times, np.stack([iv.P[-1], iv.Phat[-1]]),
+                      symmetric=True)
+        Pi_path, Pih_path = Z[:, 0], Z[:, 1]
 
         rec = {"interval": k, "checks": []}
         for end, idx, j in ((0, 0, k), (1, steps, k + 1)):

@@ -1,8 +1,10 @@
 """Backward terminal-value integration of matrix ODEs.
 
-Provides the generic RK4 march, linear (Lyapunov-type) equations with an optional
-sandwich term, and the symmetric Riccati equation with cross term, together with
-its a-priori bound constant.
+Provides the RK4 march every solver runs on (its right-hand side reads
+coefficients sampled once on the march's stage grid), the feedback gain
+K^{-1} L with its definiteness check, linear (Lyapunov-type) equations with an
+optional sandwich term, and the symmetric Riccati equation with cross term,
+together with its a-priori bound constant.
 """
 
 from __future__ import annotations
@@ -17,57 +19,101 @@ from .errors import BlowUpError, IllPosedError, ValidationError
 from .types import MatrixFn, min_eig, symmetrize, tau_psd
 
 
-@dataclass(frozen=True)
-class MatrixODEProblem:
-    """Terminal-value problem dM/ds = rhs(s, M), M(terminal_time) given, on [a, terminal_time]."""
-
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    terminal_time: float
-    terminal_value: np.ndarray
-    a: float
-    h: float
-    symmetric: bool = False
-
-
-def rk4_backward(rhs, a: float, b: float, terminal_value: np.ndarray, h: float,
-                 symmetric: bool = False):
-    """Classic RK4 march from b down to a with uniform steps of size <= h.
-
-    Returns (times ascending, values aligned with times). The step count is the
-    smallest integer that brings the uniform step at or below h, so requested
-    endpoints are always grid nodes.
-    """
+def march_times(a: float, b: float, h: float) -> np.ndarray:
+    """Uniform nodes from a to b with the fewest steps of size <= h, so the
+    requested endpoints are always nodes."""
     if h <= 0:
         raise ValidationError("step size must be positive")
     span = b - a
     if span <= 0:
         raise ValidationError("empty integration interval")
-    n = max(1, math.ceil(span / h - 1e-12))
-    times = np.linspace(a, b, n + 1)
-    M = np.array(terminal_value, dtype=float, copy=True)
-    vals = np.empty((n + 1,) + M.shape)
+    return np.linspace(a, b, max(1, math.ceil(span / h - 1e-12)) + 1)
+
+
+def stage_times(times: np.ndarray) -> np.ndarray:
+    """Half-step stage grid of a march over `times`: the nodes at even indices,
+    the step midpoints at odd ones."""
+    ss = np.empty(2 * len(times) - 1)
+    ss[::2] = times
+    ss[1::2] = 0.5 * (times[:-1] + times[1:])
+    return ss
+
+
+def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = False
+              ) -> np.ndarray:
+    """Classic RK4 march from times[-1] down to times[0].
+
+    rhs(q, M) is the field at stage q of `stage_times(times)`: the step from
+    node i to node i-1 evaluates stages 2i, 2i-1 (twice) and 2i-2, so callers
+    sample their coefficients on that grid once per march and read them by
+    index.  Returns the values aligned with times.
+    """
+    M = np.array(terminal, dtype=float, copy=True)
+    vals = np.empty((len(times),) + M.shape)
     vals[-1] = M
-    for i in range(n, 0, -1):
-        s = times[i]
-        dt = times[i] - times[i - 1]
-        k1 = rhs(s, M)
-        k2 = rhs(s - 0.5 * dt, M - 0.5 * dt * k1)
-        k3 = rhs(s - 0.5 * dt, M - 0.5 * dt * k2)
-        k4 = rhs(s - dt, M - dt * k3)
+    tl = times.tolist()
+    for i in range(len(tl) - 1, 0, -1):
+        dt = tl[i] - tl[i - 1]
+        half = 0.5 * dt
+        q = 2 * i
+        k1 = rhs(q, M)
+        k2 = rhs(q - 1, M - half * k1)
+        k3 = rhs(q - 1, M - half * k2)
+        k4 = rhs(q - 2, M - dt * k3)
         M = M - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if symmetric:
             M = symmetrize(M)
-        if not np.all(np.isfinite(M)):
+        if not np.isfinite(M).all():
             raise BlowUpError(f"backward integration blew up at s={times[i - 1]:g}",
                               time=float(times[i - 1]))
         vals[i - 1] = M
-    return times, vals
+    return vals
 
 
-def integrate_backward(problem: MatrixODEProblem):
-    """Integrate a MatrixODEProblem; see rk4_backward."""
-    return rk4_backward(problem.rhs, problem.a, problem.terminal_time,
-                        problem.terminal_value, problem.h, problem.symmetric)
+def rk4_backward(rhs, a: float, b: float, terminal_value: np.ndarray, h: float,
+                 symmetric: bool = False):
+    """Classic RK4 march from b down to a with uniform steps of size <= h, for a
+    field rhs(s, M) given as a function of the time.
+
+    Returns (times ascending, values aligned with times); see rk4_march.
+    """
+    times = march_times(a, b, h)
+    ss = stage_times(times)
+    return times, rk4_march(lambda q, M: rhs(ss[q], M), times, terminal_value, symmetric)
+
+
+def feedback_gain(K: np.ndarray, L: np.ndarray, delta: float, what: str, times
+                  ) -> np.ndarray:
+    """K^{-1} L over the leading axes, after checking K >= delta/2 I.
+
+    The check is closed-form for 1x1 K and a Cholesky factorisation of
+    K - delta/2 I otherwise; on failure it raises IllPosedError naming `what`
+    and the first failing entry of `times` (aligned with K's leading axes).
+    """
+    floor = 0.5 * delta
+    m = K.shape[-1]
+    if m == 1:
+        if K[0, 0] < floor if K.ndim == 2 else (K < floor).any():
+            _lost_definiteness(K, floor, what, times)
+        return L / K
+    try:
+        np.linalg.cholesky(symmetrize(K) - floor * np.eye(m))
+    except np.linalg.LinAlgError:
+        _lost_definiteness(K, floor, what, times)
+    return np.linalg.solve(K, L)
+
+
+def gain_path(Pb, P, B, C, D, R, delta: float, what: str, times) -> np.ndarray:
+    """feedback_gain of [R + D'PD]^{-1} [B'Pb + D'PC], batched along a path."""
+    Dt = np.swapaxes(D, -1, -2)
+    return feedback_gain(R + Dt @ P @ D, np.swapaxes(B, -1, -2) @ Pb + Dt @ P @ C,
+                         delta, what, times)
+
+
+def _lost_definiteness(K, floor, what, times):
+    bad = np.linalg.eigvalsh(symmetrize(K)).min(axis=-1) < floor
+    s = np.broadcast_to(times, bad.shape)[np.unravel_index(np.argmax(bad), bad.shape)]
+    raise IllPosedError(f"{what} lost definiteness at s={s:g}")
 
 
 def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,
@@ -80,19 +126,21 @@ def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,
     enters the quadratic term). With C absent the sandwich term is dropped.
     Returns (times, path) with every stored matrix symmetric.
     """
-    a, b = interval
-    Gm = np.atleast_2d(np.asarray(G, dtype=float))
+    times = march_times(*interval, h)
+    ss = stage_times(times)
+    As, F = A.at_many(ss), forcing.at_many(ss)
+    Cs = C.at_many(ss) if C is not None else None
+    S = np.array([sandwich(s) for s in ss]) if sandwich is not None else None
 
-    def rhs(s, P):
-        As = A(s)
-        out = P @ As + As.T @ P + forcing(s)
-        if C is not None:
-            Cs = C(s)
-            mid = sandwich(s) if sandwich is not None else P
-            out = out + Cs.T @ mid @ Cs
+    def rhs(q, P):
+        out = P @ As[q] + As[q].T @ P + F[q]
+        if Cs is not None:
+            mid = S[q] if S is not None else P
+            out = out + Cs[q].T @ mid @ Cs[q]
         return -out
 
-    return rk4_backward(rhs, a, b, Gm, h, symmetric=True)
+    return times, rk4_march(rhs, times, np.atleast_2d(np.asarray(G, dtype=float)),
+                            symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -132,16 +180,16 @@ class RiccatiSolution:
     Theta: np.ndarray  # (len(times), m, n)
 
 
-def _riccati_rhs(coeffs: RiccatiCoefficients):
-    def rhs(s, P):
-        As, Bs, Cs, Ds = coeffs.A(s), coeffs.B(s), coeffs.C(s), coeffs.D(s)
-        Ss, Qs, Rs = coeffs.S(s), coeffs.Q(s), coeffs.R(s)
-        K = Rs + Ds.T @ P @ Ds
-        if min_eig(K) < 0.5 * coeffs.delta:
-            raise IllPosedError(f"R + D'PD lost definiteness at s={s:g}")
-        L = Bs.T @ P + Ss + Ds.T @ P @ Cs
-        Theta = np.linalg.solve(K, L)
-        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + Qs - L.T @ Theta)
+def _riccati_rhs(coeffs: RiccatiCoefficients, ss: np.ndarray):
+    """The Riccati field at the stages ss, each coefficient sampled there once."""
+    A, B, C, D, S, Q, R = (f.at_many(ss) for f in (coeffs.A, coeffs.B, coeffs.C, coeffs.D,
+                                                   coeffs.S, coeffs.Q, coeffs.R))
+
+    def rhs(q, P):
+        As, Cs, Ds = A[q], C[q], D[q]
+        L = B[q].T @ P + S[q] + Ds.T @ P @ Cs
+        Theta = feedback_gain(R[q] + Ds.T @ P @ Ds, L, coeffs.delta, "R + D'PD", ss[q])
+        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + Q[q] - L.T @ Theta)
     return rhs
 
 
@@ -153,26 +201,24 @@ def solve_riccati(coeffs: RiccatiCoefficients, interval: tuple[float, float],
     residual of the integrated equation.
     """
     coeffs.check_definiteness(interval)
-    times, P = rk4_backward(_riccati_rhs(coeffs), interval[0], interval[1],
-                            np.atleast_2d(np.asarray(coeffs.G, float)), h,
-                            symmetric=True)
-    Theta = np.empty((len(times), coeffs.B.shape[1], coeffs.A.shape[0]))
+    times = march_times(*interval, h)
+    rhs = _riccati_rhs(coeffs, stage_times(times))
+    P = rk4_march(rhs, times, np.atleast_2d(np.asarray(coeffs.G, float)), symmetric=True)
+    B, C, D, S, R = (f.at_many(times) for f in (coeffs.B, coeffs.C, coeffs.D, coeffs.S,
+                                                coeffs.R))
+    Dt = np.swapaxes(D, -1, -2)
+    Theta = feedback_gain(R + Dt @ P @ D, np.swapaxes(B, -1, -2) @ P + S + Dt @ P @ C,
+                          coeffs.delta, "R + D'PD", times)
+    lo = np.linalg.eigvalsh(symmetrize(P)).min(axis=-1)
     for i, s in enumerate(times):
-        Bs, Cs, Ds = coeffs.B(s), coeffs.C(s), coeffs.D(s)
-        K = coeffs.R(s) + Ds.T @ P[i] @ Ds
-        if min_eig(K) < 0.5 * coeffs.delta:
-            raise IllPosedError(f"R + D'PD lost definiteness at s={s:g}")
-        Theta[i] = np.linalg.solve(K, Bs.T @ P[i] + coeffs.S(s) + Ds.T @ P[i] @ Cs)
-        floor = -tau_psd(P[i])
-        if min_eig(P[i]) < floor:
+        if lo[i] < -tau_psd(P[i]):
             raise IllPosedError(f"Riccati solution lost PSD at s={s:g}")
 
-    _check_midpoint_residual(coeffs, times, P)
+    _check_midpoint_residual(rhs, times, P)
     return RiccatiSolution(times=times, P=P, Theta=Theta)
 
 
-def _check_midpoint_residual(coeffs, times, P):
-    rhs = _riccati_rhs(coeffs)
+def _check_midpoint_residual(rhs, times, P):
     scale = 1.0 + float(np.abs(P).max())
     # the midpoint-rule residual of the exact solution is itself O(h^2)
     h_max = float(np.diff(times).max())
@@ -180,9 +226,8 @@ def _check_midpoint_residual(coeffs, times, P):
     worst = 0.0
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
-        mid = 0.5 * (times[i] + times[i + 1])
         dP = (P[i + 1] - P[i]) / dt
-        res = dP - rhs(mid, 0.5 * (P[i] + P[i + 1]))
+        res = dP - rhs(2 * i + 1, 0.5 * (P[i] + P[i + 1]))
         worst = max(worst, float(np.abs(res).max()))
     if worst > tau_res:
         raise IllPosedError(

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllPosedError, ValidationError
+from .errors import ValidationError
+from .integrators import feedback_gain, gain_path, rk4_march, stage_times
 from .simulate import MCConfig, aligned_time_grid, brownian_increments
-from .types import (ProblemData, TimeGrid, TwoParamMatrixField, hat, min_eig)
+from .types import ProblemData, TimeGrid, TwoParamMatrixField, hat
 
 
 def _require_no_mean_field_dynamics(problem: ProblemData):
@@ -61,63 +62,43 @@ def solve_open_loop(problem: ProblemData, h: float | None = None,
     if h is None:
         h = problem.T / 2000.0
     hp = hat(problem)
-    n = problem.n
     tg = np.linspace(0.0, problem.T, t_nodes + 1)
     J = t_nodes + 1
     sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
 
     # state Z: (2, J, n, n) -- Z[0] = P slices, Z[1] = Phat slices
-    Z = np.empty((2, J, n, n))
-    for j in range(J):
-        Z[0, j] = problem.G(tg[j])
-        Z[1, j] = hp.G(tg[j])
-
-    P_levels = np.empty((J, J, n, n))
-    Ph_levels = np.empty((J, J, n, n))
+    Z = np.stack([problem.G.at_many(tg), hp.G.at_many(tg)])
+    P_levels = np.empty((J,) + Z.shape[1:])
+    Ph_levels = np.empty_like(P_levels)
     P_levels[-1] = Z[0]
     Ph_levels[-1] = Z[1]
 
-    def diag_pair(s, Zs):
-        """Interpolate the diagonal (P(s,s), Phat(s,s)) from the stacked slices."""
-        j = min(int(np.searchsorted(tg, s, side="right")) - 1, J - 2)
-        j = max(j, 0)
-        w = (s - tg[j]) / (tg[j + 1] - tg[j])
-        d = (1.0 - w) * Zs[0, j] + w * Zs[0, j + 1]
-        dh = (1.0 - w) * Zs[1, j] + w * Zs[1, j + 1]
-        return d, dh
-
-    def rhs(s, Zs):
-        As, Bs, Cs, Ds = problem.A(s), problem.B(s), problem.C(s), problem.D(s)
-        d, dh = diag_pair(s, Zs)
-        K = hp.R(s, s) + Ds.T @ d @ Ds
-        if min_eig(K) < 0.5 * problem.delta:
-            raise IllPosedError(f"diagonal factor lost definiteness at s={s:g}")
-        Lam = np.linalg.solve(K, Bs.T @ dh + Ds.T @ d @ Cs)   # (m, n)
-        Q = np.stack([problem.Q(s, tj) for tj in tg])
-        Qh = np.stack([hp.Q(s, tj) for tj in tg])
-        P, Ph = Zs[0], Zs[1]
-        sand = np.einsum("ij,kjl,lm->kim", Cs.T, P, Cs)
-        out = np.empty_like(Zs)
-        out[0] = -(P @ As + np.einsum("ij,kjl->kil", As.T, P) + sand + Q
-                   - (P @ Bs + np.einsum("ij,kjl,lm->kim", Cs.T, P, Ds)) @ Lam)
-        out[1] = -(Ph @ As + np.einsum("ij,kjl->kil", As.T, Ph) + sand + Qh
-                   - (Ph @ Bs + np.einsum("ij,kjl,lm->kim", Cs.T, P, Ds)) @ Lam)
-        return out
-
     for lev in range(J - 1, 0, -1):
         a, b = tg[lev - 1], tg[lev]
-        dt = (b - a) / sub
-        for q in range(sub):
-            s = b - q * dt
-            k1 = rhs(s, Z)
-            k2 = rhs(s - 0.5 * dt, Z - 0.5 * dt * k1)
-            k3 = rhs(s - 0.5 * dt, Z - 0.5 * dt * k2)
-            k4 = rhs(s - dt, Z - dt * k3)
-            Z = Z - dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(Z)):
-                from .errors import BlowUpError
-                raise BlowUpError(f"open-loop march blew up near s={s - dt:g}",
-                                  time=float(s - dt))
+        times = np.linspace(a, b, sub + 1)
+        ss = stage_times(times)
+        # the diagonal at a stage time interpolates between the bracketing slices
+        w = (ss - a) / (b - a)
+        A, B, C, D = (f.at_many(ss) for f in (problem.A, problem.B, problem.C, problem.D))
+        Rd = hp.R.at_many(ss, ss)
+        Q = problem.Q.at_many(ss[:, None], tg)
+        Qh = hp.Q.at_many(ss[:, None], tg)
+
+        def rhs(q, Zs, j=lev - 1):
+            As, Bs, Cs, Ds = A[q], B[q], C[q], D[q]
+            d, dh = (1.0 - w[q]) * Zs[:, j] + w[q] * Zs[:, j + 1]
+            Dd = Ds.T @ d
+            Lam = feedback_gain(Rd[q] + Dd @ Ds, Bs.T @ dh + Dd @ Cs,
+                                problem.delta, "diagonal factor", ss[q])   # (m, n)
+            # both slice stacks at once; the sandwich terms read P only
+            CP = Cs.T @ Zs[0]
+            out = Zs @ As + As.T @ Zs + CP @ Cs
+            out[0] += Q[q]
+            out[1] += Qh[q]
+            out -= (Zs @ Bs + CP @ Ds) @ Lam
+            return -out
+
+        Z = rk4_march(rhs, times, Z)[0]
         P_levels[lev - 1] = Z[0]
         Ph_levels[lev - 1] = Z[1]
 
@@ -125,16 +106,11 @@ def solve_open_loop(problem: ProblemData, h: float | None = None,
     P_field = TwoParamMatrixField.from_triangle(grid, P_levels, symmetric=False)
     Ph_field = TwoParamMatrixField.from_triangle(grid, Ph_levels, symmetric=False)
 
-    Theta = np.empty((J, problem.m, n))
-    for j in range(J):
-        s = tg[j]
-        Bs, Cs, Ds = problem.B(s), problem.C(s), problem.D(s)
-        d = P_levels[j, j]
-        dh = Ph_levels[j, j]
-        K = hp.R(s, s) + Ds.T @ d @ Ds
-        if min_eig(K) < 0.5 * problem.delta:
-            raise IllPosedError(f"diagonal factor lost definiteness at t={s:g}")
-        Theta[j] = np.linalg.solve(K, Bs.T @ dh + Ds.T @ d @ Cs)
+    idx = np.arange(J)
+    d, dh = P_levels[idx, idx], Ph_levels[idx, idx]
+    B, C, D = (f.at_many(tg) for f in (problem.B, problem.C, problem.D))
+    Theta = gain_path(dh, d, B, C, D, hp.R.at_many(tg, tg), problem.delta,
+                      "diagonal factor", tg)
 
     asym = max(P_field.max_asymmetry(), Ph_field.max_asymmetry())
     return OpenLoopSolution(P=P_field, Phat=Ph_field, Theta_open=Theta,

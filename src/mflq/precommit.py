@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllPosedError
-from .integrators import rk4_backward, solve_lyapunov
+from .integrators import (feedback_gain, gain_path, march_times, rk4_march,
+                          solve_lyapunov, stage_times)
 from .types import MatrixFn, ProblemData, hat, min_eig
 
 
@@ -52,7 +52,8 @@ def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
     """Solve the decoupled Riccati pair (P first, then the hat equation reading P).
 
     Weights are frozen at the initial time t; the value of the optimally
-    controlled problem at (t, x) is <Phat(t) x, x>.
+    controlled problem at (t, x) is <Phat(t) x, x>.  P is marched at half the
+    step of Phat, so the hat march reads P at each of its stage times.
     """
     if h is None:
         h = default_step(problem)
@@ -60,46 +61,39 @@ def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
     hp = hat(problem)
     n_coarse = max(1, math.ceil((b - a) / h - 1e-12))
     fine = np.linspace(a, b, 2 * n_coarse + 1)
-    dt_fine = (b - a) / (2 * n_coarse)
+    times = np.linspace(a, b, n_coarse + 1)
+    delta = problem.delta
 
-    def base_rhs(s, P):
-        As, Bs, Cs, Ds = problem.A(s), problem.B(s), problem.C(s), problem.D(s)
-        K = problem.R(s, t) + Ds.T @ P @ Ds
-        if min_eig(K) < 0.5 * problem.delta:
-            raise IllPosedError(f"R(t)+D'PD lost definiteness at s={s:g}")
-        L = Bs.T @ P + Ds.T @ P @ Cs
-        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + problem.Q(s, t)
-                 - L.T @ np.linalg.solve(K, L))
+    ss = stage_times(fine)
+    A, B, C, D = (f.at_many(ss) for f in (problem.A, problem.B, problem.C, problem.D))
+    Q, R = problem.Q.at_many(ss, t), problem.R.at_many(ss, t)
 
-    _, P_fine = rk4_backward(base_rhs, a, b, problem.G(t), dt_fine, symmetric=True)
+    def base_rhs(q, P):
+        As, Cs, Ds = A[q], C[q], D[q]
+        DP = Ds.T @ P
+        L = B[q].T @ P + DP @ Cs
+        Th = feedback_gain(R[q] + DP @ Ds, L, delta, "R(t)+D'PD", ss[q])
+        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + Q[q] - L.T @ Th)
 
-    def P_at(s):
-        return P_fine[int(round((s - a) / dt_fine))]
+    P_fine = rk4_march(base_rhs, fine, problem.G(t), symmetric=True)
 
-    def hat_rhs(s, Ph):
-        P = P_at(s)
-        Ah, Bh, Ch, Dh = hp.A(s), hp.B(s), hp.C(s), hp.D(s)
-        K = hp.R(s, t) + Dh.T @ P @ Dh
-        if min_eig(K) < 0.5 * problem.delta:
-            raise IllPosedError(f"Rhat(t)+Dhat'PDhat lost definiteness at s={s:g}")
-        L = Bh.T @ Ph + Dh.T @ P @ Ch
-        return -(Ph @ Ah + Ah.T @ Ph + Ch.T @ P @ Ch + hp.Q(s, t)
-                 - L.T @ np.linalg.solve(K, L))
+    hs = stage_times(times)
+    Ah, Bh, Ch, Dh = (f.at_many(hs) for f in (hp.A, hp.B, hp.C, hp.D))
+    Qh, Rh = hp.Q.at_many(hs, t), hp.R.at_many(hs, t)
 
-    times, Phat = rk4_backward(hat_rhs, a, b, hp.G(t), (b - a) / n_coarse,
-                               symmetric=True)
+    def hat_rhs(q, Ph):
+        P, As, Cs, Ds = P_fine[q], Ah[q], Ch[q], Dh[q]
+        DP = Ds.T @ P
+        L = Bh[q].T @ Ph + DP @ Cs
+        Th = feedback_gain(Rh[q] + DP @ Ds, L, delta, "Rhat(t)+Dhat'PDhat", hs[q])
+        return -(Ph @ As + As.T @ Ph + Cs.T @ P @ Cs + Qh[q] - L.T @ Th)
+
+    Phat = rk4_march(hat_rhs, times, hp.G(t), symmetric=True)
     P = P_fine[::2]
 
-    Theta = np.empty((len(times), problem.m, problem.n))
-    Theta_hat = np.empty_like(Theta)
-    for i, s in enumerate(times):
-        Bs, Cs, Ds = problem.B(s), problem.C(s), problem.D(s)
-        K = problem.R(s, t) + Ds.T @ P[i] @ Ds
-        Theta[i] = np.linalg.solve(K, Bs.T @ P[i] + Ds.T @ P[i] @ Cs)
-        Bh, Ch, Dh = hp.B(s), hp.C(s), hp.D(s)
-        Kh = hp.R(s, t) + Dh.T @ P[i] @ Dh
-        Theta_hat[i] = np.linalg.solve(Kh, Bh.T @ Phat[i] + Dh.T @ P[i] @ Ch)
-
+    Theta = gain_path(P, P, B[::4], C[::4], D[::4], R[::4], delta, "R(t)+D'PD", times)
+    Theta_hat = gain_path(Phat, P, Bh[::2], Ch[::2], Dh[::2], Rh[::2], delta,
+                          "Rhat(t)+Dhat'PDhat", times)
     return PrecommitSolution(t=t, times=times, P=P, Phat=Phat,
                              Theta=Theta, Theta_hat=Theta_hat)
 
@@ -135,15 +129,13 @@ def precommit_bounds(problem: ProblemData, t: float, h: float | None = None
     n_coarse = max(1, math.ceil((b - a) / h - 1e-12))
     dt_fine = (b - a) / (2 * n_coarse)
 
-    Qt = MatrixFn(lambda s: problem.Q(s, t), (problem.n, problem.n), problem.T)
-    _, Pi_fine = solve_lyapunov(problem.A, problem.C, Qt, problem.G(t),
+    _, Pi_fine = solve_lyapunov(problem.A, problem.C, problem.Q.frozen(t), problem.G(t),
                                 (a, b), dt_fine)
 
     def Pi_at(s):
         return Pi_fine[int(round((s - a) / dt_fine))]
 
-    Qht = MatrixFn(lambda s: hp.Q(s, t), (problem.n, problem.n), problem.T)
-    times, Pi_hat = solve_lyapunov(hp.A, hp.C, Qht, hp.G(t), (a, b),
+    times, Pi_hat = solve_lyapunov(hp.A, hp.C, hp.Q.frozen(t), hp.G(t), (a, b),
                                    (b - a) / n_coarse, sandwich=Pi_at)
     Pi = Pi_fine[::2]
 
@@ -212,17 +204,19 @@ def cost_via_lyapunov(generator: MeanFieldGenerator, weights: QuadraticWeights,
     The middle equation consumes the first one inside its sandwich term, so the
     three are marched jointly in one RK4 system.
     """
-    a, b = interval
-    n = generator.A.shape[0]
+    times = march_times(*interval, h)
+    ss = stage_times(times)
+    A, C, Ah, Ch, Q, Qt, Qb = (f.at_many(ss) for f in (
+        generator.A, generator.C, generator.A + generator.Abar,
+        generator.C + generator.Cbar, weights.Q, weights.Qtilde, weights.Qbar))
 
-    def rhs(s, Z):
+    def rhs(q, Z):
         Gt, Gm, Gb = Z[0], Z[1], Z[2]
-        As, Abs_, Cs, Cbs = generator.A(s), generator.Abar(s), generator.C(s), generator.Cbar(s)
-        Ah, Ch = As + Abs_, Cs + Cbs
+        As, Cs, Ahs, Chs = A[q], C[q], Ah[q], Ch[q]
         out = np.empty_like(Z)
-        out[0] = -(Gt @ As + As.T @ Gt + Cs.T @ Gt @ Cs + weights.Q(s))
-        out[1] = -(Gm @ Ah + Ah.T @ Gm + Ch.T @ Gt @ Ch + weights.Q(s) + weights.Qtilde(s))
-        out[2] = -(Gb @ Ah + Ah.T @ Gb + weights.Qbar(s))
+        out[0] = -(Gt @ As + As.T @ Gt + Cs.T @ Gt @ Cs + Q[q])
+        out[1] = -(Gm @ Ahs + Ahs.T @ Gm + Chs.T @ Gt @ Chs + Q[q] + Qt[q])
+        out[2] = -(Gb @ Ahs + Ahs.T @ Gb + Qb[q])
         return out
 
     terminal = np.stack([
@@ -230,7 +224,7 @@ def cost_via_lyapunov(generator: MeanFieldGenerator, weights: QuadraticWeights,
         np.atleast_2d(np.asarray(weights.G, float)),
         np.atleast_2d(np.asarray(weights.Gbar, float)),
     ])
-    times, Z = rk4_backward(rhs, a, b, terminal, h, symmetric=True)
+    Z = rk4_march(rhs, times, terminal, symmetric=True)
     triple = LyapunovTriple(times=times, Gamma_tilde=Z[:, 0], Gamma=Z[:, 1],
                             Gamma_bar=Z[:, 2])
     return CostRepresentation(Gamma0=Z[0, 1], Gammabar0=Z[0, 2], triple=triple)

@@ -7,9 +7,11 @@ A problem document has the shape
      "delta": float}
 where every matrix entry is either a constant (nested arrays or scalar),
 {"kind": "exp_discount", "lambda": l, "base": [[...]]} for the kernel
-exp(-l*(s-t))*base (anchored at the horizon for one-time entries), or
+exp(-l*(s-t))*base (anchored at the horizon for one-time entries),
 {"kind": "samples", "times": [...], "values": [...]} with linear interpolation
-(in s for coefficients, in the lag s-t for two-time weights).
+(in s for coefficients, in the lag s-t for two-time weights), or, for
+one-time entries only, {"kind": "polynomial", "coeffs": [c0, c1, ...]} for
+sum_i c_i s**i with matrix coefficients.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .types import MatrixFn, ProblemData, TwoTimeMatrixFn
 _COEFF_KEYS = ("A", "Abar", "B", "Bbar", "C", "Cbar", "D", "Dbar")
 _WEIGHT_KEYS = ("Q", "Qbar", "R", "Rbar", "G", "Gbar")
 BUNDLED = ("classical", "ex12", "discounting", "meanfield")
+_TWO_TIME_KINDS = ("constant", "exp_discount", "samples")
+_ONE_TIME_KINDS = _TWO_TIME_KINDS + ("polynomial",)
 
 
 def _as_matrix(entry, shape, name) -> np.ndarray:
@@ -58,7 +62,13 @@ def _one_time(entry, shape, T, name) -> MatrixFn:
         if kind == "samples":
             times, values = _sample_values(entry, shape, name)
             return MatrixFn.from_samples(times, values, T, name)
-        raise ValidationError(f"{name}: unknown kind {kind!r}")
+        if kind == "polynomial":
+            coeffs = entry.get("coeffs") or []
+            if not coeffs:
+                raise ValidationError(f"{name}: polynomial needs a non-empty 'coeffs' list")
+            return MatrixFn.polynomial([_as_matrix(c, shape, name) for c in coeffs], T, name)
+        raise ValidationError(f"{name}: unknown kind {kind!r}; one-time entries take "
+                              f"{', '.join(_ONE_TIME_KINDS)}")
     return MatrixFn.constant(_as_matrix(entry, shape, name), T, name)
 
 
@@ -73,7 +83,8 @@ def _two_time(entry, shape, T, name) -> TwoTimeMatrixFn:
         if kind == "samples":
             times, values = _sample_values(entry, shape, name)
             return TwoTimeMatrixFn.from_lag_samples(times, values, T, name)
-        raise ValidationError(f"{name}: unknown kind {kind!r}")
+        raise ValidationError(f"{name}: unknown kind {kind!r} for a two-time weight; "
+                              f"supported kinds are {', '.join(_TWO_TIME_KINDS)}")
     return TwoTimeMatrixFn.constant(_as_matrix(entry, shape, name), T, name)
 
 

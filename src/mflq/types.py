@@ -5,7 +5,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ def tau_psd(M: np.ndarray) -> float:
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto symmetric matrices, applied along the last two axes."""
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def min_eig(M: np.ndarray) -> float:
@@ -76,14 +76,38 @@ class TimeGrid:
         return min(max(k, 0), self.num_intervals - 1)
 
 
+def _interp(x, xs, vs):
+    """Linear interpolation of the stacked matrices vs over the nodes xs at x
+    (scalar or array), clamped to the end values."""
+    x = np.clip(x, xs[0], xs[-1])
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    w = ((x - xs[i]) / (xs[i + 1] - xs[i]))[..., None, None]
+    return (1.0 - w) * vs[i] + w * vs[i + 1]
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of two equally shaped matrix stacks; stays a read-only broadcast view
+    when neither operand varies along its leading axes."""
+    lead = x.ndim - 2
+    if lead and x.size and not any(x.strides[:lead]) and not any(y.strides[:lead]):
+        first = (0,) * lead
+        return np.broadcast_to(x[first] + y[first], x.shape)
+    return x + y
+
+
 @dataclass(frozen=True)
 class MatrixFn:
-    """A continuous matrix-valued function of one time variable on [0, T]."""
+    """A continuous matrix-valued function of one time variable on [0, T].
+
+    `many`, when present, evaluates an array of times in one vectorized call;
+    `at_many` falls back to a scalar loop otherwise.
+    """
 
     fn: Callable[[float], np.ndarray]
     shape: tuple[int, int]
     T: float
     name: str = ""
+    many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, s: float) -> np.ndarray:
         M = np.asarray(self.fn(s), dtype=float)
@@ -93,10 +117,19 @@ class MatrixFn:
             )
         return M
 
+    def at_many(self, ss) -> np.ndarray:
+        """ss.shape + (r, c) values at an array of times; a constant comes back as
+        a read-only broadcast view."""
+        ss = np.asarray(ss, float)
+        if self.many is not None:
+            return self.many(ss)
+        return np.array([self(s) for s in ss.ravel()], float).reshape(ss.shape + self.shape)
+
     @classmethod
     def constant(cls, M, T: float, name: str = "") -> "MatrixFn":
         M = np.atleast_2d(np.asarray(M, dtype=float))
-        return cls(lambda s, _M=M: _M, M.shape, T, name)
+        return cls(lambda s, _M=M: _M, M.shape, T, name,
+                   lambda ss, _M=M: np.broadcast_to(_M, ss.shape + _M.shape))
 
     @classmethod
     def polynomial(cls, coeffs: Sequence, T: float, name: str = "") -> "MatrixFn":
@@ -105,14 +138,15 @@ class MatrixFn:
         shape = cs[0].shape
 
         def ev(s, _cs=cs):
-            out = np.zeros(shape)
-            p = 1.0
+            s = np.asarray(s, float)
+            out = np.zeros(s.shape + shape)
+            p = np.ones(s.shape + (1, 1))
             for c in _cs:
                 out = out + p * c
-                p *= s
+                p = p * s[..., None, None]
             return out
 
-        return cls(ev, shape, T, name)
+        return cls(ev, shape, T, name, ev)
 
     @classmethod
     def from_samples(cls, times, values, T: float, name: str = "") -> "MatrixFn":
@@ -120,43 +154,44 @@ class MatrixFn:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None, None]
-        shape = values.shape[1:]
 
-        def ev(s, _t=times, _v=values):
-            s = min(max(s, _t[0]), _t[-1])
-            i = min(int(np.searchsorted(_t, s, side="right")) - 1, len(_t) - 2)
-            i = max(i, 0)
-            w = (s - _t[i]) / (_t[i + 1] - _t[i])
-            return (1.0 - w) * _v[i] + w * _v[i + 1]
+        def ev(s):
+            return _interp(s, times, values)
 
-        return cls(ev, shape, T, name)
+        return cls(ev, values.shape[1:], T, name, ev)
 
     @classmethod
     def terminal_discount(cls, lam: float, base, T: float, name: str = "") -> "MatrixFn":
         """t -> exp(-lam*(T-t)) * base; used for discounted terminal weights."""
         base = np.atleast_2d(np.asarray(base, dtype=float))
-        return cls(lambda t, _b=base: np.exp(-lam * (T - t)) * _b, base.shape, T, name)
+
+        def ev(t):
+            return np.exp(-lam * (T - np.asarray(t)))[..., None, None] * base
+
+        return cls(ev, base.shape, T, name, ev)
 
     def __add__(self, other: "MatrixFn") -> "MatrixFn":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add MatrixFn shapes {self.shape} and {other.shape}")
         return MatrixFn(lambda s, a=self, b=other: a(s) + b(s), self.shape, self.T,
-                        f"{self.name}+{other.name}")
+                        f"{self.name}+{other.name}",
+                        lambda ss, a=self, b=other: _add(a.at_many(ss), b.at_many(ss)))
 
 
 @dataclass(frozen=True)
 class TwoTimeMatrixFn:
     """A continuous matrix function of (s, t) on the triangle 0 <= t <= s <= T.
 
-    `many`, when present, evaluates one s against a vector of t values in a single
-    vectorized call; solvers fall back to a scalar loop otherwise.
+    `many`, when present, evaluates arrays of s and t values, broadcast against
+    each other, in a single vectorized call; `at_many` falls back to a scalar
+    loop otherwise.
     """
 
     fn: Callable[[float, float], np.ndarray]
     shape: tuple[int, int]
     T: float
     name: str = ""
-    many: Callable[[float, np.ndarray], np.ndarray] | None = None
+    many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, s: float, t: float) -> np.ndarray:
         M = np.asarray(self.fn(s, t), dtype=float)
@@ -167,19 +202,29 @@ class TwoTimeMatrixFn:
             )
         return M
 
-    def at_many(self, s: float, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), r, c) values of (s, t_j) for a vector of second arguments."""
+    def at_many(self, s, ts) -> np.ndarray:
+        """Values at (s, t) for s and ts broadcast against each other, shaped
+        broadcast_shape + (r, c): one s against a vector of anchors, a column of
+        stage times against the anchors, or two aligned vectors for the diagonal.
+        A constant comes back as a read-only broadcast view."""
+        s, ts = np.asarray(s, float), np.asarray(ts, float)
         if self.many is not None:
-            return self.many(s, np.asarray(ts, float))
-        return np.stack([self(s, t) for t in ts]) if len(ts) else \
-            np.empty((0,) + self.shape)
+            return self.many(s, ts)
+        s, ts = np.broadcast_arrays(s, ts)
+        return np.array([self(a, b) for a, b in zip(s.ravel(), ts.ravel())],
+                        float).reshape(s.shape + self.shape)
+
+    def frozen(self, t: float) -> MatrixFn:
+        """The one-time function s -> self(s, t) at a fixed anchor t."""
+        return MatrixFn(lambda s, f=self: f(s, t), self.shape, self.T, self.name,
+                        lambda ss, f=self: f.at_many(ss, t))
 
     @classmethod
     def constant(cls, M, T: float, name: str = "") -> "TwoTimeMatrixFn":
         M = np.atleast_2d(np.asarray(M, dtype=float))
 
         def many(s, ts, _M=M):
-            return np.broadcast_to(_M, (len(ts),) + _M.shape)
+            return np.broadcast_to(_M, np.broadcast_shapes(s.shape, ts.shape) + _M.shape)
 
         return cls(lambda s, t, _M=M: _M, M.shape, T, name, many)
 
@@ -188,11 +233,10 @@ class TwoTimeMatrixFn:
         """(s, t) -> exp(-lam*(s-t)) * base."""
         base = np.atleast_2d(np.asarray(base, dtype=float))
 
-        def many(s, ts, _b=base):
-            return np.exp(-lam * (s - ts))[:, None, None] * _b
+        def ev(s, t):
+            return np.exp(-lam * (np.asarray(s) - t))[..., None, None] * base
 
-        return cls(lambda s, t, _b=base: np.exp(-lam * (s - t)) * _b,
-                   base.shape, T, name, many)
+        return cls(ev, base.shape, T, name, ev)
 
     @classmethod
     def from_lag_samples(cls, lags, values, T: float, name: str = "") -> "TwoTimeMatrixFn":
@@ -201,32 +245,21 @@ class TwoTimeMatrixFn:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None, None]
-        shape = values.shape[1:]
-
-        def interp(u, _u=lags, _v=values):
-            u = np.clip(u, _u[0], _u[-1])
-            i = np.clip(np.searchsorted(_u, u, side="right") - 1, 0, len(_u) - 2)
-            w = (u - _u[i]) / (_u[i + 1] - _u[i])
-            return (1.0 - w)[..., None, None] * _v[i] + w[..., None, None] * _v[i + 1]
 
         def ev(s, t):
-            return interp(np.asarray(s - t))
+            return _interp(np.asarray(s) - t, lags, values)
 
-        def many(s, ts):
-            return interp(s - ts)
-
-        return cls(ev, shape, T, name, many)
+        return cls(ev, values.shape[1:], T, name, ev)
 
     def __add__(self, other: "TwoTimeMatrixFn") -> "TwoTimeMatrixFn":
         if self.shape != other.shape:
             raise DimensionError(
                 f"cannot add TwoTimeMatrixFn shapes {self.shape} and {other.shape}"
             )
-        many = None
-        if self.many is not None and other.many is not None:
-            many = lambda s, ts, a=self.many, b=other.many: a(s, ts) + b(s, ts)
-        return TwoTimeMatrixFn(lambda s, t, a=self, b=other: a(s, t) + b(s, t),
-                               self.shape, self.T, f"{self.name}+{other.name}", many)
+        return TwoTimeMatrixFn(
+            lambda s, t, a=self, b=other: a(s, t) + b(s, t), self.shape, self.T,
+            f"{self.name}+{other.name}",
+            lambda s, ts, a=self, b=other: _add(a.at_many(s, ts), b.at_many(s, ts)))
 
 
 @dataclass(frozen=True)
@@ -287,10 +320,8 @@ class ProblemData:
     def has_mean_field_dynamics(self) -> bool:
         """True if any bar coefficient of the dynamics is nonzero on a sample grid."""
         ss = np.linspace(0.0, self.T, 7)
-        for f in (self.Abar, self.Bbar, self.Cbar, self.Dbar):
-            if any(np.abs(f(s)).max() > 0 for s in ss):
-                return True
-        return False
+        return any(np.abs(f.at_many(ss)).max() > 0
+                   for f in (self.Abar, self.Bbar, self.Cbar, self.Dbar))
 
 
 def hat(problem: ProblemData) -> HatCoefficients:
@@ -489,9 +520,9 @@ class PiecewiseGain:
 
 def sample_fn(f, times) -> np.ndarray:
     """Evaluate a MatrixFn on a vector of times, returning (len(times), r, c)."""
-    return np.stack([f(s) for s in np.asarray(times, float)])
+    return f.at_many(times)
 
 
 def sample_two_time(f, times, t: float) -> np.ndarray:
     """Evaluate a TwoTimeMatrixFn at fixed second argument t."""
-    return np.stack([f(s, t) for s in np.asarray(times, float)])
+    return f.at_many(times, t)

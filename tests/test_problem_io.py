@@ -83,6 +83,25 @@ class TestParse:
         np.testing.assert_allclose(p.Q(0.4, 0.4), base)
         np.testing.assert_allclose(p.Q(0.9, 0.4), np.exp(-lam * 0.5) * base)
 
+    def test_polynomial_one_time_entry(self):
+        doc = bundled_document("classical")
+        c0 = [[0.1, 0.2], [0.0, -0.1]]
+        c2 = [[1.0, 0.0], [0.5, -2.0]]
+        doc["coefficients"]["A"] = {"kind": "polynomial",
+                                    "coeffs": [c0, [[0.0, 0.0], [0.0, 0.0]], c2]}
+        p = parse_problem(doc)
+        ss = np.array([0.0, 0.3, 1.0])
+        expected = [np.asarray(c0) + s * s * np.asarray(c2) for s in ss]
+        for s, want in zip(ss, expected):
+            np.testing.assert_allclose(p.A(s), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p.A.at_many(ss), expected, rtol=0, atol=1e-15)
+
+    def test_polynomial_two_time_weight_rejected(self):
+        doc = bundled_document("classical")
+        doc["weights"]["Q"] = {"kind": "polynomial", "coeffs": [[[1.0, 0.0], [0.0, 1.0]]]}
+        with pytest.raises(ValidationError, match="constant, exp_discount, samples"):
+            parse_problem(doc)
+
     def test_lag_samples_interpolate(self):
         doc = bundled_document("discounting")
         p = parse_problem(doc)
