@@ -97,8 +97,9 @@ def cmd_precommit(args) -> int:
 
     if args.sweep > 1:
         ts = np.linspace(0.0, problem.T, args.sweep + 1)[:-1]
-        rows = [[t, *solve_precommitment(problem, float(t), h).Phat[0].reshape(-1)]
-                for t in ts]
+        # the solve at --t is already done when the sweep passes through it
+        rows = [[t, *(sol if t == args.t else solve_precommitment(problem, float(t), h))
+                 .Phat[0].reshape(-1)] for t in ts]
         write_csv(os.path.join(out, "values.csv"),
                   ["t"] + _matrix_header("Phat", n, n), rows)
 

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ConfigurationError, IllPosedError
 from .integrators import feedback_gain, gain_path, rk4_march, stage_times
 from .precommit import default_step
-from .simulate import MCConfig, aligned_time_grid, brownian_increments, simulate_closed_loop
+from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
+                       euler_maruyama, euler_transition, reset_mask, sandwich,
+                       simulate_closed_loop, stack_rows, trapezoid_weights)
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
                     min_eig, symmetrize, tau_psd)
 
@@ -327,33 +329,31 @@ def delta_local_optimality_check(problem: ProblemData, eq: DeltaEquilibrium,
     nodes = eq.partition.nodes
     if not 0 <= k < eq.N:
         raise ConfigurationError(f"player index {k} outside 0..{eq.N - 1}")
-    tk, tk1 = float(nodes[k]), float(nodes[k + 1])
+    tk = float(nodes[k])
     T = problem.T
     x0 = np.asarray(x0, float).reshape(-1)
 
     if k == 0:
-        Xk = np.broadcast_to(x0, (mc.paths, problem.n)).copy()
+        Xk = np.repeat(x0[:, None], mc.paths, axis=1)
     else:
         head = simulate_closed_loop(problem, eq.gains, 0.0, x0,
                                     MCConfig(paths=mc.paths, steps=mc.steps,
                                              seed=mc.seed + 1,
                                              antithetic=mc.antithetic))
-        idx = int(np.argmin(np.abs(head.times - tk)))
-        Xk = head.states[:, idx].copy()
+        Xk = head.states[:, int(np.argmin(np.abs(head.times - tk)))].T
 
     tail_steps = max(eq.N - k, int(round(mc.steps * (T - tk) / T)))
     grid = aligned_time_grid(tk, T, tail_steps, nodes[(nodes > tk + 1e-12)
                                                       & (nodes < T - 1e-12)])
-    dts = np.diff(grid)
-    dW = brownian_increments(mc, dts)
+    dW = brownian_increments(mc, np.diff(grid))
 
-    base = _tail_cost(problem, eq, k, grid, dts, dW, Xk, None)
     probes = _deviation_probes(problem, eq, k, n_probes)
+    costs = _tail_cost(problem, eq, k, grid, dW, Xk, [probe for _, probe in probes])
+    base = costs[0]
     records = []
     min_margin = np.inf
     half = mc.paths // 2 if mc.antithetic else mc.paths
-    for label, probe in probes:
-        dev = _tail_cost(problem, eq, k, grid, dts, dW, Xk, probe)
+    for (label, _), dev in zip(probes, costs[1:]):
         diff = dev - base
         if mc.antithetic:
             diff = 0.5 * (diff[:half] + diff[half:])
@@ -389,84 +389,53 @@ def _deviation_probes(problem, eq, k, n_probes):
     return probes[:n_probes]
 
 
-def _tail_cost(problem, eq, k, grid, dts, dW, Xk, probe):
-    """Per-path frozen-at-t_k cost of the tail, Euler scheme with exact
-    conditional means (the mean recursions mirror the state recursion)."""
+def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
+    """Per-path frozen-at-t_k costs of the tail from the states Xk (n, paths):
+    row 0 for the equilibrium, row 1 + i for `probes[i]` on [t_k, t_{k+1}).
+
+    All variants march as one batch on the same increments.  Each carries the
+    state [X, E_tk X, E_rho X, E_tk E_rho X, 1]: Euler recursions for the
+    conditional means mirror the state's, so they are the exact means of the
+    scheme, and the constant row carries the constant probes.
+    """
     hp = hat(problem)
+    n, m = problem.n, problem.m
     nodes = eq.partition.nodes
-    tk = float(nodes[k])
-    tk1 = float(nodes[k + 1])
-    reset_set = {round(float(v), 12) for v in nodes[k + 1:-1]}
-    P = Xk.shape[0]
+    tk, tk1 = float(nodes[k]), float(nodes[k + 1])
+    d = 4 * n + 1
+    X, Mk, Mr, Mrk, one = np.split(np.eye(d), [n, 2 * n, 3 * n, 4 * n])   # row blocks
 
-    X = Xk.copy()
-    m_k = Xk.copy()        # E_{t_k}[X]
-    m_rho = Xk.copy()      # E_{rho(s)}[X]
-    m_rhok = Xk.copy()     # E_{t_k}[m_rho]
+    # the controls u, E_tk u, E_rho u and E_tk E_rho u as matrices on the state,
+    # per node and variant
+    th, thh = eq.gains.at_many(grid)
+    dth = th - thh
+    U = np.empty((4, len(grid), 1 + len(probes), m, d))
+    U[:] = np.stack([-th @ X + dth @ Mr, -th @ Mk + dth @ Mrk,
+                     -thh @ Mr, -thh @ Mrk])[:, :, None]
+    window = grid < tk1 - 1e-12
+    for v, (kind, data) in enumerate(probes, start=1):
+        for i, E in enumerate((X, Mk, Mr, Mrk)):
+            U[i, window, v] = data[:, None] * one if kind == "const" else -data @ E
+    u, eu, ru, reu = U
 
-    w = np.empty(len(grid))
-    w[0] = 0.5 * dts[0]
-    w[-1] = 0.5 * dts[-1]
-    if len(grid) > 2:
-        w[1:-1] = 0.5 * (dts[:-1] + dts[1:])
-    J = np.zeros(P)
+    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(grid)[:, None] for f in (
+        problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
+        problem.D, problem.Dbar, hp.A, hp.B))
+    gen = stack_rows((
+        A @ X + Ab @ Mr + B @ u + Bb @ ru,
+        A @ Mk + Ab @ Mrk + B @ eu + Bb @ reu,
+        Ah @ Mr + Bh @ ru,
+        Ah @ Mrk + Bh @ reu,
+        np.zeros((1, 1, 1, d))))
+    noise = C @ X + Cb @ Mr + D @ u + Db @ ru
 
-    for j, s in enumerate(grid):
-        s = float(s)
-        in_probe = probe is not None and s < tk1 - 1e-12
-        if in_probe:
-            kind, data = probe
-            if kind == "const":
-                u = np.broadcast_to(data, (P, problem.m)).copy()
-                eu = u
-                erho_u = u
-                etk_erho_u = u
-            else:
-                Kfb = data
-                u = -X @ Kfb.T
-                eu = -m_k @ Kfb.T
-                erho_u = -m_rho @ Kfb.T
-                etk_erho_u = -m_rhok @ Kfb.T
-        else:
-            th = eq.gains.theta(s)
-            thh = eq.gains.theta_hat(s)
-            u = -X @ th.T + m_rho @ (th - thh).T
-            eu = -m_k @ th.T + m_rhok @ (th - thh).T
-            erho_u = -m_rho @ thh.T
-            etk_erho_u = -m_rhok @ thh.T
+    Q, Qb, R, Rb = (f.at_many(grid, tk)[:, None] for f in (
+        problem.Q, problem.Qbar, problem.R, problem.Rbar))
+    weight = trapezoid_weights(grid)[:, None, None, None] * (
+        sandwich(X, Q) + sandwich(Mk, Qb) + sandwich(u, R) + sandwich(eu, Rb))
+    weight[-1] += sandwich(X, problem.G(tk)) + sandwich(Mk, problem.Gbar(tk))
 
-        Qk = problem.Q(s, tk)
-        Qbk = problem.Qbar(s, tk)
-        Rk = problem.R(s, tk)
-        Rbk = problem.Rbar(s, tk)
-        J += w[j] * (np.einsum("pi,ij,pj->p", X, Qk, X)
-                     + np.einsum("pi,ij,pj->p", m_k, Qbk, m_k)
-                     + np.einsum("pi,ij,pj->p", u, Rk, u)
-                     + np.einsum("pi,ij,pj->p", eu, Rbk, eu))
-        if j == len(grid) - 1:
-            break
-
-        dt = dts[j]
-        As, Abs_ = problem.A(s), problem.Abar(s)
-        Bs, Bbs = problem.B(s), problem.Bbar(s)
-        Cs, Cbs = problem.C(s), problem.Cbar(s)
-        Ds, Dbs = problem.D(s), problem.Dbar(s)
-        Ah, Bh = hp.A(s), hp.B(s)
-
-        drift = X @ As.T + m_rho @ Abs_.T + u @ Bs.T + erho_u @ Bbs.T
-        diff = X @ Cs.T + m_rho @ Cbs.T + u @ Ds.T + erho_u @ Dbs.T
-        X = X + dt * drift + diff * dW[:, j][:, None]
-        m_k = m_k + dt * (m_k @ As.T + m_rhok @ Abs_.T
-                          + eu @ Bs.T + etk_erho_u @ Bbs.T)
-        m_rho = m_rho + dt * (m_rho @ Ah.T + erho_u @ Bh.T)
-        m_rhok = m_rhok + dt * (m_rhok @ Ah.T + etk_erho_u @ Bh.T)
-
-        if round(float(grid[j + 1]), 12) in reset_set:
-            m_rho = X.copy()
-            m_rhok = m_k.copy()
-
-    Gk = np.atleast_2d(problem.G(tk))
-    Gbk = np.atleast_2d(problem.Gbar(tk))
-    J += (np.einsum("pi,ij,pj->p", X, Gk, X)
-          + np.einsum("pi,ij,pj->p", m_k, Gbk, m_k))
-    return J
+    Z = np.concatenate([np.tile(Xk, (4, 1)), np.ones((1, Xk.shape[1]))])
+    resets = (reset_mask(grid, nodes[k + 1:-1]), slice(2 * n, 4 * n), slice(0, 2 * n))
+    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(grid)), noise[:-1], dW,
+                          weight=weight, reset=resets)[1]

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrators import feedback_gain, gain_path, rk4_march, stage_times
-from .simulate import MCConfig, aligned_time_grid, brownian_increments
-from .types import ProblemData, TimeGrid, TwoParamMatrixField, hat
+from .simulate import (MCConfig, aligned_time_grid, brownian_increments, euler_maruyama,
+                       euler_transition, sandwich, stack_rows, trapezoid_weights)
+from .types import ProblemData, TimeGrid, TwoParamMatrixField, _interp, hat
 
 
 def _require_no_mean_field_dynamics(problem: ProblemData):
@@ -39,13 +40,10 @@ class OpenLoopSolution:
     def tgrid(self) -> TimeGrid:
         return self.P.grid
 
-    def theta_open_at(self, t: float) -> np.ndarray:
-        nodes = self.tgrid.nodes
-        t = min(max(t, nodes[0]), nodes[-1])
-        i = min(int(np.searchsorted(nodes, t, side="right")) - 1, len(nodes) - 2)
-        i = max(i, 0)
-        w = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return (1.0 - w) * self.Theta_open[i] + w * self.Theta_open[i + 1]
+    def theta_open_at(self, t):
+        """The diagonal gain at t (a time or an array of times), linear between
+        the t-grid nodes."""
+        return _interp(t, self.tgrid.nodes, self.Theta_open)
 
 
 def solve_open_loop(problem: ProblemData, h: float | None = None,
@@ -122,93 +120,58 @@ def solve_open_loop(problem: ProblemData, h: float | None = None,
 # statistical verification of the equilibrium property
 
 
-def _trapezoid_weights(grid: np.ndarray, start: int) -> np.ndarray:
-    t = grid[start:]
-    w = np.empty(len(t))
-    w[0] = 0.5 * (t[1] - t[0])
-    w[-1] = 0.5 * (t[-1] - t[-2])
-    if len(t) > 2:
-        w[1:-1] = 0.5 * (t[2:] - t[:-2])
-    return w
+def _equilibrium_run(problem, sol, grid, dW, x0, it):
+    """(n, paths) states of the equilibrium path at grid[it], started from x0."""
+    th = sol.theta_open_at(grid[:it])
+    A, B, C, D = (f.at_many(grid[:it]) for f in (problem.A, problem.B, problem.C,
+                                                  problem.D))
+    start = np.repeat(x0[:, None], dW.shape[0], axis=1)
+    return euler_maruyama(start, euler_transition(A - B @ th, np.diff(grid[:it + 1])),
+                          C - D @ th, dW[:, :it])[0]
 
 
-def _integrand(problem, t, s, X, u, m, eu):
-    """Per-path running cost with weights frozen at t; m, eu are per-path E_t rows."""
-    out = np.einsum("pi,ij,pj->p", X, problem.Q(s, t), X)
-    out = out + np.einsum("pi,ij,pj->p", m, problem.Qbar(s, t), m)
-    out = out + np.einsum("pi,ij,pj->p", u, problem.R(s, t), u)
-    return out + np.einsum("pi,ij,pj->p", eu, problem.Rbar(s, t), eu)
+def _spiked_run(problem, sol, grid, dW, Xt, it, ie, t, probes):
+    """Per-path costs from t = grid[it] on, weights frozen at t: row 0 for the
+    equilibrium, row 1 + i for `probes[i]` on [t, grid[ie]) followed by the
+    equilibrium path's own control.
 
-
-def _terminal(problem, t, X, m):
-    out = np.einsum("pi,ij,pj->p", X, problem.G(t), X)
-    return out + np.einsum("pi,ij,pj->p", m, problem.Gbar(t), m)
-
-
-def _equilibrium_run(problem, sol, grid, dts, dW, x0, it, t):
-    """Forward equilibrium path; returns (X at t, cost from t, tail controls, tail E_t[u])."""
-    P = dW.shape[0]
-    L = len(grid)
-    X = np.tile(x0, (P, 1))
-    for j in range(it):
-        s, dt = grid[j], dts[j]
-        u = -X @ sol.theta_open_at(s).T
-        X = X + (X @ problem.A(s).T + u @ problem.B(s).T) * dt \
-            + (X @ problem.C(s).T + u @ problem.D(s).T) * dW[:, j:j + 1]
-
-    Xt = X.copy()
-    m = X.copy()   # Euler conditional mean: exactly the mean of the discrete scheme
-    w = _trapezoid_weights(grid, it)
-    J = np.zeros(P)
-    us, eus = [], []
-    for j in range(it, L):
-        s = grid[j]
-        th = sol.theta_open_at(s)
-        u = -X @ th.T
-        eu = -m @ th.T
-        us.append(u)
-        eus.append(eu)
-        J += w[j - it] * _integrand(problem, t, s, X, u, m, eu)
-        if j == L - 1:
-            break
-        dt = dts[j]
-        X = X + (X @ problem.A(s).T + u @ problem.B(s).T) * dt \
-            + (X @ problem.C(s).T + u @ problem.D(s).T) * dW[:, j:j + 1]
-        m = m + dt * (m @ problem.A(s).T + eu @ problem.B(s).T)
-    J += _terminal(problem, t, X, m)
-    return Xt, J, us, eus
-
-
-def _spiked_run(problem, sol, grid, dts, dW, Xt, us, eus, it, ie, t, probe):
-    """Cost of the spiked control: probe on [t, t+eps), original tail control after."""
-    kind, val = probe
-    P = Xt.shape[0]
-    L = len(grid)
-    X = Xt.copy()
-    m = Xt.copy()
-    w = _trapezoid_weights(grid, it)
-    J = np.zeros(P)
-    for j in range(it, L):
-        s = grid[j]
-        if j < ie:
-            if kind == "const":
-                u = np.tile(val, (P, 1))
-                eu = np.tile(val, (P, 1))
-            else:
-                u = -X @ val.T
-                eu = -m @ val.T
+    All variants march as one batch from the states Xt (n, paths).  Each
+    carries [X, X_eq, E_t X, E_t X_eq, 1]: the equilibrium state rides along
+    to supply the tail control, the Euler recursion of the conditional mean is
+    exactly the mean of the scheme, and the constant row carries the constant
+    probes.
+    """
+    n = problem.n
+    d = 4 * n + 1
+    X, Xe, M, Me, one = np.split(np.eye(d), [n, 2 * n, 3 * n, 4 * n])   # row blocks
+    tail = grid[it:]
+    th = sol.theta_open_at(tail)
+    ctl, ectl = -th @ Xe, -th @ Me                     # the equilibrium's u, E_t u
+    u = np.repeat(ctl[:, None], 1 + len(probes), axis=1)
+    eu = np.repeat(ectl[:, None], 1 + len(probes), axis=1)
+    for v, (kind, val) in enumerate(probes, start=1):
+        if kind == "const":
+            u[:ie - it, v] = eu[:ie - it, v] = val[:, None] * one
         else:
-            u = us[j - it]
-            eu = eus[j - it]
-        J += w[j - it] * _integrand(problem, t, s, X, u, m, eu)
-        if j == L - 1:
-            break
-        dt = dts[j]
-        X = X + (X @ problem.A(s).T + u @ problem.B(s).T) * dt \
-            + (X @ problem.C(s).T + u @ problem.D(s).T) * dW[:, j:j + 1]
-        m = m + dt * (m @ problem.A(s).T + eu @ problem.B(s).T)
-    J += _terminal(problem, t, X, m)
-    return J
+            u[:ie - it, v], eu[:ie - it, v] = -val @ X, -val @ M
+    ctl, ectl = ctl[:, None], ectl[:, None]
+
+    A, B, C, D = (f.at_many(tail)[:, None] for f in (problem.A, problem.B, problem.C,
+                                                      problem.D))
+    gen = stack_rows((
+        A @ X + B @ u, A @ Xe + B @ ctl, A @ M + B @ eu, A @ Me + B @ ectl,
+        np.zeros((1, 1, 1, d))))
+    noise = stack_rows((C @ X + D @ u, C @ Xe + D @ ctl))
+
+    Q, Qb, R, Rb = (f.at_many(tail, t)[:, None] for f in (
+        problem.Q, problem.Qbar, problem.R, problem.Rbar))
+    weight = trapezoid_weights(tail)[:, None, None, None] * (
+        sandwich(X, Q) + sandwich(M, Qb) + sandwich(u, R) + sandwich(eu, Rb))
+    weight[-1] += sandwich(X, problem.G(t)) + sandwich(M, problem.Gbar(t))
+
+    Z = np.concatenate([np.tile(Xt, (4, 1)), np.ones((1, Xt.shape[1]))])
+    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(tail)), noise[:-1],
+                          dW[:, it:], weight=weight)[1]
 
 
 def _default_probes(problem, sol, t):
@@ -243,15 +206,15 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
     for t in check_times:
         for eps in sorted(eps_list, reverse=True):
             grid = aligned_time_grid(0.0, T, mc.steps, (t, t + eps))
-            dts = np.diff(grid)
-            dW = brownian_increments(mc, dts)
+            dW = brownian_increments(mc, np.diff(grid))
             it = int(np.argmin(np.abs(grid - t)))
             ie = int(np.argmin(np.abs(grid - (t + eps))))
-            Xt, Jeq, us, eus = _equilibrium_run(problem, sol, grid, dts, dW, x0, it, t)
-            for name, probe in _default_probes(problem, sol, t):
-                Jp = _spiked_run(problem, sol, grid, dts, dW, Xt, us, eus,
-                                 it, ie, t, probe)
-                diff = Jp - Jeq
+            Xt = _equilibrium_run(problem, sol, grid, dW, x0, it)
+            probes = _default_probes(problem, sol, t)
+            costs = _spiked_run(problem, sol, grid, dW, Xt, it, ie, t,
+                                [probe for _, probe in probes])
+            for (name, _), Jp in zip(probes, costs[1:]):
+                diff = Jp - costs[0]
                 if mc.antithetic:
                     half = len(diff) // 2
                     diff = 0.5 * (diff[:half] + diff[half:])
@@ -283,9 +246,14 @@ def bsde_residual_check(problem: ProblemData, sol: OpenLoopSolution,
     hp = hat(problem)
     tg = sol.tgrid.nodes
     grid = aligned_time_grid(0.0, problem.T, mc.steps, tg[1:-1])
-    dts = np.diff(grid)
-    dW = brownian_increments(mc, dts)
-    X = np.tile(np.ones(problem.n), (mc.paths, 1))
+    dW = brownian_increments(mc, np.diff(grid))
+    th = sol.theta_open_at(grid)
+    A, B, C, D = (f.at_many(grid) for f in (problem.A, problem.B, problem.C, problem.D))
+    Rd = hp.R.at_many(grid, grid)
+    states = euler_maruyama(np.ones((problem.n, mc.paths)),
+                            euler_transition((A - B @ th)[:-1], np.diff(grid)),
+                            (C - D @ th)[:-1], dW,
+                            observe=np.broadcast_to(np.eye(problem.n), A.shape))[2]
 
     worst = 0.0
     per_time = []
@@ -296,20 +264,14 @@ def bsde_residual_check(problem: ProblemData, sol: OpenLoopSolution,
             k = node_set[key]
             d = sol.P.values[k, k]
             dh = sol.Phat.values[k, k]
-            th = sol.Theta_open[k]
-            u = -X @ th.T
+            X = states[j].T
+            u = -X @ sol.Theta_open[k].T
             Y = X @ dh.T
-            Z = (X @ problem.C(s).T + u @ problem.D(s).T) @ d.T
-            res = u @ hp.R(s, s).T + Y @ problem.B(s) + Z @ problem.D(s)
-            scale = 1.0 + np.abs(u @ hp.R(s, s).T) + np.abs(Y @ problem.B(s)) \
-                + np.abs(Z @ problem.D(s))
+            Z = (X @ C[j].T + u @ D[j].T) @ d.T
+            res = u @ Rd[j].T + Y @ B[j] + Z @ D[j]
+            scale = 1.0 + np.abs(u @ Rd[j].T) + np.abs(Y @ B[j]) + np.abs(Z @ D[j])
             rel = float((np.abs(res) / scale).max())
             per_time.append({"t": float(s), "max_relative_residual": rel})
             worst = max(worst, rel)
-        if j < len(grid) - 1:
-            th = sol.theta_open_at(s)
-            u = -X @ th.T
-            X = X + (X @ problem.A(s).T + u @ problem.B(s).T) * dts[j] \
-                + (X @ problem.C(s).T + u @ problem.D(s).T) * dW[:, j:j + 1]
 
     return {"max_relative_residual": worst, "per_time": per_time}

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .types import PiecewiseGain, ProblemData, hat
+from .types import ProblemData, hat
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,12 @@ def brownian_increments(mc: MCConfig, dts: np.ndarray) -> np.ndarray:
     """(paths, len(dts)) Brownian increments; second half mirrors the first when antithetic."""
     rng = np.random.Generator(np.random.Philox(key=mc.seed))
     half = mc.paths // 2 if mc.antithetic else mc.paths
-    Z = rng.standard_normal((half, len(dts)))
+    dW = np.empty((mc.paths, len(dts)))
+    rng.standard_normal(out=dW[:half])
     if mc.antithetic:
-        Z = np.concatenate([Z, -Z], axis=0)
-    return Z * np.sqrt(dts)[None, :]
+        np.negative(dW[:half], out=dW[half:])
+    dW *= np.sqrt(dts)
+    return dW
 
 
 def aligned_time_grid(t: float, T: float, steps: int, nodes=()) -> np.ndarray:
@@ -60,6 +62,102 @@ def aligned_time_grid(t: float, T: float, steps: int, nodes=()) -> np.ndarray:
         k = max(1, int(round(steps * (b - a) / total)))
         out.append(np.linspace(a, b, k + 1)[1:])
     return np.concatenate(out)
+
+
+def trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Weights w such that sum_j w[j] f(times[j]) is the trapezoidal rule."""
+    dts = np.diff(times)
+    w = np.empty(len(times))
+    w[0], w[-1] = 0.5 * dts[0], 0.5 * dts[-1]
+    w[1:-1] = 0.5 * (dts[:-1] + dts[1:])
+    return w
+
+
+def reset_mask(times: np.ndarray, nodes) -> np.ndarray:
+    """mask[j]: whether times[j + 1] is one of `nodes`, compared at 12 decimals."""
+    keys = {round(float(v), 12) for v in nodes}
+    return np.array([round(float(s), 12) in keys for s in times[1:]], dtype=bool)
+
+
+def sandwich(E: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """E' M E: a quadratic-form weight M on the block of the state E selects."""
+    return np.swapaxes(E, -1, -2) @ M @ E
+
+
+def euler_transition(gen: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """I + dt G for a generator G stacked along the step axis."""
+    dt = dts.reshape((-1,) + (1,) * (gen.ndim - 1))
+    return np.eye(gen.shape[-1]) + dt * gen
+
+
+def euler_maruyama(Z, drift, noise=None, dW=None, weight=None, observe=None,
+                   reset=None):
+    """Euler-Maruyama march of a linear SDE on an augmented state.
+
+    Z holds one state column per path, shape (..., d, paths); leading axes are
+    variants marched together on the same increments.  Step j maps Z to
+    drift[j] @ Z, adds (noise[j] @ Z) * dW[:, j] to its leading noise rows,
+    then, where reset = (mask, dst, src) has mask[j], copies rows src onto
+    rows dst.  Per-node matrices, indexed 0..steps: weight[j] adds
+    <Z_j, weight[j] Z_j> to each path's cost, observe[j] records
+    observe[j] @ Z_j.  The matrices of one step are stacked, so a step is one
+    matmul.  Returns (final Z, cost or None, records or None), the records
+    shaped (steps + 1, ..., rows, paths).
+    """
+    steps = len(drift)
+    d = Z.shape[-2]
+    k = 0 if noise is None else noise.shape[-2]
+    nw = 0 if weight is None else d
+    tails = [x for x in (weight, observe) if x is not None]
+    K = stack_rows([drift] + [noise] * bool(k) + [x[:steps] for x in tails])
+    lead = np.broadcast_shapes(Z.shape[:-2], K.shape[1:-2])
+    Z = np.array(np.broadcast_to(Z, lead + Z.shape[-2:]), dtype=float)
+    paths = Z.shape[-1]
+    cost = None if weight is None else np.zeros(lead + (paths,))
+    records = None if observe is None else \
+        np.empty((steps + 1,) + lead + (observe.shape[-2], paths))
+    mask, dst, src = reset if reset is not None else (np.zeros(steps, bool), None, None)
+    buffers = [np.empty(lead + K.shape[-2:-1] + (paths,)) for _ in range(2)]
+
+    def read(rows, Zj, j):
+        """Cost and records from the weight and observe rows of one product."""
+        if weight is not None:
+            np.add(cost, np.einsum("...ip,...ip->...p", rows[..., :nw, :], Zj), out=cost)
+        if observe is not None:
+            records[j] = rows[..., nw:, :]
+
+    for j in range(steps):
+        out = np.matmul(K[j], Z, out=buffers[j % 2])
+        read(out[..., d + k:, :], Z, j)
+        Z = out[..., :d, :]
+        if k:
+            noisy = out[..., d:d + k, :]
+            noisy *= np.ascontiguousarray(dW[:, j])    # one strided read per step
+            Z[..., :k, :] += noisy
+        if mask[j]:
+            Z[..., dst, :] = Z[..., src, :]
+    if tails:
+        read(stack_rows([x[steps] for x in tails]) @ Z, Z, steps)
+    return Z, cost, records
+
+
+def stack_rows(blocks):
+    """Concatenate matrix stacks along their rows, broadcasting the leading axes."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    return np.concatenate([np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks],
+                          axis=-2)
+
+
+def rk4_propagator(F0, Fm, F1, dts):
+    """Transition matrices of one classic RK4 step of y' = F(s) y, given F at
+    each step's start, midpoint and end."""
+    h = dts[:, None, None]
+    eye = np.eye(F0.shape[-1])
+    K1 = F0
+    K2 = Fm @ (eye + 0.5 * h * K1)
+    K3 = Fm @ (eye + 0.5 * h * K2)
+    K4 = F1 @ (eye + h * K3)
+    return eye + h / 6.0 * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 @dataclass(frozen=True)
@@ -96,6 +194,11 @@ class _ConstantGain:
     def anchor(self, s):
         return self._t0
 
+    def at_many(self, ss):
+        shape = np.shape(ss)
+        return (np.broadcast_to(self._th, shape + self._th.shape),
+                np.broadcast_to(self._thh, shape + self._thh.shape))
+
     partition = None
 
 
@@ -107,122 +210,95 @@ def as_gains(gains, t: float):
     return gains
 
 
+def sample_gains(gains, ss) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, theta_hat) at the times ss, through `at_many` when the gains have it."""
+    if hasattr(gains, "at_many"):
+        return gains.at_many(ss)
+    return (np.array([gains.theta(s) for s in ss], float),
+            np.array([gains.theta_hat(s) for s in ss], float))
+
+
 def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
                          mc: MCConfig) -> PathEnsemble:
     """Euler-Maruyama under the feedback u = -Theta X + (Theta - Theta_hat) E_rho[X].
 
     The per-path conditional mean E_rho[X] follows its linear ODE and is re-anchored
     to the path state at every partition node; the ensemble-level E_t trajectory is
-    the corresponding deterministic pair.
+    the corresponding deterministic pair.  Both march on euler_maruyama: the
+    columns [X; E_rho X] per path (Euler in X, an RK4 step in E_rho X) and the
+    deterministic [E_t X; E_t E_rho X] (RK4).  Coefficients and gains are
+    sampled once at each step's RK4 stages s, s + dt/2 and s + dt; the gains are
+    read right-continuously there, so a step ending on a partition node reads
+    the next interval's gain at its last stage.
     """
     gains = as_gains(gains, t)
-    hp = hat(problem)
     nodes = () if getattr(gains, "partition", None) is None else gains.partition.nodes
     times = aligned_time_grid(t, problem.T, mc.steps, nodes)
-    node_set = {round(float(v), 12) for v in nodes if t < v < problem.T}
-    L = len(times)
+    L, n = len(times), problem.n
     dts = np.diff(times)
+    ss = np.concatenate([times, times[:-1] + 0.5 * dts, times[:-1] + dts])
+    th, thh = sample_gains(gains, ss)
+    hp = hat(problem)
+    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(ss) for f in (
+        problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
+        problem.D, problem.Dbar, hp.A, hp.B))
+    dth = th - thh
+    gen = np.zeros((len(ss), 2 * n, 2 * n))
+    gen[:, :n, :n] = A - B @ th
+    gen[:, :n, n:] = Ab + B @ dth - Bb @ thh
+    gen[:, n:, n:] = Ah - Bh @ thh
+    stages = gen[:L - 1], gen[L:2 * L - 1], gen[2 * L - 1:]   # start, middle, end
+    mean_drift = rk4_propagator(*stages, dts)
+    drift = euler_transition(stages[0], dts)
+    drift[:, n:] = mean_drift[:, n:]
+    noise = np.concatenate([C - D @ th, Cb + D @ dth - Db @ thh], axis=-1)[:L - 1]
+    # records: the state and the control u = [-Theta, Theta - Theta_hat] [X; E_rho X]
+    observe = np.concatenate([np.broadcast_to(np.eye(n, 2 * n), (L, n, 2 * n)),
+                              np.concatenate([-th, dth], axis=-1)[:L]], axis=-2)
+    reset = (reset_mask(times, [v for v in nodes if t < v < problem.T]),
+             slice(n, 2 * n), slice(0, n))
+
     dW = brownian_increments(mc, dts)
-
     x0 = np.asarray(x0, float).reshape(-1)
-    X = np.tile(x0, (mc.paths, 1))
-    m_rho = X.copy()
-    m = x0.copy()
-    m2 = x0.copy()
-
-    states = np.empty((mc.paths, L, problem.n))
-    controls = np.empty((mc.paths, L, problem.m))
-    cond_mean = np.empty((L, problem.n))
-    cond_mean_u = np.empty((L, problem.m))
-
-    def drift_mats(s):
-        th, thh = gains.theta(s), gains.theta_hat(s)
-        F = problem.A(s) - problem.B(s) @ th
-        Fbar = problem.Abar(s) + problem.B(s) @ (th - thh) - problem.Bbar(s) @ thh
-        S = problem.C(s) - problem.D(s) @ th
-        Sbar = problem.Cbar(s) + problem.D(s) @ (th - thh) - problem.Dbar(s) @ thh
-        return th, thh, F, Fbar, S, Sbar
-
-    for j in range(L):
-        s = times[j]
-        th, thh, F, Fbar, S, Sbar = drift_mats(s)
-        u = -X @ th.T + m_rho @ (th - thh).T
-        states[:, j] = X
-        controls[:, j] = u
-        cond_mean[j] = m
-        cond_mean_u[j] = -th @ m + (th - thh) @ m2
-        if j == L - 1:
-            break
-        dt = dts[j]
-        X = X + (X @ F.T + m_rho @ Fbar.T) * dt + (X @ S.T + m_rho @ Sbar.T) * dW[:, j:j + 1]
-        m_rho = _rk4_mean_step(gains, hp, s, dt, m_rho)
-        m, m2 = _advance_det_mean(problem, hp, gains, s, dt, m, m2)
-        nxt = round(float(times[j + 1]), 12)
-        if nxt in node_set:
-            m_rho = X.copy()
-            m2 = m.copy()
-
-    return PathEnsemble(times=times, states=states, controls=controls,
-                        cond_mean=cond_mean, cond_mean_u=cond_mean_u,
+    start = np.concatenate([x0, x0])[:, None]
+    paths = euler_maruyama(np.repeat(start, mc.paths, axis=1), drift, noise, dW,
+                           observe=observe, reset=reset)[2]
+    mean = euler_maruyama(start, mean_drift, observe=observe, reset=reset)[2]
+    # the path records are (L, n + m, paths): states and controls are views
+    return PathEnsemble(times=times, states=paths[:, :n].transpose(2, 0, 1),
+                        controls=paths[:, n:].transpose(2, 0, 1),
+                        cond_mean=mean[:, :n, 0], cond_mean_u=mean[:, n:, 0],
                         brownian_increments=dW, t=t, antithetic=mc.antithetic)
 
 
-def _rk4_mean_step(gains, hp, s, dt, m_rho):
-    """RK4 step of the anchored-mean ODE dm = (Ahat - Bhat Theta_hat) m ds."""
-    def rate(ss):
-        return hp.A(ss) - hp.B(ss) @ gains.theta_hat(ss)
-
-    F1, F2, F3 = rate(s), rate(s + 0.5 * dt), rate(s + dt)
-    k1 = m_rho @ F1.T
-    k2 = (m_rho + 0.5 * dt * k1) @ F2.T
-    k3 = (m_rho + 0.5 * dt * k2) @ F2.T
-    k4 = (m_rho + dt * k3) @ F3.T
-    return m_rho + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _advance_det_mean(problem, hp, gains, s, dt, m, m2):
-    """RK4 step of the deterministic pair (E_t[X], E_t[E_rho[X]])."""
-    def rhs(ss, y):
-        mm, mm2 = y
-        th, thh = gains.theta(ss), gains.theta_hat(ss)
-        F = problem.A(ss) - problem.B(ss) @ th
-        Fbar = problem.Abar(ss) + problem.B(ss) @ (th - thh) - problem.Bbar(ss) @ thh
-        Fhat = hp.A(ss) - hp.B(ss) @ thh
-        return np.stack([F @ mm + Fbar @ mm2, Fhat @ mm2])
-
-    y = np.stack([m, m2])
-    k1 = rhs(s, y)
-    k2 = rhs(s + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(s + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(s + dt, y + dt * k3)
-    y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[0], y[1]
+#: time columns per block of estimate_cost's running integral: its temporaries
+#: hold paths x _COST_BLOCK values, whatever the number of steps
+_COST_BLOCK = 16
 
 
 def estimate_cost(problem: ProblemData, ens: PathEnsemble, t: float
                   ) -> tuple[float, float]:
-    """Trapezoidal cost estimate (mean, stderr) with E_t factors from cond_mean."""
-    times = ens.times
-    P, L, _ = ens.states.shape
-    rand_integrand = np.zeros((P, L))
-    det_integrand = np.zeros(L)
-    for j, s in enumerate(times):
-        Qs = problem.Q(s, t)
-        Rs = problem.R(s, t)
-        X = ens.states[:, j]
-        U = ens.controls[:, j]
-        rand_integrand[:, j] = np.einsum("pi,ij,pj->p", X, Qs, X) \
-            + np.einsum("pi,ij,pj->p", U, Rs, U)
-        mj = ens.cond_mean[j]
-        uj = ens.cond_mean_u[j]
-        det_integrand[j] = mj @ problem.Qbar(s, t) @ mj + uj @ problem.Rbar(s, t) @ uj
+    """Trapezoidal cost estimate (mean, stderr) with E_t factors from cond_mean.
 
-    rand_total = np.trapezoid(rand_integrand, times, axis=1)
+    The weights are sampled once on the grid and the per-path integral is
+    accumulated over blocks of time columns, so no (paths, L) integrand is built.
+    """
+    times = ens.times
+    w = trapezoid_weights(times)
+    Q, R, Qb, Rb = (f.at_many(times, t) for f in (problem.Q, problem.R,
+                                                   problem.Qbar, problem.Rbar))
+    rand_total = np.zeros(ens.states.shape[0])
+    for j in range(0, len(times), _COST_BLOCK):
+        b = slice(j, j + _COST_BLOCK)
+        X, U = ens.states[:, b], ens.controls[:, b]
+        running = np.einsum("pbi,bij,pbj->pb", X, Q[b], X) \
+            + np.einsum("pbi,bij,pbj->pb", U, R[b], U)
+        rand_total += (running * w[b]).sum(axis=1)
     XT = ens.states[:, -1]
-    Gt = problem.G(t)
-    rand_total = rand_total + np.einsum("pi,ij,pj->p", XT, Gt, XT)
-    det_total = float(np.trapezoid(det_integrand, times)) \
-        + float(ens.cond_mean[-1] @ problem.Gbar(t) @ ens.cond_mean[-1])
+    rand_total += np.einsum("pi,ij,pj->p", XT, problem.G(t), XT)
+    m, u = ens.cond_mean, ens.cond_mean_u
+    det = np.einsum("li,lij,lj->l", m, Qb, m) + np.einsum("li,lij,lj->l", u, Rb, u)
+    det_total = float(w @ det) + float(m[-1] @ problem.Gbar(t) @ m[-1])
 
     folded = ens.fold_antithetic(rand_total)
     mean = float(folded.mean()) + det_total

@@ -454,19 +454,11 @@ class GainSegment:
     theta: np.ndarray        # (len(times), m, n)
     theta_hat: np.ndarray    # (len(times), m, n)
 
-    def _interp(self, arr, s):
-        t = self.times
-        s = min(max(s, t[0]), t[-1])
-        i = min(int(np.searchsorted(t, s, side="right")) - 1, len(t) - 2)
-        i = max(i, 0)
-        w = (s - t[i]) / (t[i + 1] - t[i])
-        return (1.0 - w) * arr[i] + w * arr[i + 1]
-
     def theta_at(self, s):
-        return self._interp(self.theta, s)
+        return _interp(s, self.times, self.theta)
 
     def theta_hat_at(self, s):
-        return self._interp(self.theta_hat, s)
+        return _interp(s, self.times, self.theta_hat)
 
 
 @dataclass(frozen=True)
@@ -499,6 +491,20 @@ class PiecewiseGain:
     def anchor(self, s: float) -> float:
         """rho(s): the partition node defining the conditional-expectation freeze."""
         return float(self.partition.nodes[self.interval_index(s)])
+
+    def at_many(self, ss) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, theta_hat) at an array of times, each ss.shape + (m, n); the
+        same values as theta(s) and theta_hat(s) at every entry."""
+        ss = np.asarray(ss, float)
+        k = np.clip(np.searchsorted(self.partition.nodes, ss, side="right") - 1,
+                    0, self.partition.num_intervals - 1)
+        shape = ss.shape + self.segments[0].theta.shape[1:]
+        th, thh = np.empty(shape), np.empty(shape)
+        for i, seg in enumerate(self.segments):
+            sel = k == i
+            th[sel] = _interp(ss[sel], seg.times, seg.theta)
+            thh[sel] = _interp(ss[sel], seg.times, seg.theta_hat)
+        return th, thh
 
     @classmethod
     def single(cls, t0: float, T: float, times, theta, theta_hat) -> "PiecewiseGain":

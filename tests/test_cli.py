@@ -46,6 +46,21 @@ class TestPrecommit:
         lines = (out / "values.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 4 initial times
 
+    @pytest.mark.parametrize("t, solves", [(0.0, 4), (0.1, 5)])
+    def test_sweep_reuses_the_solve_at_t(self, tmp_path, monkeypatch, t, solves):
+        from mflq import cli
+        calls = []
+
+        def counted(problem, t, h=None):
+            calls.append(t)
+            return solve(problem, t, h)
+
+        solve = cli.solve_precommitment
+        monkeypatch.setattr(cli, "solve_precommitment", counted)
+        assert run(["precommit", "ex12", "--h", "0.02", "--t", t, "--sweep", "4",
+                    "--out", tmp_path / "pre"]) == 0
+        assert len(calls) == solves
+
     def test_ill_posed_exit_code(self, tmp_path, capsys):
         # R below the coercivity margin delta makes the Riccati factor fail
         code = run(["precommit", "ex12", "--h", "0.01", "--set",

@@ -1,11 +1,13 @@
-"""Coefficients are sampled once per march segment, never once per RK4 stage."""
+"""Coefficients are sampled once per march segment, never once per RK4 stage
+or Euler step."""
 
 import numpy as np
 import pytest
 
-from mflq import (IllPosedError, MatrixFn, TimeGrid, TwoTimeMatrixFn,
-                  build_delta_equilibrium, hat, solve_open_loop,
-                  solve_precommitment)
+from mflq import (IllPosedError, MatrixFn, MCConfig, TimeGrid, TwoTimeMatrixFn,
+                  build_delta_equilibrium, delta_local_optimality_check,
+                  estimate_cost, hat, simulate_closed_loop, solve_open_loop,
+                  solve_precommitment, verify_open_loop_equilibrium)
 from mflq.integrators import feedback_gain
 
 
@@ -36,6 +38,29 @@ def test_scalar_calls_do_not_grow_with_stages(count_calls, meanfield, classical)
     count_calls[0] = 0
     solve_open_loop(classical)
     assert count_calls[0] <= 10
+
+
+@pytest.mark.parametrize("steps", [40, 160])
+def test_monte_carlo_calls_do_not_grow_with_steps(count_calls, steps, meanfield, ex12,
+                                                  classical):
+    mf_game = build_delta_equilibrium(meanfield, TimeGrid.uniform(meanfield.T, 8),
+                                      h=meanfield.T / 200)
+    ex12_game = build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4),
+                                        h=ex12.T / 200)
+    open_loop = solve_open_loop(classical, t_nodes=8)
+    mc = MCConfig(paths=20, steps=steps, seed=1)
+    # the terminal weights G(t) and Gbar(t) once per cost
+    count_calls[0] = 0
+    estimate_cost(meanfield, simulate_closed_loop(meanfield, mf_game.gains, 0.0,
+                                                  np.ones(2), mc), 0.0)
+    assert count_calls[0] <= 2
+    count_calls[0] = 0
+    delta_local_optimality_check(ex12, ex12_game, 1, [1.0], mc=mc)
+    assert count_calls[0] <= 2
+    # six spike batches: two check times, three epsilons
+    count_calls[0] = 0
+    verify_open_loop_equilibrium(classical, open_loop, np.ones(2), mc=mc)
+    assert count_calls[0] <= 12
 
 
 def test_open_loop_discounting_converges_in_t_mesh(discounting):

@@ -27,6 +27,19 @@ class TestNoise:
         dW = brownian_increments(mc, np.full(20, 0.05))
         np.testing.assert_array_equal(dW[50:], -dW[:50])
 
+    def test_same_draws_as_concatenated_formula(self):
+        """Filling one array in place draws exactly what concatenating the
+        mirrored half and scaling the result draws."""
+        dts = np.linspace(0.01, 0.2, 7)
+        for mc in (MCConfig(paths=10, steps=7, seed=5),
+                   MCConfig(paths=9, steps=7, seed=5, antithetic=False)):
+            rng = np.random.Generator(np.random.Philox(key=mc.seed))
+            Z = rng.standard_normal((mc.paths // 2 if mc.antithetic else mc.paths, 7))
+            if mc.antithetic:
+                Z = np.concatenate([Z, -Z], axis=0)
+            np.testing.assert_array_equal(brownian_increments(mc, dts),
+                                          Z * np.sqrt(dts)[None, :])
+
     def test_variance_scaling(self):
         mc = MCConfig(paths=200000, steps=1, seed=4)
         dW = brownian_increments(mc, np.array([0.25]))
