@@ -12,8 +12,12 @@ import time
 
 import numpy as np
 
-from mflq import BUNDLED, bundled_problem, direct_diagonal_solve, solve_closed_loop
-from mflq.cli import converge_study, write_csv
+from mflq import BUNDLED, bundled_problem, direct_diagonal_solve
+from mflq.closedloop import refinements
+from mflq.cli import write_csv
+
+TOL = 1e-4             # solve_closed_loop's default tolerance
+MAX_DOUBLINGS = 6      # and its default number of doublings
 
 
 def main():
@@ -28,7 +32,18 @@ def main():
     for name in args.problems:
         problem = bundled_problem(name)
         t0 = time.monotonic()
-        records = converge_study(problem, N0=4, N_max=args.N_max)
+        # one refinement serves both the study up to N_max and the closed-loop
+        # limit: the first N whose delta falls below TOL
+        records, limit = [], None
+        for j, (N, _, fields, deltas) in enumerate(refinements(problem, N0=4)):
+            if deltas is not None:
+                if N <= args.N_max:
+                    records.append({"N": N, "sup_delta_Gamma": deltas[0],
+                                    "sup_delta_Theta": deltas[1]})
+                if limit is None and j <= MAX_DOUBLINGS and max(deltas) < TOL:
+                    limit = N, fields
+            if 2 * N > args.N_max and (limit is not None or j == MAX_DOUBLINGS):
+                break
         elapsed = time.monotonic() - t0
         print(f"\n{name} ({elapsed:.1f}s):")
         for r in records:
@@ -39,17 +54,15 @@ def main():
                   [[r["N"], r["sup_delta_Gamma"], r["sup_delta_Theta"]]
                    for r in records])
 
-        try:
-            game = solve_closed_loop(problem, N0=4, tol=1e-4)
-        except Exception as exc:
-            print(f"  refinement did not reach tolerance: {exc}")
+        if limit is None:
+            print(f"  refinement did not reach tolerance: game refinement not Cauchy "
+                  f"below {TOL:g} after {MAX_DOUBLINGS} doublings")
             continue
-        direct = direct_diagonal_solve(problem,
-                                       t_nodes=game.grid.num_intervals)
-        gap = max(np.nanmax(np.abs(game.Gamma - direct.Gamma)),
-                  np.nanmax(np.abs(game.Gamma_hat - direct.Gamma_hat)))
-        print(f"  cross-scheme gap vs direct solve at N="
-              f"{game.grid.num_intervals}: {gap:.3e}")
+        N, (Gamma, Gamma_hat, _, _) = limit
+        direct = direct_diagonal_solve(problem, t_nodes=N)
+        gap = max(np.nanmax(np.abs(Gamma - direct.Gamma)),
+                  np.nanmax(np.abs(Gamma_hat - direct.Gamma_hat)))
+        print(f"  cross-scheme gap vs direct solve at N={N}: {gap:.3e}")
 
 
 if __name__ == "__main__":

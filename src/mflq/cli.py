@@ -8,6 +8,7 @@ values plus a metadata JSON) land in the --out directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .closedloop import solve_closed_loop
+from .closedloop import refinements, solve_closed_loop
 from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
                      DimensionError, IllPosedError, ValidationError)
 from .game import (build_delta_equilibrium, delta_local_optimality_check,
@@ -183,24 +184,12 @@ def cmd_closed_loop(args) -> int:
 
 def converge_study(problem, N0: int = 4, N_max: int = 64, h: float | None = None
                    ) -> list[dict]:
-    """Refinement deltas of (Gamma, Gamma_hat, Theta, Theta_hat) for N0, 2 N0, ..."""
-    from .closedloop import _assemble, _tri_diff
-    records = []
-    prev = None
-    N = N0
-    while N <= N_max:
-        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h)
-        cur = _assemble(eq)
-        if prev is not None:
-            d_gamma = max(_tri_diff(cur[0][::2, ::2], prev[0]),
-                          _tri_diff(cur[1][::2, ::2], prev[1]))
-            d_theta = max(float(np.abs(cur[2][::2] - prev[2]).max()),
-                          float(np.abs(cur[3][::2] - prev[3]).max()))
-            records.append({"N": N, "sup_delta_Gamma": d_gamma,
-                            "sup_delta_Theta": d_theta})
-        prev = cur
-        N *= 2
-    return records
+    """Refinement deltas of (Gamma, Gamma_hat, Theta, Theta_hat) for N0, 2 N0, ...
+    up to N_max."""
+    levels = (N_max // N0).bit_length()    # N0 * 2**j <= N_max for j < levels
+    return [{"N": N, "sup_delta_Gamma": deltas[0], "sup_delta_Theta": deltas[1]}
+            for N, _, _, deltas in itertools.islice(refinements(problem, N0, h), levels)
+            if deltas is not None]
 
 
 def cmd_converge(args) -> int:

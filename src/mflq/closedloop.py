@@ -9,6 +9,7 @@ equilibrium field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
 from .integrators import feedback_gain, gain_path, rk4_march, stage_times
-from .types import ProblemData, TimeGrid, hat
+from .types import ProblemData, TimeGrid, _interp, hat
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,10 @@ class ClosedLoopSolution:
     """Equilibrium field pair on a node grid, lower triangle s >= t populated.
 
     Gamma[i, j] approximates Gamma(t_i, t_j) (entries above the diagonal are
-    NaN); Theta_hat holds the equilibrium feedback on the diagonal and Theta
-    the auxiliary diagonal gain entering the Gamma-equation residual.
+    NaN); Theta_hat holds the equilibrium feedback on the diagonal, which both
+    equations of the limit system carry, and Theta the gain
+    [R + D'Gamma D]^{-1} [B'Gamma + D'Gamma C] of the Gamma diagonal alone, a
+    second quantity the refinement requires to be Cauchy.
     """
 
     problem: ProblemData
@@ -50,14 +53,6 @@ class ClosedLoopSolution:
         j = self.node_index(t)
         x = np.asarray(x, float).reshape(-1)
         return float(x @ self.Gamma_hat[j, j] @ x)
-
-    def theta_hat_at(self, s: float) -> np.ndarray:
-        nodes = self.nodes
-        s = min(max(s, nodes[0]), nodes[-1])
-        i = min(int(np.searchsorted(nodes, s, side="right")) - 1, len(nodes) - 2)
-        i = max(i, 0)
-        w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return (1.0 - w) * self.Theta_hat[i] + w * self.Theta_hat[i + 1]
 
 
 def equilibrium_value(sol: ClosedLoopSolution, t: float, x) -> float:
@@ -97,42 +92,58 @@ def _tri_diff(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.nanmax(d)) if d.size else 0.0
 
 
+def refinements(problem: ProblemData, N0: int = 4, h: float | None = None):
+    """The game refined by partition doubling: yields (N, eq, fields, deltas)
+    for N = N0, 2 N0, 4 N0, ... without end.
+
+    fields = (Gamma, Gamma_hat, Theta, Theta_hat) on the partition's nodes;
+    deltas = (sup_delta_Gamma, sup_delta_Theta) against the previous
+    refinement on its nodes, which are an exact subset of the finer ones (None
+    for N0).  Each game is built only when the next item is asked for.
+    """
+    prev = None
+    N = N0
+    while True:
+        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h)
+        fields = _assemble(eq)
+        deltas = None
+        if prev is not None:
+            Gm, Gh, Th, Thh = fields
+            pGm, pGh, pTh, pThh = prev
+            deltas = (max(_tri_diff(Gm[::2, ::2], pGm), _tri_diff(Gh[::2, ::2], pGh)),
+                      max(float(np.abs(Th[::2] - pTh).max()),
+                          float(np.abs(Thh[::2] - pThh).max())))
+        yield N, eq, fields, deltas
+        prev = fields
+        N *= 2
+
+
 def solve_closed_loop(problem: ProblemData, N0: int = 4, tol: float = 1e-4,
                       max_doublings: int = 6, h: float | None = None
                       ) -> ClosedLoopSolution:
     """Partition-doubling refinement of the interval game until Cauchy in sup-norm.
 
     Successive field pairs (and the feedback gains) are compared on the coarser
-    partition's nodes, which are an exact subset of the finer ones; stops when
-    the difference drops below `tol`, raises ConvergenceError (with the full
-    refinement trace) otherwise.
+    partition's nodes (see `refinements`); stops when the difference drops
+    below `tol`, raises ConvergenceError (with the full refinement trace)
+    otherwise.
     """
     if N0 < 2:
         raise ConfigurationError("N0 must be at least 2")
-    N = N0
-    prev = None
     trace: list[dict] = []
-    for _ in range(max_doublings + 1):
-        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h)
-        Gm, Gh, Th, Thh = _assemble(eq)
-        if prev is not None:
-            pGm, pGh, pTh, pThh = prev
-            d_gamma = max(_tri_diff(Gm[::2, ::2], pGm),
-                          _tri_diff(Gh[::2, ::2], pGh))
-            d_theta = max(float(np.abs(Th[::2] - pTh).max()),
-                          float(np.abs(Thh[::2] - pThh).max()))
-            delta = max(d_gamma, d_theta)
-            trace.append({"N": N, "delta": delta,
-                          "sup_delta_Gamma": d_gamma, "sup_delta_Theta": d_theta})
-            if delta < tol:
-                return ClosedLoopSolution(problem=problem, grid=eq.partition,
-                                          Gamma=Gm, Gamma_hat=Gh, Theta=Th,
-                                          Theta_hat=Thh, trace=tuple(trace),
-                                          game=eq)
-        else:
+    for N, eq, fields, deltas in itertools.islice(refinements(problem, N0, h),
+                                                  max_doublings + 1):
+        if deltas is None:
             trace.append({"N": N, "delta": None})
-        prev = (Gm, Gh, Th, Thh)
-        N *= 2
+            continue
+        delta = max(deltas)
+        trace.append({"N": N, "delta": delta,
+                      "sup_delta_Gamma": deltas[0], "sup_delta_Theta": deltas[1]})
+        if delta < tol:
+            Gm, Gh, Th, Thh = fields
+            return ClosedLoopSolution(problem=problem, grid=eq.partition,
+                                      Gamma=Gm, Gamma_hat=Gh, Theta=Th,
+                                      Theta_hat=Thh, trace=tuple(trace), game=eq)
     raise ConvergenceError(
         f"game refinement not Cauchy below {tol:g} after {max_doublings} doublings",
         trace=tuple(trace))
@@ -218,9 +229,11 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
     """Finite-difference residual of the limit system over the stored field.
 
     Uses a five-point fourth-order stencil for the s-derivative along each
-    t-column; the Gamma-equation is evaluated in its displayed form with the
-    auxiliary diagonal gain Theta, the Gamma_hat one with Theta_hat.  Returns
-    the max and per-equation residuals over all interior stencil points.
+    t-column.  Both equations carry the equilibrium feedback Theta_hat, as the
+    game recursion and direct_diagonal_solve do: the Gamma-equation with
+    Theta_hat' R(s,t) Theta_hat, the Gamma_hat one with Theta_hat' Rhat(s,t)
+    Theta_hat.  Returns the max and per-equation residuals over all interior
+    stencil points.
     """
     if problem is None:
         problem = sol.problem
@@ -240,15 +253,14 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
             dG = np.tensordot(w, sol.Gamma[i - 2:i + 3, j], axes=(0, 0))
             dGh = np.tensordot(w, sol.Gamma_hat[i - 2:i + 3, j], axes=(0, 0))
             Ah, Bh, Ch, Dh = hp.A(s), hp.B(s), hp.C(s), hp.D(s)
-            Thh = sol.theta_hat_at(s)
-            Th = _interp_nodes(tg, sol.Theta, s)
+            Thh = _interp(s, tg, sol.Theta_hat)
             M = Ah - Bh @ Thh
             Nc = Ch - Dh @ Thh
             G = sol.Gamma[i, j]
             Gh = sol.Gamma_hat[i, j]
             sand = Nc.T @ G @ Nc
             res_g = dG + G @ M + M.T @ G + sand \
-                + Th.T @ problem.R(s, t) @ Th + problem.Q(s, t)
+                + Thh.T @ problem.R(s, t) @ Thh + problem.Q(s, t)
             res_gh = dGh + Gh @ M + M.T @ Gh + sand \
                 + Thh.T @ hp.R(s, t) @ Thh + hp.Q(s, t)
             worst_g = max(worst_g, float(np.abs(res_g).max()))
@@ -258,11 +270,3 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
             "gamma_residual": worst_g,
             "gamma_hat_residual": worst_gh,
             "scale": scale}
-
-
-def _interp_nodes(nodes, arr, s):
-    s = min(max(s, nodes[0]), nodes[-1])
-    i = min(int(np.searchsorted(nodes, s, side="right")) - 1, len(nodes) - 2)
-    i = max(i, 0)
-    w = (s - nodes[i]) / (nodes[i + 1] - nodes[i])
-    return (1.0 - w) * arr[i] + w * arr[i + 1]

@@ -2,21 +2,25 @@
 
 Each player k controls one interval [t_k, t_{k+1}) with all cost weights frozen
 at t_k, best-responding to the gains already fixed by the later players.  The
-solve runs backward over the intervals, marching the player's Riccati pair
-jointly with the Lyapunov triples that track every earlier player's cost under
-the composite feedback.  Terminal data for player k-1 are stitched from player
-(k-1)'s own triple at t_k.
+solve runs backward over the intervals.  On each one an RK4 march carries the
+player's Riccati pair alone; the Lyapunov triples that track every earlier
+player's cost under the composite feedback are linear once that march's stage
+gains are known, and advance by the affine maps of the same RK4 steps.
+Terminal data for player k-1 are stitched from player (k-1)'s own triple at
+t_k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
-from .integrators import feedback_gain, gain_path, rk4_march, stage_times
+from .integrators import (feedback_gain, gain_path, march_triples, rk4_march,
+                          stage_times)
 from .precommit import default_step
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        euler_maruyama, euler_transition, reset_mask, sandwich,
@@ -53,7 +57,7 @@ class DeltaEquilibrium:
     partition: TimeGrid
     intervals: list[IntervalSolution]
     gains: PiecewiseGain
-    node_triples: np.ndarray   # (N+1, N-1, 3, n, n), NaN where undefined
+    node_triples: np.ndarray   # (N+1, N, 3, n, n), NaN where undefined
     values: np.ndarray         # (N, n, n)
 
     @property
@@ -78,10 +82,13 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                             h: float | None = None) -> DeltaEquilibrium:
     """Backward interval recursion producing the piecewise equilibrium gains.
 
-    Inside interval k the state marched by one joint RK4 system is the pair
-    (P_k, Phat_k) together with the triples of all players l < k under the
-    composite feedback; the triples restart their first component from the
-    second at every interval boundary.
+    Inside interval k one RK4 march carries player k's Riccati pair
+    (P_k, Phat_k) alone, stacked and evaluated by one batched field, and keeps
+    the gains (Theta, Theta_hat) of its four stages in every step.  Given those
+    gains the cost triples of players 0..k (player k's own included, which
+    coincides with the pair) solve linear equations: they advance by the affine
+    maps of the same RK4 steps (`march_triples`).  The triples restart their
+    first component from the second at every interval boundary.
     """
     if h is None:
         h = default_step(problem)
@@ -100,10 +107,9 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     node_triples = np.full((N + 1, N, 3, n, n), np.nan)
     node_triples[N] = Tri
 
-    P_term = np.atleast_2d(problem.G(nodes[N - 1]))
-    Ph_term = np.atleast_2d(hp.G(nodes[N - 1]))
+    pair = np.stack([np.atleast_2d(problem.G(nodes[N - 1])),
+                     np.atleast_2d(hp.G(nodes[N - 1]))])
     intervals: list[IntervalSolution | None] = [None] * N
-    segments: list[GainSegment] = []
     values = np.empty((N, n, n))
     delta = problem.delta
 
@@ -114,77 +120,59 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         times_k = np.linspace(a, b, steps + 1)
 
         # Entering this interval the tilde components restart from the plain
-        # ones (both players' views agree at the boundary).  Triples of players
-        # 0..k ride through this interval, player k's alongside their own
-        # Riccati pair, with which it coincides.
+        # ones (both players' views agree at the boundary).
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
 
         # Coefficients at the stage times; the tracked players' frozen weights
-        # are batched over the anchor axis l, player k's own anchor last.
+        # are batched over the anchor axis l, player k's own anchor last.  The
+        # pair's coefficients are stacked plain over hat.
         ss = stage_times(times_k)
         A, B, C, D, Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (
             problem.A, problem.B, problem.C, problem.D, hp.A, hp.B, hp.C, hp.D))
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
         Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
-        Qh, Rh = hp.Q.at_many(ss, tk), hp.R.at_many(ss, tk)
-        what = f"R + D'PD (interval {k})", f"Rhat + Dhat'P Dhat (interval {k})"
+        Ap, Bp, Cp, Dp, Qp, Rp = (np.stack(x, axis=1) for x in (
+            (A, Ah), (B, Bh), (C, Ch), (D, Dh), (Ql[:, -1], hp.Q.at_many(ss, tk)),
+            (Rl[:, -1], hp.R.at_many(ss, tk))))
+        Apt, Bpt, Cpt, Dpt = (x.swapaxes(-1, -2) for x in (Ap, Bp, Cp, Dp))
+        what = np.array([f"R + D'PD (interval {k})",
+                         f"Rhat + Dhat'P Dhat (interval {k})"])
+        # the gains of every RK4 stage, in call order: four per step, from the top
+        stage_gains = np.empty((steps, 4, 2, m, n))
+        record, calls = stage_gains.reshape(-1, 2, m, n), itertools.count()
 
-        def rhs(q, state):
-            P, Ph = state[0], state[1]
-            As, Bs, Cs, Ds = A[q], B[q], C[q], D[q]
-            Ahs, Bhs, Chs, Dhs = Ah[q], Bh[q], Ch[q], Dh[q]
-            Lm = Bs.T @ P + Ds.T @ P @ Cs
-            Th = feedback_gain(Rl[q, -1] + Ds.T @ P @ Ds, Lm, delta, what[0], ss[q])
-            Lh = Bhs.T @ Ph + Dhs.T @ P @ Chs
-            Thh = feedback_gain(Rh[q] + Dhs.T @ P @ Dhs, Lh, delta, what[1], ss[q])
+        def rhs(q, Z):
+            P = Z[0]
+            DP = Dpt[q] @ P
+            L = Bpt[q] @ Z + DP @ Cp[q]
+            Th = feedback_gain(Rp[q] + DP @ Dp[q], L, delta, what, ss[q])
+            record[next(calls)] = Th
+            return -(Z @ Ap[q] + Apt[q] @ Z + Cpt[q] @ P @ Cp[q] + Qp[q]
+                     - L.swapaxes(-1, -2) @ Th)
 
-            out = np.empty_like(state)
-            out[0] = -(P @ As + As.T @ P + Cs.T @ P @ Cs
-                       + Ql[q, -1] - Lm.T @ Th)
-            out[1] = -(Ph @ Ahs + Ahs.T @ Ph + Chs.T @ P @ Chs
-                       + Qh[q] - Lh.T @ Thh)
-            Gt = state[2::3]
-            Gm = state[3::3]
-            Gb = state[4::3]
-            M1 = As - Bs @ Th
-            N1 = Cs - Ds @ Th
-            M2 = Ahs - Bhs @ Thh
-            N2 = Chs - Dhs @ Thh
-            Q, R = Ql[q], Rl[q]
-            GtM1, GmM2, GbM2 = Gt @ M1, Gm @ M2, Gb @ M2
-            out[2::3] = -(GtM1 + GtM1.swapaxes(-1, -2) + N1.T @ Gt @ N1
-                          + Q + Th.T @ R @ Th)
-            out[3::3] = -(GmM2 + GmM2.swapaxes(-1, -2) + N2.T @ Gt @ N2
-                          + Q + Thh.T @ R @ Thh)
-            out[4::3] = -(GbM2 + GbM2.swapaxes(-1, -2)
-                          + Qbl[q] + Thh.T @ Rbl[q] @ Thh)
-            return out
+        path = rk4_march(rhs, times_k, pair, symmetric=True)
+        gains4 = stage_gains[::-1]     # row r: the step from node r+1 to r
 
-        state = np.empty((2 + 3 * (k + 1), n, n))
-        state[0] = P_term
-        state[1] = Ph_term
-        state[2::3] = Tri[:k + 1, 0]
-        state[3::3] = Tri[:k + 1, 1]
-        state[4::3] = Tri[:k + 1, 2]
+        def coefficients(rows, q):
+            Th, Thh = gains4[rows, :, 0], gains4[rows, :, 1]
+            ThT, ThhT = Th.swapaxes(-1, -2)[:, :, None], Thh.swapaxes(-1, -2)[:, :, None]
+            F = np.empty(q.shape + (3, k + 1, n, n))
+            F[:, :, 0] = Ql[q] + ThT @ Rl[q] @ Th[:, :, None]
+            F[:, :, 1] = Ql[q] + ThhT @ Rl[q] @ Thh[:, :, None]
+            F[:, :, 2] = Qbl[q] + ThhT @ Rbl[q] @ Thh[:, :, None]
+            return (A[q] - B[q] @ Th, C[q] - D[q] @ Th,
+                    Ah[q] - Bh[q] @ Thh, Ch[q] - Dh[q] @ Thh, F)
 
-        path = rk4_march(rhs, times_k, state, symmetric=True)
-        # copies, so the stored paths do not keep every triple's path alive
-        state, P_path, Ph_path = path[0], path[:, 0].copy(), path[:, 1].copy()
-
-        Tri[:k + 1, 0] = state[2::3]
-        Tri[:k + 1, 1] = state[3::3]
-        Tri[:k + 1, 2] = state[4::3]
+        Tri[:k + 1] = march_triples(times_k, Tri[:k + 1].swapaxes(0, 1),
+                                    coefficients)[0].swapaxes(0, 1)
         node_triples[k, :k + 1] = Tri[:k + 1]
 
-        Theta = gain_path(P_path, P_path, B[::2], C[::2], D[::2], Rl[::2, -1], delta,
-                          what[0], times_k)
-        Theta_hat = gain_path(Ph_path, P_path, Bh[::2], Ch[::2], Dh[::2], Rh[::2],
-                              delta, what[1], times_k)
-
-        intervals[k] = IntervalSolution(times=times_k, P=P_path, Phat=Ph_path,
-                                        Theta=Theta, Theta_hat=Theta_hat)
-        values[k] = Ph_path[0]
+        th = gain_path(path, path[:, :1], Bp[::2], Cp[::2], Dp[::2], Rp[::2], delta,
+                       what, times_k[:, None])
+        intervals[k] = IntervalSolution(times=times_k, P=path[:, 0], Phat=path[:, 1],
+                                        Theta=th[:, 0], Theta_hat=th[:, 1])
+        values[k] = path[0, 1]
 
         if k:
             Gk = Tri[k - 1, 1]
@@ -193,8 +181,7 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                 if min_eig(M) < -max(tau_psd(M), 1e-8):
                     raise IllPosedError(
                         f"{name} at t_{k} lost positive semidefiniteness")
-            P_term = symmetrize(Gk)
-            Ph_term = symmetrize(Gkh)
+            pair = symmetrize(np.stack([Gk, Gkh]))
 
     segments = [GainSegment(times=iv.times, theta=iv.Theta, theta_hat=iv.Theta_hat)
                 for iv in intervals]

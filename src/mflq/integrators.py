@@ -2,7 +2,8 @@
 
 Provides the RK4 march every solver runs on (its right-hand side reads
 coefficients sampled once on the march's stage grid), the feedback gain
-K^{-1} L with its definiteness check, linear (Lyapunov-type) equations with an
+K^{-1} L with its definiteness check, the march of Lyapunov cost triples by
+the affine maps of their RK4 steps, linear (Lyapunov-type) equations with an
 optional sandwich term, and the symmetric Riccati equation with cross term,
 together with its a-priori bound constant.
 """
@@ -82,13 +83,14 @@ def rk4_backward(rhs, a: float, b: float, terminal_value: np.ndarray, h: float,
     return times, rk4_march(lambda q, M: rhs(ss[q], M), times, terminal_value, symmetric)
 
 
-def feedback_gain(K: np.ndarray, L: np.ndarray, delta: float, what: str, times
+def feedback_gain(K: np.ndarray, L: np.ndarray, delta: float, what, times
                   ) -> np.ndarray:
     """K^{-1} L over the leading axes, after checking K >= delta/2 I.
 
     The check is closed-form for 1x1 K and a Cholesky factorisation of
-    K - delta/2 I otherwise; on failure it raises IllPosedError naming `what`
-    and the first failing entry of `times` (aligned with K's leading axes).
+    K - delta/2 I otherwise; on failure it raises IllPosedError naming the first
+    failing entry of `what` and of `times` (both broadcast against K's leading
+    axes, so a stack of factors can carry one name each).
     """
     floor = 0.5 * delta
     m = K.shape[-1]
@@ -103,7 +105,7 @@ def feedback_gain(K: np.ndarray, L: np.ndarray, delta: float, what: str, times
     return np.linalg.solve(K, L)
 
 
-def gain_path(Pb, P, B, C, D, R, delta: float, what: str, times) -> np.ndarray:
+def gain_path(Pb, P, B, C, D, R, delta: float, what, times) -> np.ndarray:
     """feedback_gain of [R + D'PD]^{-1} [B'Pb + D'PC], batched along a path."""
     Dt = np.swapaxes(D, -1, -2)
     return feedback_gain(R + Dt @ P @ D, np.swapaxes(B, -1, -2) @ Pb + Dt @ P @ C,
@@ -112,8 +114,116 @@ def gain_path(Pb, P, B, C, D, R, delta: float, what: str, times) -> np.ndarray:
 
 def _lost_definiteness(K, floor, what, times):
     bad = np.linalg.eigvalsh(symmetrize(K)).min(axis=-1) < floor
-    s = np.broadcast_to(times, bad.shape)[np.unravel_index(np.argmax(bad), bad.shape)]
-    raise IllPosedError(f"{what} lost definiteness at s={s:g}")
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    s = np.broadcast_to(times, bad.shape)[first]
+    raise IllPosedError(f"{np.broadcast_to(what, bad.shape)[first]} lost definiteness "
+                        f"at s={s:g}")
+
+
+def triple_field(X: np.ndarray, M1, N1, M2, N2) -> np.ndarray:
+    """The linear part of the Lyapunov-triple field on k stacked triples
+    X[..., c, i, :, :] (component c = 0 tilde, 1 plain, 2 bar, of triple i):
+
+        tilde  Gt M1 + M1' Gt + N1' Gt N1
+        plain  Gm M2 + M2' Gm + N2' Gt N2
+        bar    Gb M2 + M2' Gb
+
+    The coefficients are (..., n, n), one per leading index of X.  The plain
+    equation reads the tilde component in its sandwich term, and bar shares
+    plain's Lyapunov part.  Every product is a right multiplication of all k
+    triples at once.
+    """
+    M = np.stack([M1, M2, M2], axis=-3)
+    out = _times(X, M) + _times(X.swapaxes(-1, -2), M).swapaxes(-1, -2)
+    N = np.stack([N1, N2], axis=-3)
+    GtN = _times(np.broadcast_to(X[..., :1, :, :, :], out[..., :2, :, :, :].shape), N)
+    out[..., :2, :, :, :] += _times(GtN.swapaxes(-1, -2), N).swapaxes(-1, -2)
+    return out
+
+
+def _times(X, M):
+    """X[..., c, i] @ M[..., c] for every i, as one (k n x n) product per c."""
+    shape = X.shape
+    return (X.reshape(shape[:-3] + (-1, shape[-1])) @ M).reshape(shape)
+
+
+#: float64 elements per array while a block of affine step maps is built; a
+#: block still spans at least 4 steps, so that at large n the per-block
+#: overhead stays small against the work
+_MAP_BLOCK_ELEMS = 1 << 14
+
+
+def march_triples(times: np.ndarray, terminal: np.ndarray, coefficients) -> np.ndarray:
+    """RK4 march of p symmetric Lyapunov triples x' = -(triple_field(x) + F)
+    from times[-1] down to times[0], every step applied as an affine map.
+
+    With its coefficients fixed, one symmetrized RK4 step is the map
+    x -> Phi x + c, Phi shared by all triples and c one per triple (it carries
+    the forcing).  On the upper triangles of the three components Phi is block
+    lower-triangular: a tilde block, a plain block coupled to tilde through the
+    sandwich, and a bar block equal to plain's own.  The maps of a block of
+    steps are built at once by one batched RK4 step of the symmetric unit
+    basis (S, 0, S), which returns the three blocks, and of the zero triples,
+    which return c; then they are applied one per step.
+
+    coefficients(rows, q) returns (M1, N1, M2, N2, F) at the four RK4 stages of
+    the steps in the slice `rows`: (b, 4, n, n) each and F (b, 4, 3, p, n, n).
+    Step r goes from times[r+1] down to times[r]; its stages sit at
+    q[r] = 2r + (2, 1, 1, 0) of stage_times(times), and the second and third
+    share a time but may differ.  terminal is (3, p, n, n); returns
+    (len(times), 3, p, n, n).
+    """
+    X = np.asarray(terminal, dtype=float)
+    p, n = X.shape[1], X.shape[-1]
+    iu = np.triu_indices(n)
+    ds = len(iu[0])
+    # a symmetric G is the sum of G[a, b] S_ab over a <= b, S_ab = E_ab + E_ba
+    probes = np.zeros((3, ds + p, n, n))
+    probes[0, np.arange(ds), iu[0], iu[1]] = probes[0, np.arange(ds), iu[1], iu[0]] = 1.0
+    probes[2, :ds] = probes[0, :ds]
+    vals = np.empty((len(times), 3 * ds, p))
+    vals[-1] = X[..., iu[0], iu[1]].transpose(0, 2, 1).reshape(3 * ds, p)
+    dts = np.diff(times)
+    # per step: the probes' triples, the forcing of four stages, and the map
+    block = max(4, _MAP_BLOCK_ELEMS // (3 * n * n * (ds + 5 * p) + 9 * ds * ds))
+    for hi in range(len(dts), 0, -block):
+        rows = slice(max(0, hi - block), hi)
+        b = hi - rows.start
+        M1, N1, M2, N2, F = coefficients(rows, 2 * np.arange(rows.start, hi)[:, None]
+                                         + (2, 1, 1, 0))
+
+        def k(j, Y):
+            out = triple_field(Y, M1[:, j], N1[:, j], M2[:, j], N2[:, j])
+            out[:, :, ds:] += F[:, j]
+            return -out
+
+        dt = dts[rows, None, None, None, None]
+        half = 0.5 * dt
+        x = np.broadcast_to(probes, (b,) + probes.shape)
+        k1 = k(0, x)
+        k2 = k(1, x - half * k1)
+        k3 = k(2, x - half * k2)
+        k4 = k(3, x - dt * k3)
+        Y = symmetrize(x - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[..., iu[0], iu[1]]
+        # Phi[:, c, j, c', :] is component c' of the step of basis triple j in slot c
+        Phi = np.zeros((b, 3, ds, 3, ds))
+        Phi[:, 0, :, 0] = Y[:, 0, :ds]
+        Phi[:, 0, :, 1] = Y[:, 1, :ds]
+        Phi[:, 1, :, 1] = Phi[:, 2, :, 2] = Y[:, 2, :ds]
+        PhiT = Phi.reshape(b, 3 * ds, 3 * ds).swapaxes(-1, -2).copy()
+        c = Y[:, :, ds:].reshape(b, 3, p, ds).swapaxes(-1, -2).reshape(b, 3 * ds, p)
+        v = vals[hi]
+        for j in range(b - 1, -1, -1):
+            v = vals[rows.start + j] = PhiT[j] @ v + c[j]
+        finite = np.isfinite(vals[rows]).reshape(b, -1).all(axis=1)
+        if not finite.all():
+            s = float(times[rows.start + np.flatnonzero(~finite)[-1]])
+            raise BlowUpError(f"backward integration blew up at s={s:g}", time=s)
+    out = np.empty((len(times), 3, p, n, n))
+    v = vals.reshape(len(times), 3, ds, p).swapaxes(-1, -2)
+    out[..., iu[0], iu[1]] = v
+    out[..., iu[1], iu[0]] = v
+    return out
 
 
 def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import (feedback_gain, gain_path, march_times, rk4_march,
-                          solve_lyapunov, stage_times)
-from .types import MatrixFn, ProblemData, hat, min_eig
+from .integrators import (feedback_gain, gain_path, march_times, march_triples,
+                          rk4_march, solve_lyapunov, stage_times)
+from .types import MatrixFn, ProblemData, _interp, hat, min_eig
 
 
 def default_step(problem: ProblemData) -> float:
@@ -33,18 +33,10 @@ class PrecommitSolution:
         return float(x @ self.Phat[0] @ x)
 
     def theta_at(self, s) -> np.ndarray:
-        return _interp_path(self.times, self.Theta, s)
+        return _interp(s, self.times, self.Theta)
 
     def theta_hat_at(self, s) -> np.ndarray:
-        return _interp_path(self.times, self.Theta_hat, s)
-
-
-def _interp_path(times, arr, s):
-    s = min(max(s, times[0]), times[-1])
-    i = min(int(np.searchsorted(times, s, side="right")) - 1, len(times) - 2)
-    i = max(i, 0)
-    w = (s - times[i]) / (times[i + 1] - times[i])
-    return (1.0 - w) * arr[i] + w * arr[i + 1]
+        return _interp(s, self.times, self.Theta_hat)
 
 
 def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
@@ -201,30 +193,25 @@ def cost_via_lyapunov(generator: MeanFieldGenerator, weights: QuadraticWeights,
                       interval: tuple[float, float], h: float) -> CostRepresentation:
     """Represent the quadratic cost over [t, T] by three coupled Lyapunov equations.
 
-    The middle equation consumes the first one inside its sandwich term, so the
-    three are marched jointly in one RK4 system.
+    The middle equation consumes the first one inside its sandwich term; the
+    triple is marched by the affine maps of its RK4 steps (`march_triples`).
     """
     times = march_times(*interval, h)
     ss = stage_times(times)
     A, C, Ah, Ch, Q, Qt, Qb = (f.at_many(ss) for f in (
         generator.A, generator.C, generator.A + generator.Abar,
         generator.C + generator.Cbar, weights.Q, weights.Qtilde, weights.Qbar))
+    F = np.stack([Q, Q + Qt, Qb], axis=1)[:, :, None]
 
-    def rhs(q, Z):
-        Gt, Gm, Gb = Z[0], Z[1], Z[2]
-        As, Cs, Ahs, Chs = A[q], C[q], Ah[q], Ch[q]
-        out = np.empty_like(Z)
-        out[0] = -(Gt @ As + As.T @ Gt + Cs.T @ Gt @ Cs + Q[q])
-        out[1] = -(Gm @ Ahs + Ahs.T @ Gm + Chs.T @ Gt @ Chs + Q[q] + Qt[q])
-        out[2] = -(Gb @ Ahs + Ahs.T @ Gb + Qb[q])
-        return out
+    def coefficients(rows, q):
+        return A[q], C[q], Ah[q], Ch[q], F[q]
 
     terminal = np.stack([
         np.atleast_2d(np.asarray(weights.G, float)),
         np.atleast_2d(np.asarray(weights.G, float)),
         np.atleast_2d(np.asarray(weights.Gbar, float)),
     ])
-    Z = rk4_march(rhs, times, terminal, symmetric=True)
+    Z = march_triples(times, terminal[:, None], coefficients)[:, :, 0]
     triple = LyapunovTriple(times=times, Gamma_tilde=Z[:, 0], Gamma=Z[:, 1],
                             Gamma_bar=Z[:, 2])
     return CostRepresentation(Gamma0=Z[0, 1], Gammabar0=Z[0, 2], triple=triple)

@@ -111,3 +111,19 @@ class TestCrossScheme:
         rep = residual(sol)
         assert rep["max_residual"] == 0.0
 
+
+
+class TestResidual:
+    """The limit system's residual tells the direct solve from a field off by 1%."""
+
+    BOUND = 5e-3
+
+    @pytest.mark.parametrize("name", ["meanfield", "discounting"])
+    def test_right_field_passes(self, name, request):
+        sol = direct_diagonal_solve(request.getfixturevalue(name), t_nodes=32)
+        assert residual(sol)["max_residual"] <= self.BOUND
+
+    @pytest.mark.parametrize("name", ["meanfield", "discounting"])
+    def test_perturbed_field_fails(self, name, request):
+        sol = direct_diagonal_solve(request.getfixturevalue(name), t_nodes=32)
+        assert residual(replace(sol, Gamma=1.01 * sol.Gamma))["max_residual"] > self.BOUND

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mflq import (MatrixFn, MCConfig, cost_via_lyapunov, estimate_cost,
-                  example_oracles, precommit_bounds, simulate_closed_loop,
-                  solve_precommitment)
+                  example_oracles, precommit_bounds, rk4_march, simulate_closed_loop,
+                  solve_precommitment, stage_times)
 from mflq.precommit import MeanFieldGenerator, QuadraticWeights
 
 
@@ -119,6 +119,40 @@ class TestCostRepresentation:
         assert np.abs(rep.triple.Gamma_bar).max() == 0.0
         np.testing.assert_allclose(rep.triple.Gamma_hat,
                                    rep.triple.Gamma + rep.triple.Gamma_bar)
+
+    def test_matches_joint_rk4_march(self):
+        """The affine step maps reproduce one RK4 march of the three coupled
+        equations on time-varying 2x2 data."""
+        T = 1.0
+        gen = MeanFieldGenerator(
+            A=MatrixFn(lambda s: np.array([[0.1, 0.3 * s], [-0.2, 0.05]]), (2, 2), T),
+            Abar=MatrixFn.constant([[0.05, 0.0], [0.1, 0.02]], T),
+            C=MatrixFn(lambda s: np.array([[0.2, 0.0], [0.1 * s, 0.15]]), (2, 2), T),
+            Cbar=MatrixFn.constant([[0.0, 0.05], [0.0, 0.1]], T))
+        w = QuadraticWeights(
+            Q=MatrixFn(lambda s: np.array([[1.0 + s, 0.2], [0.2, 0.5]]), (2, 2), T),
+            Qtilde=MatrixFn.constant([[0.3, 0.0], [0.0, 0.1]], T),
+            Qbar=MatrixFn(lambda s: np.exp(-s) * np.eye(2), (2, 2), T),
+            G=np.array([[1.0, 0.1], [0.1, 2.0]]), Gbar=np.array([[0.2, 0.0], [0.0, 0.3]]))
+        rep = cost_via_lyapunov(gen, w, (0.0, T), 1e-2)
+
+        times = rep.triple.times
+        ss = stage_times(times)
+        A, C = gen.A.at_many(ss), gen.C.at_many(ss)
+        Ah, Ch = (gen.A + gen.Abar).at_many(ss), (gen.C + gen.Cbar).at_many(ss)
+        Q, Qt, Qb = w.Q.at_many(ss), w.Qtilde.at_many(ss), w.Qbar.at_many(ss)
+
+        def rhs(q, Z):
+            Gt, Gm, Gb = Z
+            return -np.stack([
+                Gt @ A[q] + A[q].T @ Gt + C[q].T @ Gt @ C[q] + Q[q],
+                Gm @ Ah[q] + Ah[q].T @ Gm + Ch[q].T @ Gt @ Ch[q] + Q[q] + Qt[q],
+                Gb @ Ah[q] + Ah[q].T @ Gb + Qb[q]])
+
+        Z = rk4_march(rhs, times, np.stack([w.G, w.G, w.Gbar]), symmetric=True)
+        for got, ref in ((rep.triple.Gamma_tilde, Z[:, 0]), (rep.triple.Gamma, Z[:, 1]),
+                         (rep.triple.Gamma_bar, Z[:, 2])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_precommit_control_reproduces_oracle_mean(ex12):
