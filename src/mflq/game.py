@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, IllPosedError
 from .integrators import (feedback_gain, gain_path, march_triples, rk4_march,
                           stage_times)
-from .precommit import default_step
+from .precommit import default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        euler_maruyama, euler_transition, reset_mask, sandwich,
                        simulate_closed_loop, stack_rows, trapezoid_weights)
@@ -127,14 +127,11 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         # are batched over the anchor axis l, player k's own anchor last.  The
         # pair's coefficients are stacked plain over hat.
         ss = stage_times(times_k)
-        A, B, C, D, Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (
-            problem.A, problem.B, problem.C, problem.D, hp.A, hp.B, hp.C, hp.D))
+        Ap, Bp, Cp, Dp, Qp, Rp = pair_coefficients(problem, ss, tk)
+        (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in (Ap, Bp, Cp, Dp))
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
         Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
-        Ap, Bp, Cp, Dp, Qp, Rp = (np.stack(x, axis=1) for x in (
-            (A, Ah), (B, Bh), (C, Ch), (D, Dh), (Ql[:, -1], hp.Q.at_many(ss, tk)),
-            (Rl[:, -1], hp.R.at_many(ss, tk))))
         Apt, Bpt, Cpt, Dpt = (x.swapaxes(-1, -2) for x in (Ap, Bp, Cp, Dp))
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
@@ -197,35 +194,19 @@ def ordering_report(eq: DeltaEquilibrium, h: float | None = None) -> dict:
     On interval k the chain is 0 <= Gamma_tilde_l <= P_k <= Pi_k and
     0 <= Gamma_hat_l <= Phat_k <= Pi_hat_k for every earlier player l < k,
     checked at both interval endpoints.  Pi_k / Pi_hat_k are the Lyapunov
-    majorants obtained by dropping each equation's quadratic gain term.
+    majorants obtained by dropping each equation's quadratic gain term,
+    marched on each interval's own grid (h is not used).
     Returns {"min_margin", "passed", "per_interval"}.
     """
     problem = eq.problem
-    hp = hat(problem)
     nodes = eq.partition.nodes
-    if h is None:
-        h = default_step(problem)
     margins = []
     per_interval = []
     for k in range(eq.N):
         iv = eq.intervals[k]
-        a, b = float(nodes[k]), float(nodes[k + 1])
-        tk = a
         steps = len(iv.times) - 1
-        ss = stage_times(iv.times)
-        A, C, Ah, Ch = (f.at_many(ss) for f in (problem.A, problem.C, hp.A, hp.C))
-        Q, Qh = problem.Q.at_many(ss, tk), hp.Q.at_many(ss, tk)
-
-        def lyap_rhs(q, Z):
-            Pi, Pih = Z[0], Z[1]
-            As, Cs, Ahs, Chs = A[q], C[q], Ah[q], Ch[q]
-            out = np.empty_like(Z)
-            out[0] = -(Pi @ As + As.T @ Pi + Cs.T @ Pi @ Cs + Q[q])
-            out[1] = -(Pih @ Ahs + Ahs.T @ Pih + Chs.T @ Pi @ Chs + Qh[q])
-            return out
-
-        Z = rk4_march(lyap_rhs, iv.times, np.stack([iv.P[-1], iv.Phat[-1]]),
-                      symmetric=True)
+        Z = lyapunov_pair(problem, iv.times, float(nodes[k]),
+                          np.stack([iv.P[-1], iv.Phat[-1]]))
         Pi_path, Pih_path = Z[:, 0], Z[:, 1]
 
         rec = {"interval": k, "checks": []}

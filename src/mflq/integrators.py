@@ -348,7 +348,10 @@ def k0_bound(coeffs: RiccatiCoefficients, interval: tuple[float, float],
              samples: int = 101) -> float:
     """A-priori uniform bound (|G| + T sup|Q|) * exp(T sup|A + A' + C'C|).
 
-    Operator 2-norms, sampled on a uniform grid; callers use it as a blow-up sentinel.
+    Operator 2-norms, sampled on a uniform grid.  It bounds the 2-norm of the
+    Riccati solution P over the interval (P lies between 0 and its Lyapunov
+    majorant, which Gronwall's inequality bounds).  No solver calls it; it is a
+    standalone check of a solution's size.
     """
     a, b = interval
     T = b - a

@@ -1,5 +1,11 @@
 """Pre-commitment solution at a fixed initial time, its Lyapunov upper bounds,
-and the quadratic-cost representation by a triple of Lyapunov equations."""
+and the quadratic-cost representation by a triple of Lyapunov equations.
+
+The Riccati pair (P, Phat) and its Lyapunov majorants (Pi, Pi_hat) are each
+marched as one stacked (2, n, n) state, plain coefficients over hat ones
+(`pair_coefficients`), the hat equation reading P (or Pi) in its sandwich
+term.  The game marches its players' pairs with the same coefficients.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import (feedback_gain, gain_path, march_times, march_triples,
-                          rk4_march, solve_lyapunov, stage_times)
+                          rk4_march, stage_times)
 from .types import MatrixFn, ProblemData, _interp, hat, min_eig
 
 
@@ -39,55 +45,67 @@ class PrecommitSolution:
         return _interp(s, self.times, self.Theta_hat)
 
 
+def pair_coefficients(problem: ProblemData, ss: np.ndarray, t: float):
+    """(A, B, C, D, Q, R) at the stage times ss, the weights frozen at t, each
+    stacked plain over hat along axis 1: (len(ss), 2, ., .)."""
+    hp = hat(problem)
+    plain = (problem.A, problem.B, problem.C, problem.D, problem.Q.frozen(t),
+             problem.R.frozen(t))
+    hats = (hp.A, hp.B, hp.C, hp.D, hp.Q.frozen(t), hp.R.frozen(t))
+    return tuple(np.stack([f.at_many(ss), g.at_many(ss)], axis=1)
+                 for f, g in zip(plain, hats))
+
+
+def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
+                  terminal: np.ndarray) -> np.ndarray:
+    """March the Lyapunov majorants (Pi, Pi_hat) of the Riccati pair, weights
+    frozen at t: each Riccati equation without its quadratic gain term, the hat
+    one sandwiching Pi.  One stacked (2, n, n) state from `terminal`; returns
+    (len(times), 2, n, n)."""
+    A, _, C, _, Q, _ = pair_coefficients(problem, stage_times(times), t)
+    At, Ct = A.swapaxes(-1, -2), C.swapaxes(-1, -2)
+
+    def lyap_rhs(q, Z):
+        return -(Z @ A[q] + At[q] @ Z + Ct[q] @ Z[0] @ C[q] + Q[q])
+
+    return rk4_march(lyap_rhs, times, terminal, symmetric=True)
+
+
 def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
                         ) -> PrecommitSolution:
-    """Solve the decoupled Riccati pair (P first, then the hat equation reading P).
+    """Solve the decoupled Riccati pair (P, and the hat equation reading P).
 
     Weights are frozen at the initial time t; the value of the optimally
-    controlled problem at (t, x) is <Phat(t) x, x>.  P is marched at half the
-    step of Phat, so the hat march reads P at each of its stage times.
+    controlled problem at (t, x) is <Phat(t) x, x>.  The pair is one stacked
+    (2, n, n) state under one RK4 march at the step h: plain coefficients over
+    hat ones, the sandwich and D'PD terms reading P, and one feedback gain on
+    the stacked factors R(t)+D'PD and Rhat(t)+Dhat'PDhat, so an ill-posed
+    factor is named by whichever loses definiteness first in backward time.
     """
     if h is None:
         h = default_step(problem)
-    a, b = t, problem.T
-    hp = hat(problem)
-    n_coarse = max(1, math.ceil((b - a) / h - 1e-12))
-    fine = np.linspace(a, b, 2 * n_coarse + 1)
-    times = np.linspace(a, b, n_coarse + 1)
+    times = np.linspace(t, problem.T, max(1, math.ceil((problem.T - t) / h - 1e-12)) + 1)
+    ss = stage_times(times)
+    A, B, C, D, Q, R = pair_coefficients(problem, ss, t)
+    At, Bt, Ct, Dt = (x.swapaxes(-1, -2) for x in (A, B, C, D))
     delta = problem.delta
+    what = np.array(["R(t)+D'PD", "Rhat(t)+Dhat'PDhat"])
 
-    ss = stage_times(fine)
-    A, B, C, D = (f.at_many(ss) for f in (problem.A, problem.B, problem.C, problem.D))
-    Q, R = problem.Q.at_many(ss, t), problem.R.at_many(ss, t)
+    def rhs(q, Z):
+        P = Z[0]
+        DP = Dt[q] @ P
+        L = Bt[q] @ Z + DP @ C[q]
+        Th = feedback_gain(R[q] + DP @ D[q], L, delta, what, ss[q])
+        return -(Z @ A[q] + At[q] @ Z + Ct[q] @ P @ C[q] + Q[q]
+                 - L.swapaxes(-1, -2) @ Th)
 
-    def base_rhs(q, P):
-        As, Cs, Ds = A[q], C[q], D[q]
-        DP = Ds.T @ P
-        L = B[q].T @ P + DP @ Cs
-        Th = feedback_gain(R[q] + DP @ Ds, L, delta, "R(t)+D'PD", ss[q])
-        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + Q[q] - L.T @ Th)
-
-    P_fine = rk4_march(base_rhs, fine, problem.G(t), symmetric=True)
-
-    hs = stage_times(times)
-    Ah, Bh, Ch, Dh = (f.at_many(hs) for f in (hp.A, hp.B, hp.C, hp.D))
-    Qh, Rh = hp.Q.at_many(hs, t), hp.R.at_many(hs, t)
-
-    def hat_rhs(q, Ph):
-        P, As, Cs, Ds = P_fine[q], Ah[q], Ch[q], Dh[q]
-        DP = Ds.T @ P
-        L = Bh[q].T @ Ph + DP @ Cs
-        Th = feedback_gain(Rh[q] + DP @ Ds, L, delta, "Rhat(t)+Dhat'PDhat", hs[q])
-        return -(Ph @ As + As.T @ Ph + Cs.T @ P @ Cs + Qh[q] - L.T @ Th)
-
-    Phat = rk4_march(hat_rhs, times, hp.G(t), symmetric=True)
-    P = P_fine[::2]
-
-    Theta = gain_path(P, P, B[::4], C[::4], D[::4], R[::4], delta, "R(t)+D'PD", times)
-    Theta_hat = gain_path(Phat, P, Bh[::2], Ch[::2], Dh[::2], Rh[::2], delta,
-                          "Rhat(t)+Dhat'PDhat", times)
-    return PrecommitSolution(t=t, times=times, P=P, Phat=Phat,
-                             Theta=Theta, Theta_hat=Theta_hat)
+    hp = hat(problem)
+    Z = rk4_march(rhs, times, np.stack([np.atleast_2d(problem.G(t)),
+                                        np.atleast_2d(hp.G(t))]), symmetric=True)
+    th = gain_path(Z, Z[:, :1], B[::2], C[::2], D[::2], R[::2], delta, what,
+                   times[:, None])
+    return PrecommitSolution(t=t, times=times, P=Z[:, 0], Phat=Z[:, 1],
+                             Theta=th[:, 0], Theta_hat=th[:, 1])
 
 
 @dataclass(frozen=True)
@@ -116,29 +134,13 @@ def precommit_bounds(problem: ProblemData, t: float, h: float | None = None
     """
     if h is None:
         h = default_step(problem)
-    a, b = t, problem.T
-    hp = hat(problem)
-    n_coarse = max(1, math.ceil((b - a) / h - 1e-12))
-    dt_fine = (b - a) / (2 * n_coarse)
-
-    _, Pi_fine = solve_lyapunov(problem.A, problem.C, problem.Q.frozen(t), problem.G(t),
-                                (a, b), dt_fine)
-
-    def Pi_at(s):
-        return Pi_fine[int(round((s - a) / dt_fine))]
-
-    times, Pi_hat = solve_lyapunov(hp.A, hp.C, hp.Q.frozen(t), hp.G(t), (a, b),
-                                   (b - a) / n_coarse, sandwich=Pi_at)
-    Pi = Pi_fine[::2]
-
     sol = solve_precommitment(problem, t, h)
-    gap_p = min(min_eig(Pi[i] - sol.P[i]) for i in range(len(times)))
-    gap_ph = min(min_eig(Pi_hat[i] - sol.Phat[i]) for i in range(len(times)))
-    me_p = min(min_eig(sol.P[i]) for i in range(len(times)))
-    me_ph = min(min_eig(sol.Phat[i]) for i in range(len(times)))
-    return BoundReport(times=times, Pi=Pi, Pi_hat=Pi_hat,
-                       min_gap_P=gap_p, min_gap_Phat=gap_ph,
-                       min_eig_P=me_p, min_eig_Phat=me_ph)
+    Z = lyapunov_pair(problem, sol.times, t, np.stack([sol.P[-1], sol.Phat[-1]]))
+    Pi, Pi_hat = Z[:, 0], Z[:, 1]
+    return BoundReport(times=sol.times, Pi=Pi, Pi_hat=Pi_hat,
+                       min_gap_P=min_eig(Pi - sol.P),
+                       min_gap_Phat=min_eig(Pi_hat - sol.Phat),
+                       min_eig_P=min_eig(sol.P), min_eig_Phat=min_eig(sol.Phat))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .integrators import rk4_march, stage_times
 from .types import ProblemData, hat
 
 
@@ -376,26 +377,16 @@ class ExampleOracles:
     def discount_riccati(self, rho: Callable[[float, float], float],
                          g: Callable[[float], float], t: float,
                          h: float = 5e-4) -> tuple[np.ndarray, np.ndarray]:
-        """Backward solve of p_s + p - p^2 / rho(s,t) = 0, p(T,t) = g(t)."""
+        """Backward solve of p_s + p - p^2 / rho(s,t) = 0, p(T,t) = g(t), by RK4
+        with rho(., t) sampled once on the stage grid."""
         n = max(1, math.ceil((self.T - t) / h))
         times = np.linspace(t, self.T, n + 1)
-        p = np.empty(n + 1)
-        p[-1] = g(t)
+        r = np.array([rho(s, t) for s in stage_times(times)], dtype=float)
 
-        def f(s, v):
-            return -(v - v * v / rho(s, t))
+        def rhs(q, v):
+            return -(v - v * v / r[q])
 
-        v = p[-1]
-        for i in range(n, 0, -1):
-            s = times[i]
-            dt = times[i] - times[i - 1]
-            k1 = f(s, v)
-            k2 = f(s - dt / 2, v - dt / 2 * k1)
-            k3 = f(s - dt / 2, v - dt / 2 * k2)
-            k4 = f(s - dt, v - dt * k3)
-            v = v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            p[i - 1] = v
-        return times, p
+        return times, rk4_march(rhs, times, g(t))
 
     def consistency_witness(self, rho, g, samples: int = 21) -> bool:
         """True when t -> g(t)/rho(T,t) is constant (time-consistent memory)."""

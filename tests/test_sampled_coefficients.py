@@ -27,7 +27,7 @@ def count_calls(monkeypatch):
 
 
 def test_scalar_calls_do_not_grow_with_stages(count_calls, meanfield, classical):
-    # precommit: 2000 steps of 4 stages each for P (at half the step) and Phat
+    # precommit: 2000 steps of 4 stages each for the stacked pair (P, Phat)
     solve_precommitment(meanfield, 0.0)
     assert count_calls[0] <= 10
     # game: 8 intervals of 250 steps, each stage reading up to 8 anchors
