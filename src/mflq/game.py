@@ -3,9 +3,11 @@
 Each player k controls one interval [t_k, t_{k+1}) with all cost weights frozen
 at t_k, best-responding to the gains already fixed by the later players.  The
 solve runs backward over the intervals.  On each one an RK4 march carries the
-player's Riccati pair alone; the Lyapunov triples that track every earlier
-player's cost under the composite feedback are linear once that march's stage
-gains are known, and advance by the affine maps of the same RK4 steps.
+player's Riccati pair alone, on the pair field that the pre-commitment solve
+shares (`precommit.PairField`); the Lyapunov triples
+that track every earlier player's cost under the composite feedback are linear
+once that march's stage gains are known, and advance by the affine maps of the
+same RK4 steps.
 Terminal data for player k-1 are stitched from player (k-1)'s own triple at
 t_k.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, IllPosedError
 from .integrators import (feedback_gain, gain_path, march_triples, rk4_march,
                           stage_times)
-from .precommit import default_step, lyapunov_pair, pair_coefficients
+from .precommit import PairField, default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        euler_maruyama, euler_transition, reset_mask, sandwich,
                        simulate_closed_loop, stack_rows, trapezoid_weights)
@@ -83,7 +85,8 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     """Backward interval recursion producing the piecewise equilibrium gains.
 
     Inside interval k one RK4 march carries player k's Riccati pair
-    (P_k, Phat_k) alone, stacked and evaluated by one batched field, and keeps
+    (P_k, Phat_k) alone, stacked and evaluated by `PairField` (three products
+    and one feedback gain per stage), and keeps
     the gains (Theta, Theta_hat) of its four stages in every step.  Given those
     gains the cost triples of players 0..k (player k's own included, which
     coincides with the pair) solve linear equations: they advance by the affine
@@ -125,14 +128,16 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
 
         # Coefficients at the stage times; the tracked players' frozen weights
         # are batched over the anchor axis l, player k's own anchor last.  The
-        # pair's coefficients are stacked plain over hat.
+        # pair's coefficients are stacked plain over hat, and its field
+        # regroups them block by block.
         ss = stage_times(times_k)
-        Ap, Bp, Cp, Dp, Qp, Rp = pair_coefficients(problem, ss, tk)
+        coeffs = pair_coefficients(problem, ss, tk)
+        Ap, Bp, Cp, Dp, _, Rp = coeffs
         (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in (Ap, Bp, Cp, Dp))
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
         Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
-        Apt, Bpt, Cpt, Dpt = (x.swapaxes(-1, -2) for x in (Ap, Bp, Cp, Dp))
+        field = PairField(lambda lo, hi: tuple(x[lo:hi] for x in coeffs), len(ss), n, m)
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
         # the gains of every RK4 stage, in call order: four per step, from the top
@@ -140,13 +145,10 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         record, calls = stage_gains.reshape(-1, 2, m, n), itertools.count()
 
         def rhs(q, Z):
-            P = Z[0]
-            DP = Dpt[q] @ P
-            L = Bpt[q] @ Z + DP @ Cp[q]
-            Th = feedback_gain(Rp[q] + DP @ Dp[q], L, delta, what, ss[q])
+            lin, L, K = field(q, Z)
+            Th = feedback_gain(K, L, delta, what, ss[q])
             record[next(calls)] = Th
-            return -(Z @ Ap[q] + Apt[q] @ Z + Cpt[q] @ P @ Cp[q] + Qp[q]
-                     - L.swapaxes(-1, -2) @ Th)
+            return L.swapaxes(-1, -2) @ Th - lin
 
         path = rk4_march(rhs, times_k, pair, symmetric=True)
         gains4 = stage_gains[::-1]     # row r: the step from node r+1 to r

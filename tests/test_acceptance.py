@@ -149,9 +149,9 @@ def test_criterion_06_quadratic_cost_oracle_equivalence():
         gen = MeanFieldGenerator(A=prob.A, Abar=prob.Abar, C=prob.C,
                                  Cbar=prob.Cbar)
         w = QuadraticWeights(
-            Q=MatrixFn(lambda s: prob.Q(s, 0.0), (n, n), prob.T),
+            Q=prob.Q.frozen(0.0),
             Qtilde=MatrixFn.constant(np.zeros((n, n)), prob.T),
-            Qbar=MatrixFn(lambda s: prob.Qbar(s, 0.0), (n, n), prob.T),
+            Qbar=prob.Qbar.frozen(0.0),
             G=prob.G(0.0), Gbar=prob.Gbar(0.0))
         x0 = rng.normal(size=n)
         exact = cost_via_lyapunov(gen, w, (0.0, prob.T), 2e-3).evaluate(x0, x0)
