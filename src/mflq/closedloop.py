@@ -2,22 +2,24 @@
 
 Two independent routes produce the two-parameter pair (Gamma, Gamma_hat):
 refinement of the interval game under partition doubling, and a direct backward
-march of the limit system in which every t-slice is driven by the shared
-diagonal gain.  Cross-validating the two is the main consistency check for the
-equilibrium field.
+march of the limit system on the shared level march
+(`integrators.march_levels`), in which every t-slice is driven by the shared
+diagonal gain and each level carries only the slices read on it.
+Cross-validating the two is the main consistency check for the equilibrium
+field.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
-from .integrators import feedback_gain, gain_path, rk4_march, stage_times
+from .integrators import gain_path, left, march_levels, right
+from .precommit import default_step
 from .types import ProblemData, TimeGrid, _interp, hat
 
 
@@ -151,65 +153,38 @@ def solve_closed_loop(problem: ProblemData, N0: int = 4, tol: float = 1e-4,
 
 def direct_diagonal_solve(problem: ProblemData, h: float | None = None,
                           t_nodes: int = 128) -> ClosedLoopSolution:
-    """Backward march of the limit system, all t-slices stacked.
+    """The limit system on a t-grid of t_nodes intervals, by `march_levels`
+    at the step h (default `default_step`).
 
     Every slice pair (Gamma(., t), Gamma_hat(., t)) shares the diagonal feedback
     Theta_hat(s) = [Rhat(s,s) + Dhat' Gamma(s,s) Dhat]^{-1}
-    [Bhat' Gamma_hat(s,s) + Dhat' Gamma(s,s) Chat]; diagonal values at stage
-    times are interpolated from the bracketing slices.  The Gamma-equation
-    carries the quadratic Theta_hat' R(s,t) Theta_hat and the Gamma_hat one
-    Theta_hat' Rhat(s,t) Theta_hat, both sandwiching Gamma.
+    [Bhat' Gamma_hat(s,s) + Dhat' Gamma(s,s) Chat]; with M = Ahat - Bhat
+    Theta_hat and N = Chat - Dhat Theta_hat both equations read
+
+        Z' + Z M + M'Z + N' Gamma N + Q(s, t) + Theta_hat' R(s, t) Theta_hat = 0,
+
+    Z = Gamma, Gamma_hat (Qhat and Rhat for Gamma_hat), symmetrized every
+    step.  Level lev marches only the slices t_0..t_lev, the ones read on
+    [t_{lev-1}, t_lev] (s >= t); entries above the diagonal are NaN.
     """
-    if h is None:
-        h = problem.T / 2000.0
     hp = hat(problem)
-    tg = np.linspace(0.0, problem.T, t_nodes + 1)
-    J = t_nodes + 1
-    sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
 
-    Z = np.stack([problem.G.at_many(tg), hp.G.at_many(tg)])
-    G_levels = np.full((J,) + Z.shape[1:], np.nan)
-    Gh_levels = np.full_like(G_levels, np.nan)
-    G_levels[-1] = Z[0]
-    Gh_levels[-1] = Z[1]
+    def rhs(f, q, Z):
+        Th, N, ZM, PN = f(q, Z)
+        Q, R = f.weights
+        out = ZM + ZM.transpose(0, 3, 2, 1)        # Z M + M'Z, slice by slice
+        out += left(N.T, PN)
+        out += Q[q]
+        out += left(Th.T, right(R[q], Th))
+        return -out
 
-    for lev in range(J - 1, 0, -1):
-        a, b = tg[lev - 1], tg[lev]
-        times = np.linspace(a, b, sub + 1)
-        ss = stage_times(times)
-        # the diagonal at a stage time interpolates between the bracketing slices
-        w = (ss - a) / (b - a)
-        Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (hp.A, hp.B, hp.C, hp.D))
-        Rd = hp.R.at_many(ss, ss)
-        grid = ss[:, None], tg
-        Q, Qh = problem.Q.at_many(*grid), hp.Q.at_many(*grid)
-        Rl, Rhl = problem.R.at_many(*grid), hp.R.at_many(*grid)
-
-        def rhs(q, Zs, j=lev - 1):
-            Bs, Cs, Ds = Bh[q], Ch[q], Dh[q]
-            d, dh = (1.0 - w[q]) * Zs[:, j] + w[q] * Zs[:, j + 1]
-            Dd = Ds.T @ d
-            Thh = feedback_gain(Rd[q] + Dd @ Ds, Bs.T @ dh + Dd @ Cs,
-                                problem.delta, "diagonal factor", ss[q])
-            M = Ah[q] - Bs @ Thh
-            Nc = Cs - Ds @ Thh
-            # both slice stacks at once; the sandwich term reads Gamma only
-            ZM = Zs @ M
-            out = ZM + ZM.swapaxes(-1, -2) + Nc.T @ Zs[0] @ Nc
-            out[0] += Q[q]
-            out[0] += Thh.T @ Rl[q] @ Thh
-            out[1] += Qh[q]
-            out[1] += Thh.T @ Rhl[q] @ Thh
-            return -out
-
-        Z = rk4_march(rhs, times, Z, symmetric=True)[0]
-        G_levels[lev - 1, :lev] = Z[0, :lev]
-        Gh_levels[lev - 1, :lev] = Z[1, :lev]
-
-    Theta, Theta_hat = _diagonal_gains(problem, hp, tg, G_levels, Gh_levels)
-    return ClosedLoopSolution(problem=problem, grid=TimeGrid(tg),
-                              Gamma=G_levels, Gamma_hat=Gh_levels,
-                              Theta=Theta, Theta_hat=Theta_hat, trace=())
+    tg, (Gm, Gh) = march_levels(
+        problem, default_step(problem) if h is None else h, t_nodes,
+        (hp.A, hp.B, hp.C, hp.D), [(problem.Q, hp.Q), (problem.R, hp.R)], rhs,
+        symmetric=True)
+    Theta, Theta_hat = _diagonal_gains(problem, hp, tg, Gm, Gh)
+    return ClosedLoopSolution(problem=problem, grid=TimeGrid(tg), Gamma=Gm,
+                              Gamma_hat=Gh, Theta=Theta, Theta_hat=Theta_hat, trace=())
 
 
 def _diagonal_gains(problem, hp, nodes, Gm, Gh):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
-from .integrators import (feedback_gain, gain_path, march_triples, rk4_march,
-                          stage_times)
+from .integrators import (check_step, feedback_gain, gain_path, march_triples,
+                          rk4_march, stage_times)
 from .precommit import PairField, default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        euler_maruyama, euler_transition, reset_mask, sandwich,
@@ -93,8 +93,7 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     maps of the same RK4 steps (`march_triples`).  The triples restart their
     first component from the second at every interval boundary.
     """
-    if h is None:
-        h = default_step(problem)
+    h = check_step(default_step(problem) if h is None else h)
     nodes = partition.nodes
     N = partition.num_intervals
     if N < 1:

@@ -2,29 +2,38 @@
 
 Provides the RK4 march every solver runs on (its right-hand side reads
 coefficients sampled once on the march's stage grid), the feedback gain
-K^{-1} L with its definiteness check, the march of Lyapunov cost triples by
-the affine maps of their RK4 steps, linear (Lyapunov-type) equations with an
-optional sandwich term, and the symmetric Riccati equation with cross term,
-together with its a-priori bound constant.
+K^{-1} L with its definiteness check, the level march of the two-parameter
+Riccati systems (open-loop and closed-loop limit) with the products their
+fields share, the march of Lyapunov cost triples by the affine maps of their
+RK4 steps, linear (Lyapunov-type) equations with an optional sandwich term,
+and the symmetric Riccati equation with cross term, together with its
+a-priori bound constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowUpError, IllPosedError, ValidationError
-from .types import MatrixFn, min_eig, symmetrize, tau_psd
+from .types import MatrixFn, ProblemData, hat, min_eig, symmetrize, tau_psd
+
+
+def check_step(h: float) -> float:
+    """h, after checking that it is a positive step size."""
+    if not h > 0:
+        raise ValidationError(f"step size must be positive, got {h!r}")
+    return h
 
 
 def march_times(a: float, b: float, h: float) -> np.ndarray:
     """Uniform nodes from a to b with the fewest steps of size <= h, so the
     requested endpoints are always nodes."""
-    if h <= 0:
-        raise ValidationError("step size must be positive")
+    check_step(h)
     span = b - a
     if span <= 0:
         raise ValidationError("empty integration interval")
@@ -48,6 +57,10 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
     node i to node i-1 evaluates stages 2i, 2i-1 (twice) and 2i-2, so callers
     sample their coefficients on that grid once per march and read them by
     index.  Returns the values aligned with times.
+
+    symmetric projects the state onto symmetric matrices after every step:
+    along its last two axes if True, or along the transpose given by a tuple of
+    axes, for a state in another layout (`march_levels`).
     """
     M = np.array(terminal, dtype=float, copy=True)
     vals = np.empty((len(times),) + M.shape)
@@ -63,8 +76,9 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
         k4 = rhs(q - 2, M - dt * k3)
         M = M - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if symmetric:
-            M = symmetrize(M)
-        if not np.isfinite(M).all():
+            Mt = M.swapaxes(-1, -2) if symmetric is True else M.transpose(symmetric)
+            M = 0.5 * (M + Mt)
+        if not np.logical_and.reduce(np.isfinite(M), axis=None):
             raise BlowUpError(f"backward integration blew up at s={times[i - 1]:g}",
                               time=float(times[i - 1]))
         vals[i - 1] = M
@@ -95,7 +109,7 @@ def feedback_gain(K: np.ndarray, L: np.ndarray, delta: float, what, times
     floor = 0.5 * delta
     m = K.shape[-1]
     if m == 1:
-        if K[0, 0] < floor if K.ndim == 2 else (K < floor).any():
+        if K[0, 0] < floor if K.ndim == 2 else np.logical_or.reduce(K < floor, axis=None):
             _lost_definiteness(K, floor, what, times)
         return L / K
     try:
@@ -118,6 +132,95 @@ def _lost_definiteness(K, floor, what, times):
     s = np.broadcast_to(times, bad.shape)[first]
     raise IllPosedError(f"{np.broadcast_to(what, bad.shape)[first]} lost definiteness "
                         f"at s={s:g}")
+
+
+def right(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X_j M for every slice j of a row-interleaved stack X (..., r, k, c)."""
+    return (X.reshape(-1, X.shape[-1]) @ M).reshape(X.shape[:-1] + M.shape[-1:])
+
+
+def left(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """L X_j for every slice j of a row-interleaved stack X (..., r, k, c)."""
+    *lead, r, k, c = X.shape
+    return (L @ X.reshape(*lead, r, k * c)).reshape(*lead, L.shape[0], k, c)
+
+
+class LevelField:
+    """The products both level systems share, at the stages of one level.
+
+    Called at stage q on the live slices Z (2, n, k, n), row-interleaved
+    (Z[c, a, j, b] is entry (a, b) of slice j of component c = plain, hat, so
+    `right` and `left` are one product each), it interpolates the diagonal pair
+    (d, dh) between the last two slices and returns (Th, N, Z M, P N), P = Z[0]:
+
+        K = Rd + D'dD,  L = B'dh + D'dC,  Th = K^{-1} L,  M = A - B Th,  N = C - D Th.
+
+    [L, K] is one product Y Gw: Y = [D'P_i, B'Phat_i, I] over the last two
+    slices i, and Gw stacks their interpolation weights times [C D] and [I 0]
+    over [0 Rd].  The solvers read A, C and the sampled `weights` for the rest.
+    """
+
+    def __init__(self, A, B, C, D, Rd, weights, w, delta: float, ss):
+        n, m = B.shape[-2:]
+        self.n, self.A, self.C, self.weights = n, A, C, weights
+        self.delta, self.ss = delta, ss.tolist()
+        w = w[:, None, None]
+        CD, E = np.concatenate([C, D], axis=-1), np.eye(n, n + m)
+        self.Gw = np.concatenate([(1.0 - w) * CD, w * CD, (1.0 - w) * E, w * E,
+                                  np.pad(Rd, ((0, 0), (0, 0), (n, 0)))], axis=1)
+        self.F = np.stack([D, B], axis=1).swapaxes(-1, -2)
+        self.Y = np.hstack([np.zeros((m, 4 * n)), np.eye(m)])
+        self.Yv = self.Y[:, :4 * n].reshape(m, 2, 2 * n).swapaxes(0, 1)
+        self.AC, self.BD = np.concatenate([A, C], axis=-2), np.concatenate([B, D], axis=-2)
+
+    def __call__(self, q, Z):
+        n = self.n
+        np.matmul(self.F[q], Z[:, :, -2:].reshape(2, n, 2 * n), out=self.Yv)
+        LK = self.Y @ self.Gw[q]
+        Th = feedback_gain(LK[:, n:], LK[:, :n], self.delta, "diagonal factor", self.ss[q])
+        MN = self.AC[q] - self.BD[q] @ Th
+        return Th, MN[n:], right(Z, MN[:n]), right(Z[0], MN[n:])
+
+
+def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights,
+                 rhs, symmetric: bool = False):
+    """A two-parameter level system on the t-grid tg of t_nodes intervals.
+
+    Slice j, the pair (plain, hat) at t = tg[j] as a function of s, starts from
+    (G, Ghat)(tg[j]) at s = T.  Level lev marches s from tg[lev] down to
+    tg[lev-1] in `sub` RK4 steps of size <= h, and only the live slices
+    0..lev: slice j is read at s >= tg[j], and slice lev stays for the
+    diagonal, which interpolates between slices lev-1 and lev.  Per level the
+    MatrixFns `dynamics` (A, B, C, D) and hat R(s, s) are sampled at the
+    stages, and each pair (plain, hat) of two-time `weights` at (stage, tg[j])
+    for the live slices, into a `LevelField` f; rhs(f, q, Z) is the field.
+    `symmetric` projects every slice onto symmetric matrices every step.
+
+    Returns tg and levels (2, J, J, n, n): levels[:, i, j] is the pair at
+    (s, t) = (tg[i], tg[j]) for j <= i, NaN above the diagonal.
+    """
+    check_step(h)
+    if not isinstance(t_nodes, (int, np.integer)) or t_nodes < 1:
+        raise ValidationError(f"t_nodes must be a positive integer, got {t_nodes!r}")
+    hp = hat(problem)
+    tg = np.linspace(0.0, problem.T, t_nodes + 1)
+    J = t_nodes + 1
+    sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
+    levels = np.full((2, J, J, problem.n, problem.n), np.nan)
+    levels[:, -1] = problem.G.at_many(tg), hp.G.at_many(tg)
+    Z = levels[:, -1].transpose(0, 2, 1, 3)
+    for lev in range(J - 1, 0, -1):
+        a, b = tg[lev - 1], tg[lev]
+        times = np.linspace(a, b, sub + 1)
+        ss = stage_times(times)
+        W = [np.stack([f.at_many(ss[:, None], tg[:lev + 1]).transpose(0, 2, 1, 3)
+                       for f in pair], axis=1) for pair in weights]
+        f = LevelField(*(g.at_many(ss) for g in dynamics), hp.R.at_many(ss, ss), W,
+                       (ss - a) / (b - a), problem.delta, ss)
+        Z = rk4_march(partial(rhs, f), times, Z[:, :, :lev + 1],
+                      symmetric=symmetric and (0, 3, 2, 1))[0]   # slice transpose
+        levels[:, lev - 1, :lev] = Z[:, :, :lev].transpose(0, 2, 1, 3)
+    return tg, levels
 
 
 def triple_field(X: np.ndarray, M1, N1, M2, N2) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Open-loop equilibrium for dynamics without mean-field terms.
 
-Solves the diagonally-coupled, non-symmetric two-parameter Riccati pair by a
-stacked backward march over all t-slices, with the shared diagonal factor
-interpolated at Runge-Kutta stage times.  Includes statistical spike-perturbation
-verification and the pathwise stationarity residual.
+Solves the diagonally-coupled, non-symmetric two-parameter Riccati pair on the
+shared level march (`integrators.march_levels`): each level carries only the
+t-slices read on it, driven by one diagonal factor interpolated at the
+Runge-Kutta stage times.  Includes statistical spike-perturbation verification
+and the pathwise stationarity residual.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .integrators import feedback_gain, gain_path, rk4_march, stage_times
+from .integrators import gain_path, left, march_levels
+from .precommit import default_step
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments, euler_maruyama,
                        euler_transition, sandwich, stack_rows, trapezoid_weights)
 from .types import ProblemData, TimeGrid, TwoParamMatrixField, _interp, hat
@@ -48,64 +50,38 @@ class OpenLoopSolution:
 
 def solve_open_loop(problem: ProblemData, h: float | None = None,
                     t_nodes: int = 64) -> OpenLoopSolution:
-    """Backward march of all t-slices of the coupled pair (P(., t), Phat(., t)).
+    """The coupled pair (P(., t), Phat(., t)) on a t-grid of t_nodes intervals,
+    by `march_levels` at the step h (default `default_step`).
 
     Every slice is driven by the same diagonal factor
-    [Rhat(s,s) + D'P(s,s)D]^{-1} [B'Phat(s,s) + D'P(s,s)C]; at stage times the
-    diagonal is linearly interpolated between the two bracketing t-slices (all
-    slices keep integrating below the diagonal so the interpolation stays clean;
-    the stored field freezes sub-diagonal entries at the diagonal value).
+    Theta(s) = [Rhat(s,s) + D'P(s,s)D]^{-1} [B'Phat(s,s) + D'P(s,s)C]; with
+    M = A - B Theta and N = C - D Theta both equations read
+
+        Z' + Z M + A'Z + C'P N + Q(s, t) = 0,   Z = P, Phat  (Qhat for Phat),
+
+    not symmetric.  Level lev marches only the slices t_0..t_lev, the ones
+    read on [t_{lev-1}, t_lev] (s >= t); the stored field extends each slice
+    above the diagonal by its diagonal value.
     """
     _require_no_mean_field_dynamics(problem)
-    if h is None:
-        h = problem.T / 2000.0
     hp = hat(problem)
-    tg = np.linspace(0.0, problem.T, t_nodes + 1)
-    J = t_nodes + 1
-    sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
 
-    # state Z: (2, J, n, n) -- Z[0] = P slices, Z[1] = Phat slices
-    Z = np.stack([problem.G.at_many(tg), hp.G.at_many(tg)])
-    P_levels = np.empty((J,) + Z.shape[1:])
-    Ph_levels = np.empty_like(P_levels)
-    P_levels[-1] = Z[0]
-    Ph_levels[-1] = Z[1]
+    def rhs(f, q, Z):
+        _, _, ZM, PN = f(q, Z)
+        out = ZM + left(f.A[q].T, Z)
+        out += left(f.C[q].T, PN)
+        out += f.weights[0][q]
+        return -out
 
-    for lev in range(J - 1, 0, -1):
-        a, b = tg[lev - 1], tg[lev]
-        times = np.linspace(a, b, sub + 1)
-        ss = stage_times(times)
-        # the diagonal at a stage time interpolates between the bracketing slices
-        w = (ss - a) / (b - a)
-        A, B, C, D = (f.at_many(ss) for f in (problem.A, problem.B, problem.C, problem.D))
-        Rd = hp.R.at_many(ss, ss)
-        Q = problem.Q.at_many(ss[:, None], tg)
-        Qh = hp.Q.at_many(ss[:, None], tg)
-
-        def rhs(q, Zs, j=lev - 1):
-            As, Bs, Cs, Ds = A[q], B[q], C[q], D[q]
-            d, dh = (1.0 - w[q]) * Zs[:, j] + w[q] * Zs[:, j + 1]
-            Dd = Ds.T @ d
-            Lam = feedback_gain(Rd[q] + Dd @ Ds, Bs.T @ dh + Dd @ Cs,
-                                problem.delta, "diagonal factor", ss[q])   # (m, n)
-            # both slice stacks at once; the sandwich terms read P only
-            CP = Cs.T @ Zs[0]
-            out = Zs @ As + As.T @ Zs + CP @ Cs
-            out[0] += Q[q]
-            out[1] += Qh[q]
-            out -= (Zs @ Bs + CP @ Ds) @ Lam
-            return -out
-
-        Z = rk4_march(rhs, times, Z)[0]
-        P_levels[lev - 1] = Z[0]
-        Ph_levels[lev - 1] = Z[1]
-
+    tg, levels = march_levels(
+        problem, default_step(problem) if h is None else h, t_nodes,
+        (problem.A, problem.B, problem.C, problem.D), [(problem.Q, hp.Q)], rhs)
     grid = TimeGrid(tg)
-    P_field = TwoParamMatrixField.from_triangle(grid, P_levels, symmetric=False)
-    Ph_field = TwoParamMatrixField.from_triangle(grid, Ph_levels, symmetric=False)
+    P_field = TwoParamMatrixField.from_triangle(grid, levels[0], symmetric=False)
+    Ph_field = TwoParamMatrixField.from_triangle(grid, levels[1], symmetric=False)
 
-    idx = np.arange(J)
-    d, dh = P_levels[idx, idx], Ph_levels[idx, idx]
+    idx = np.arange(len(tg))
+    d, dh = levels[:, idx, idx]
     B, C, D = (f.at_many(tg) for f in (problem.B, problem.C, problem.D))
     Theta = gain_path(dh, d, B, C, D, hp.R.at_many(tg, tg), problem.delta,
                       "diagonal factor", tg)
@@ -113,7 +89,6 @@ def solve_open_loop(problem: ProblemData, h: float | None = None,
     asym = max(P_field.max_asymmetry(), Ph_field.max_asymmetry())
     return OpenLoopSolution(P=P_field, Phat=Ph_field, Theta_open=Theta,
                             max_asymmetry=asym)
-
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,13 @@ class TestPrecommit:
         assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["open-loop", "game", "closed-loop"])
+@pytest.mark.parametrize("h", ["-0.1", "0"])
+def test_non_positive_step_exit_code(command, h, tmp_path, capsys):
+    assert run([command, "classical", "--h", h, "--out", tmp_path / "x"]) == 2
+    assert "step size must be positive" in capsys.readouterr().err
+
+
 class TestClosedLoop:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "cl"

@@ -3,9 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflq import (ConvergenceError, MatrixFn, TwoTimeMatrixFn,
+from mflq import (ConvergenceError, MatrixFn, TwoTimeMatrixFn, ValidationError,
                   direct_diagonal_solve, equilibrium_value, residual,
                   solve_closed_loop, solve_precommitment)
+
+
+@pytest.mark.parametrize("kwargs", [{"h": -0.1}, {"h": 0.0}, {"h": float("nan")},
+                                    {"t_nodes": 0}, {"t_nodes": -2}])
+def test_direct_solve_rejects_bad_step_or_grid(ex12, kwargs):
+    with pytest.raises(ValidationError):
+        direct_diagonal_solve(ex12, **kwargs)
 
 
 class TestScalarTerminalOracle:

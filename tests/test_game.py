@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mflq import (MCConfig, TimeGrid, build_delta_equilibrium,
+from mflq import (MCConfig, TimeGrid, ValidationError, build_delta_equilibrium,
                   delta_local_optimality_check, jump_magnitudes,
                   ordering_report, solve_precommitment)
 
@@ -9,6 +9,12 @@ from mflq import (MCConfig, TimeGrid, build_delta_equilibrium,
 @pytest.fixture(scope="module")
 def disc_eq(discounting):
     return build_delta_equilibrium(discounting, TimeGrid.uniform(1.0, 4))
+
+
+@pytest.mark.parametrize("h", [-0.1, 0.0, float("nan")])
+def test_rejects_non_positive_step(discounting, h):
+    with pytest.raises(ValidationError):
+        build_delta_equilibrium(discounting, TimeGrid.uniform(1.0, 2), h)
 
 
 class TestSingleInterval:

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mflq import (BlowUpError, MatrixFn, RiccatiCoefficients,
+from mflq import (BlowUpError, IllPosedError, MatrixFn, RiccatiCoefficients,
                   ValidationError, k0_bound, rk4_backward, solve_lyapunov,
                   solve_riccati)
+from mflq.integrators import feedback_gain
 
 
 class TestRK4Backward:
@@ -85,6 +88,19 @@ def test_inverse_identity(L):
     lhs = np.eye(n) - L @ np.linalg.solve(np.eye(2) + L.T @ L, L.T)
     rhs = np.linalg.inv(np.eye(n) + L @ L.T)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("plain", [1.0, np.nan])
+def test_stacked_scalar_factor_names_its_hat_entry(plain):
+    """A stacked 1x1 factor that fails only in its hat entry names that entry
+    and the time, also when the plain entry is NaN."""
+    K = np.array([[[plain]], [[0.1]]])
+    what = np.array(["R(t)+D'PD", "Rhat(t)+Dhat'PDhat"])
+    with pytest.raises(IllPosedError,
+                       match=re.escape("Rhat(t)+Dhat'PDhat lost definiteness at s=0.25")):
+        feedback_gain(K, np.ones((2, 1, 2)), 0.5, what, 0.25)
+    np.testing.assert_allclose(feedback_gain(K, np.ones((2, 1, 2)), 0.1, what, 0.25)[1],
+                               [[10.0, 10.0]])
 
 
 def _classical_coeffs(classical, t=0.0):

@@ -22,6 +22,13 @@ def test_rejects_mean_field_dynamics(meanfield):
         solve_open_loop(meanfield)
 
 
+@pytest.mark.parametrize("kwargs", [{"h": -0.1}, {"h": 0.0}, {"h": float("nan")},
+                                    {"t_nodes": 0}, {"t_nodes": -2}])
+def test_rejects_bad_step_or_grid(classical, kwargs):
+    with pytest.raises(ValidationError):
+        solve_open_loop(classical, **kwargs)
+
+
 class TestSpecialCaseCollapses:
     def test_no_bar_weights_collapses_pair(self, classical):
         """With no mean-field cost terms the hat equation has the same data as
