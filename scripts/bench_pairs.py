@@ -9,7 +9,8 @@ is the change.  For every workload, pair i runs ``bench/run.py`` once on each
 side with the same ``--seconds`` and ``--seed i + 1``, the parent first in
 even pairs and the change first in odd ones, so that a drift of the machine's
 speed hits both sides alike.  Then one ``--trace 1`` run per side records the
-per-operation times (``op.*``), the call counts and the check errors.
+per-layer metrics: the per-operation times (``op.*``), the layer times, the
+call counts, the check errors and the memory figures.
 
 ``BENCH_<pr>.json`` holds, per workload and end-to-end metric, both sides'
 samples, medians and quartiles, the pairs the change won, and whether the
@@ -92,9 +93,9 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def traced_subset(result: dict, units: dict[str, str]) -> dict:
-    """The op.* times, counts and check errors of a traced run."""
-    return {name: m["value"] for name, m in result["metrics"].items()
-            if name.startswith("op.") or units.get(name) in ("count", "max-abs")}
+    """The per-layer metrics of a traced run: op.* and layer times, counts,
+    check errors and memory."""
+    return {name: m["value"] for name, m in result["metrics"].items() if name in units}
 
 
 def main(argv=None) -> int:

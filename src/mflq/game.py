@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .integrators import (check_step, feedback_gain, gain_path, march_triples,
                           rk4_march, stage_times)
 from .precommit import PairField, default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
-                       euler_maruyama, euler_transition, reset_mask, sandwich,
-                       simulate_closed_loop, stack_rows, trapezoid_weights)
+                       closed_loop_states_at, euler_maruyama, euler_transition,
+                       reset_mask, sandwich, stack_rows, trapezoid_weights)
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
                     min_eig, symmetrize, tau_psd)
 
@@ -305,11 +305,8 @@ def delta_local_optimality_check(problem: ProblemData, eq: DeltaEquilibrium,
     if k == 0:
         Xk = np.repeat(x0[:, None], mc.paths, axis=1)
     else:
-        head = simulate_closed_loop(problem, eq.gains, 0.0, x0,
-                                    MCConfig(paths=mc.paths, steps=mc.steps,
-                                             seed=mc.seed + 1,
-                                             antithetic=mc.antithetic))
-        Xk = head.states[:, int(np.argmin(np.abs(head.times - tk)))].T
+        Xk = closed_loop_states_at(problem, eq.gains, 0.0, x0,
+                                   replace(mc, seed=mc.seed + 1), tk)
 
     tail_steps = max(eq.N - k, int(round(mc.steps * (T - tk) / T)))
     grid = aligned_time_grid(tk, T, tail_steps, nodes[(nodes > tk + 1e-12)

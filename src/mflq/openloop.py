@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .integrators import gain_path, left, march_levels
 from .precommit import default_step
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments, euler_maruyama,
@@ -159,6 +159,22 @@ def _default_probes(problem, sol, t):
     ]
 
 
+def _check_spikes(T, check_times, eps_list):
+    """Every spike [t, t + eps] must lie in [0, T] with eps > 0."""
+    if len(eps_list) == 0:
+        raise ConfigurationError("eps_list is empty")
+    tol = 1e-12 * max(1.0, abs(T))
+    for t in check_times:
+        if not 0.0 <= t < T:
+            raise ConfigurationError(f"check time {t} outside [0, T) = [0, {T})")
+        for eps in eps_list:
+            if not eps > 0.0:
+                raise ConfigurationError(f"spike length {eps} must be positive")
+            if t + eps > T + tol:
+                raise ConfigurationError(
+                    f"spike [{t}, {t} + {eps}] runs past the horizon T = {T}")
+
+
 def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
                                  x0, eps_list=None, mc: MCConfig | None = None,
                                  check_times=None) -> dict:
@@ -175,13 +191,20 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
         mc = MCConfig(paths=20000, steps=400, seed=7)
     if check_times is None:
         check_times = [0.2 * T, 0.5 * T]
+    _check_spikes(T, check_times, eps_list)
     x0 = np.asarray(x0, float).reshape(-1)
 
+    # every grid draws the same normals when it has the same step count: draw
+    # them once at unit steps (sqrt(1) = 1 is exact) and scale a copy per grid
+    normals = {}
     records = []
     for t in check_times:
         for eps in sorted(eps_list, reverse=True):
             grid = aligned_time_grid(0.0, T, mc.steps, (t, t + eps))
-            dW = brownian_increments(mc, np.diff(grid))
+            dts = np.diff(grid)
+            if len(dts) not in normals:
+                normals[len(dts)] = brownian_increments(mc, np.ones(len(dts)))
+            dW = normals[len(dts)] * np.sqrt(dts)
             it = int(np.argmin(np.abs(grid - t)))
             ie = int(np.argmin(np.abs(grid - (t + eps))))
             Xt = _equilibrium_run(problem, sol, grid, dW, x0, it)

@@ -35,16 +35,30 @@ class MCConfig:
             raise ConfigurationError("antithetic sampling needs an even path count")
 
 
+#: paths per block of brownian_increments' draw: the only temporary it holds is
+#: _DRAW_BLOCK x steps normals
+_DRAW_BLOCK = 256
+
+
 def brownian_increments(mc: MCConfig, dts: np.ndarray) -> np.ndarray:
-    """(paths, len(dts)) Brownian increments; second half mirrors the first when antithetic."""
+    """(paths, len(dts)) Brownian increments; second half mirrors the first when antithetic.
+
+    The values are the row-major Philox draw of the first half, scaled by
+    sqrt(dts), but they are stored step-major: the result is the transposed
+    view of a (steps, paths) array, so the increments of one step, dW[:, j],
+    are contiguous.  The draw runs in blocks of _DRAW_BLOCK paths.
+    """
     rng = np.random.Generator(np.random.Philox(key=mc.seed))
     half = mc.paths // 2 if mc.antithetic else mc.paths
-    dW = np.empty((mc.paths, len(dts)))
-    rng.standard_normal(out=dW[:half])
+    steps = len(dts)
+    scale = np.sqrt(dts)[:, None]
+    out = np.empty((steps, mc.paths))
+    for p in range(0, half, _DRAW_BLOCK):
+        q = min(p + _DRAW_BLOCK, half)
+        np.multiply(rng.standard_normal((q - p, steps)).T, scale, out=out[:, p:q])
     if mc.antithetic:
-        np.negative(dW[:half], out=dW[half:])
-    dW *= np.sqrt(dts)
-    return dW
+        np.negative(out[:, :half], out=out[:, half:])
+    return out.T
 
 
 def aligned_time_grid(t: float, T: float, steps: int, nodes=()) -> np.ndarray:
@@ -99,7 +113,9 @@ def euler_maruyama(Z, drift, noise=None, dW=None, weight=None, observe=None,
     variants marched together on the same increments.  Step j maps Z to
     drift[j] @ Z, adds (noise[j] @ Z) * dW[:, j] to its leading noise rows,
     then, where reset = (mask, dst, src) has mask[j], copies rows src onto
-    rows dst.  Per-node matrices, indexed 0..steps: weight[j] adds
+    rows dst.  dW has shape (paths, steps) and is read one step at a time;
+    stored step-major, as brownian_increments returns it, each dW[:, j] is
+    contiguous.  Per-node matrices, indexed 0..steps: weight[j] adds
     <Z_j, weight[j] Z_j> to each path's cost, observe[j] records
     observe[j] @ Z_j.  The matrices of one step are stacked, so a step is one
     matmul.  Returns (final Z, cost or None, records or None), the records
@@ -133,7 +149,7 @@ def euler_maruyama(Z, drift, noise=None, dW=None, weight=None, observe=None,
         Z = out[..., :d, :]
         if k:
             noisy = out[..., d:d + k, :]
-            noisy *= np.ascontiguousarray(dW[:, j])    # one strided read per step
+            noisy *= dW[:, j]
             Z[..., :k, :] += noisy
         if mask[j]:
             Z[..., dst, :] = Z[..., src, :]
@@ -168,7 +184,7 @@ class PathEnsemble:
     controls: np.ndarray       # (paths, L, m)
     cond_mean: np.ndarray      # (L, n), E_t[X(s)] (deterministic)
     cond_mean_u: np.ndarray    # (L, m), E_t[u(s)]
-    brownian_increments: np.ndarray  # (paths, L-1)
+    brownian_increments: np.ndarray  # (paths, L-1), stored step-major
     t: float
     antithetic: bool
 
@@ -219,22 +235,29 @@ def sample_gains(gains, ss) -> tuple[np.ndarray, np.ndarray]:
             np.array([gains.theta_hat(s) for s in ss], float))
 
 
-def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
-                         mc: MCConfig) -> PathEnsemble:
-    """Euler-Maruyama under the feedback u = -Theta X + (Theta - Theta_hat) E_rho[X].
+@dataclass(frozen=True)
+class _ClosedLoopSystem:
+    """The [X; E_rho X] system of the feedback on an aligned Euler grid."""
 
-    The per-path conditional mean E_rho[X] follows its linear ODE and is re-anchored
-    to the path state at every partition node; the ensemble-level E_t trajectory is
-    the corresponding deterministic pair.  Both march on euler_maruyama: the
-    columns [X; E_rho X] per path (Euler in X, an RK4 step in E_rho X) and the
-    deterministic [E_t X; E_t E_rho X] (RK4).  Coefficients and gains are
-    sampled once at each step's RK4 stages s, s + dt/2 and s + dt; the gains are
-    read right-continuously there, so a step ending on a partition node reads
-    the next interval's gain at its last stage.
+    times: np.ndarray        # (L,)
+    drift: np.ndarray        # (L-1, 2n, 2n): Euler in X, an RK4 step in E_rho X
+    mean_drift: np.ndarray   # (L-1, 2n, 2n): an RK4 step in both
+    noise: np.ndarray        # (L-1, n, 2n)
+    observe: np.ndarray      # (L, n + m, 2n): the state X and the control u
+    reset: tuple             # (mask, dst, src): E_rho X := X at partition nodes
+
+
+def _closed_loop_system(problem: ProblemData, gains, t: float,
+                        steps: int) -> _ClosedLoopSystem:
+    """Step matrices of u = -Theta X + (Theta - Theta_hat) E_rho[X] from t to T.
+
+    Coefficients and gains are sampled once at each step's RK4 stages s,
+    s + dt/2 and s + dt; the gains are read right-continuously there, so a step
+    ending on a partition node reads the next interval's gain at its last stage.
     """
     gains = as_gains(gains, t)
     nodes = () if getattr(gains, "partition", None) is None else gains.partition.nodes
-    times = aligned_time_grid(t, problem.T, mc.steps, nodes)
+    times = aligned_time_grid(t, problem.T, steps, nodes)
     L, n = len(times), problem.n
     dts = np.diff(times)
     ss = np.concatenate([times, times[:-1] + 0.5 * dts, times[:-1] + dts])
@@ -258,18 +281,52 @@ def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
                               np.concatenate([-th, dth], axis=-1)[:L]], axis=-2)
     reset = (reset_mask(times, [v for v in nodes if t < v < problem.T]),
              slice(n, 2 * n), slice(0, n))
+    return _ClosedLoopSystem(times, drift, mean_drift, noise, observe, reset)
 
-    dW = brownian_increments(mc, dts)
+
+def _start(x0) -> np.ndarray:
+    """The (2n, 1) column [x0; x0]: E_rho X starts at the state."""
     x0 = np.asarray(x0, float).reshape(-1)
-    start = np.concatenate([x0, x0])[:, None]
-    paths = euler_maruyama(np.repeat(start, mc.paths, axis=1), drift, noise, dW,
-                           observe=observe, reset=reset)[2]
-    mean = euler_maruyama(start, mean_drift, observe=observe, reset=reset)[2]
+    return np.concatenate([x0, x0])[:, None]
+
+
+def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
+                         mc: MCConfig) -> PathEnsemble:
+    """Euler-Maruyama under the feedback u = -Theta X + (Theta - Theta_hat) E_rho[X].
+
+    The per-path conditional mean E_rho[X] follows its linear ODE and is re-anchored
+    to the path state at every partition node; the ensemble-level E_t trajectory is
+    the corresponding deterministic pair.  Both march on euler_maruyama: the
+    columns [X; E_rho X] per path (Euler in X, an RK4 step in E_rho X) and the
+    deterministic [E_t X; E_t E_rho X] (RK4), with the step matrices of
+    _closed_loop_system.
+    """
+    cl = _closed_loop_system(problem, gains, t, mc.steps)
+    n = problem.n
+    dW = brownian_increments(mc, np.diff(cl.times))
+    start = _start(x0)
+    paths = euler_maruyama(np.repeat(start, mc.paths, axis=1), cl.drift, cl.noise, dW,
+                           observe=cl.observe, reset=cl.reset)[2]
+    mean = euler_maruyama(start, cl.mean_drift, observe=cl.observe, reset=cl.reset)[2]
     # the path records are (L, n + m, paths): states and controls are views
-    return PathEnsemble(times=times, states=paths[:, :n].transpose(2, 0, 1),
+    return PathEnsemble(times=cl.times, states=paths[:, :n].transpose(2, 0, 1),
                         controls=paths[:, n:].transpose(2, 0, 1),
                         cond_mean=mean[:, :n, 0], cond_mean_u=mean[:, n:, 0],
                         brownian_increments=dW, t=t, antithetic=mc.antithetic)
+
+
+def closed_loop_states_at(problem: ProblemData, gains, t: float, x0, mc: MCConfig,
+                          s: float) -> np.ndarray:
+    """(n, paths) states at the grid node nearest s of the ensemble that
+    simulate_closed_loop(problem, gains, t, x0, mc) draws, marched only that
+    far: no records, no deterministic mean."""
+    cl = _closed_loop_system(problem, gains, t, mc.steps)
+    it = int(np.argmin(np.abs(cl.times - s)))
+    dW = brownian_increments(mc, np.diff(cl.times))
+    mask, dst, src = cl.reset
+    Z = euler_maruyama(np.repeat(_start(x0), mc.paths, axis=1), cl.drift[:it],
+                       cl.noise[:it], dW[:, :it], reset=(mask[:it], dst, src))[0]
+    return Z[:problem.n]
 
 
 #: time columns per block of estimate_cost's running integral: its temporaries

@@ -416,10 +416,8 @@ class TwoParamMatrixField:
                       symmetric: bool = True) -> "TwoParamMatrixField":
         """Build a field from entries valid on s >= t, overwriting s < t by extension."""
         vals = np.array(values, dtype=float, copy=True)
-        S = len(grid.nodes)
-        for j in range(S):
-            for i in range(j):
-                vals[i, j] = vals[j, j]
+        i, j = np.triu_indices(len(grid.nodes), k=1)
+        vals[i, j] = vals[j, j]
         if symmetric:
             vals = symmetrize(vals)
         return cls(grid, vals, symmetric)

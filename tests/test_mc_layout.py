@@ -1,0 +1,117 @@
+"""Monte Carlo layout: step-major increments, one draw per spike test, and a
+deviation-check head that marches only to t_k.
+
+Every test here pins the layout or the amount of work; the values themselves
+are pinned by test_mc_parity.py and test_simulate.py.
+"""
+
+import numpy as np
+import pytest
+
+import mflq.game
+import mflq.openloop
+import mflq.simulate
+from mflq import (MCConfig, TimeGrid, brownian_increments, build_delta_equilibrium,
+                  delta_local_optimality_check, simulate_closed_loop, solve_open_loop,
+                  verify_open_loop_equilibrium)
+from mflq.simulate import _DRAW_BLOCK, closed_loop_states_at
+
+
+def _row_major(mc, dts):
+    """The draw as one row-major (paths, steps) array, mirrored, then scaled."""
+    rng = np.random.Generator(np.random.Philox(key=mc.seed))
+    Z = rng.standard_normal((mc.paths // 2 if mc.antithetic else mc.paths, len(dts)))
+    if mc.antithetic:
+        Z = np.concatenate([Z, -Z], axis=0)
+    return Z * np.sqrt(dts)[None, :]
+
+
+@pytest.mark.parametrize("rows", [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3])
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_increments_match_row_major_across_blocks(rows, antithetic):
+    """Drawn rows on either side of the block size give the row-major values
+    bit for bit, stored step-major."""
+    dts = np.linspace(0.01, 0.03, 13)
+    mc = MCConfig(paths=2 * rows if antithetic else rows, steps=len(dts), seed=11,
+                  antithetic=antithetic)
+    dW = brownian_increments(mc, dts)
+    assert dW.shape == (mc.paths, len(dts))
+    np.testing.assert_array_equal(dW, _row_major(mc, dts))
+    assert all(dW[:, j].flags.c_contiguous for j in range(len(dts)))
+
+
+def test_ensemble_keeps_step_major_increments(ex12):
+    mc = MCConfig(paths=6, steps=5, seed=2)
+    ens = simulate_closed_loop(ex12, (np.ones((1, 1)), np.ones((1, 1))), 0.0, [1.0], mc)
+    assert ens.brownian_increments.T.flags.c_contiguous
+    np.testing.assert_array_equal(ens.brownian_increments,
+                                  _row_major(mc, np.diff(ens.times)))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_spike_test_draws_once(classical, monkeypatch):
+    """The default 2 x 3 (t, eps) grids share one step count and one draw."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    calls = _count_calls(monkeypatch, mflq.openloop, "brownian_increments")
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
+                                       mc=MCConfig(paths=20, steps=400, seed=3))
+    assert len(rep["records"]) == 2 * 3 * 3
+    assert len(calls) == 1
+
+
+def test_spike_test_redraws_per_step_count(classical, monkeypatch):
+    """Grids whose aligned step counts differ draw their own normals."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    mc = MCConfig(paths=20, steps=7, seed=4)
+    kw = dict(mc=mc, check_times=[0.3], eps_list=[0.4, 0.05])
+    grids = [mflq.simulate.aligned_time_grid(0.0, 1.0, 7, (0.3, 0.3 + e)) for e in (0.4, 0.05)]
+    assert len(grids[0]) != len(grids[1])
+    calls = _count_calls(monkeypatch, mflq.openloop, "brownian_increments")
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), **kw)
+    assert len(calls) == 2
+    for rec in rep["records"]:
+        assert np.isfinite(rec["ratio"]) and np.isfinite(rec["stderr"])
+
+
+def test_deviation_head_stops_at_tk(ex12, monkeypatch):
+    """The head marches the it steps up to t_k, with no deterministic mean;
+    the tail marches the rest."""
+    eq = build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4))
+    mc = MCConfig(paths=20, steps=40, seed=5)
+    marched = []
+    for module in (mflq.simulate, mflq.game):
+        real = module.euler_maruyama
+
+        def spy(Z, drift, *args, real=real, **kwargs):
+            marched.append(len(drift))
+            return real(Z, drift, *args, **kwargs)
+
+        monkeypatch.setattr(module, "euler_maruyama", spy)
+    rep = delta_local_optimality_check(ex12, eq, 1, [1.0], mc=mc)
+    assert np.isfinite(rep["min_margin"])
+    # t_1 = 0.25: 10 head steps, 30 tail steps
+    assert marched == [10, 30]
+
+
+def test_head_states_match_the_full_ensemble(meanfield):
+    """The head's states at a node equal the full ensemble's, re-anchoring included."""
+    eq = build_delta_equilibrium(meanfield, TimeGrid.uniform(meanfield.T, 4))
+    mc = MCConfig(paths=10, steps=40, seed=6)
+    x0 = [1.0, -0.5]
+    ens = simulate_closed_loop(meanfield, eq.gains, 0.0, x0, mc)
+    for s in (0.0, 0.5, 0.75, 1.0):
+        it = int(np.argmin(np.abs(ens.times - s)))
+        np.testing.assert_array_equal(
+            closed_loop_states_at(meanfield, eq.gains, 0.0, x0, mc, s),
+            ens.states[:, it].T)

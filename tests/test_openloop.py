@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflq import (MCConfig, TwoTimeMatrixFn, ValidationError, MatrixFn,
-                  bsde_residual_check, solve_open_loop, solve_precommitment,
+from mflq import (ConfigurationError, MCConfig, TwoTimeMatrixFn, ValidationError,
+                  MatrixFn, bsde_residual_check, solve_open_loop, solve_precommitment,
                   verify_open_loop_equilibrium)
 
 
@@ -91,3 +91,30 @@ def test_spike_verification_passes(classical):
                                                    seed=7))
     assert rep["passed"], rep["min_margin"]
     assert all("ratio" in r and "stderr" in r for r in rep["records"])
+
+
+@pytest.mark.parametrize("check_times, eps_list", [
+    ([0.99], [0.025]),          # the spike runs past T
+    ([0.5], [0.6, 0.1]),        # one of the spikes runs past T
+    ([1.0], [0.01]),            # t = T
+    ([-0.1], [0.01]),           # t < 0
+    ([0.5], [0.0]),             # eps = 0
+    ([0.5], [-0.05]),           # eps < 0
+    ([0.5], [float("nan")]),
+    ([0.5], []),                # no spike length
+])
+def test_spike_verification_rejects_spikes_outside_horizon(classical, check_times,
+                                                           eps_list):
+    sol = solve_open_loop(classical, t_nodes=4)
+    with pytest.raises(ConfigurationError):
+        verify_open_loop_equilibrium(classical, sol, np.ones(2),
+                                     mc=MCConfig(paths=4, steps=40, seed=1),
+                                     check_times=check_times, eps_list=eps_list)
+
+
+def test_spike_verification_accepts_spike_ending_at_horizon(classical):
+    sol = solve_open_loop(classical, t_nodes=4)
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
+                                       mc=MCConfig(paths=4, steps=40, seed=1),
+                                       check_times=[0.0, 0.7], eps_list=[0.3])
+    assert len(rep["records"]) == 2 * 3

@@ -133,6 +133,21 @@ class TestTwoParamMatrixField:
         assert f.value(0.0, 0.5)[0, 0] == f.value(0.5, 0.5)[0, 0]
         assert f.value(1.0, 0.5)[0, 0] == 7.0
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_from_triangle_matches_pairwise_loop(self, symmetric):
+        """The vectorized fill equals the loop over node pairs bit for bit."""
+        g = TimeGrid.uniform(1.0, 6)
+        vals = np.random.default_rng(3).normal(size=(7, 7, 2, 2))
+        ref = vals.copy()
+        for j in range(7):
+            for i in range(j):
+                ref[i, j] = ref[j, j]
+        if symmetric:
+            ref = symmetrize(ref)
+        f = TwoParamMatrixField.from_triangle(g, vals, symmetric=symmetric)
+        np.testing.assert_array_equal(f.values, ref)
+        assert f.symmetric is symmetric
+
     def test_restrict_is_exact(self):
         g = TimeGrid.uniform(1.0, 4)
         vals = np.random.default_rng(0).normal(size=(5, 5, 1, 1))
