@@ -13,9 +13,8 @@ from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
 from .game import (DeltaEquilibrium, IntervalSolution, build_delta_equilibrium,
                    delta_local_optimality_check, jump_magnitudes,
                    ordering_report)
-from .integrators import (RiccatiCoefficients, RiccatiSolution, k0_bound,
-                          rk4_backward, rk4_march, solve_lyapunov, solve_riccati,
-                          stage_times)
+from .integrators import (RiccatiCoefficients, RiccatiSolution, rk4_backward,
+                          rk4_march, solve_lyapunov, solve_riccati, stage_times)
 from .openloop import (OpenLoopSolution, bsde_residual_check, solve_open_loop,
                        verify_open_loop_equilibrium)
 from .precommit import (PrecommitSolution, cost_via_lyapunov, precommit_bounds,
@@ -46,7 +45,7 @@ __all__ = [
     # integrators
     "rk4_backward", "rk4_march", "stage_times",
     "solve_lyapunov", "solve_riccati", "RiccatiCoefficients",
-    "RiccatiSolution", "k0_bound",
+    "RiccatiSolution",
     # solvers
     "solve_precommitment", "PrecommitSolution", "precommit_bounds",
     "cost_via_lyapunov",

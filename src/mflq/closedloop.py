@@ -80,10 +80,9 @@ def _assemble(eq: DeltaEquilibrium) -> tuple[np.ndarray, ...]:
     Gh = np.full((J, J, n, n), np.nan)
     Gm[N] = problem.G.at_many(nodes)
     Gh[N] = hp.G.at_many(nodes)
-    for j in range(J):
-        for i in range(j, N):
-            Gm[i, j] = eq.node_triples[i, j, 1]
-            Gh[i, j] = eq.node_triples[i, j, 1] + eq.node_triples[i, j, 2]
+    # node_triples is NaN above the diagonal, as the fields are
+    Gm[:N, :N] = eq.node_triples[:N, :, 1]
+    Gh[:N, :N] = eq.node_triples[:N, :, 1] + eq.node_triples[:N, :, 2]
     Th, Thh = _diagonal_gains(problem, hp, nodes, Gm, Gh)
     return Gm, Gh, Th, Thh
 

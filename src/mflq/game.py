@@ -25,8 +25,8 @@ from .integrators import (check_step, feedback_gain, gain_path, march_triples,
                           rk4_march, stage_times)
 from .precommit import PairField, default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
-                       closed_loop_states_at, euler_maruyama, euler_transition,
-                       reset_mask, sandwich, stack_rows, trapezoid_weights)
+                       closed_loop_states_at, paired_mean_stderr, probe_map,
+                       reset_mask, variant_costs)
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
                     min_eig, symmetrize, tau_psd)
 
@@ -318,13 +318,8 @@ def delta_local_optimality_check(problem: ProblemData, eq: DeltaEquilibrium,
     base = costs[0]
     records = []
     min_margin = np.inf
-    half = mc.paths // 2 if mc.antithetic else mc.paths
     for (label, _), dev in zip(probes, costs[1:]):
-        diff = dev - base
-        if mc.antithetic:
-            diff = 0.5 * (diff[:half] + diff[half:])
-        mean = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
+        mean, stderr = paired_mean_stderr(dev - base, mc.antithetic)
         margin = mean + 3.0 * stderr
         min_margin = min(min_margin, margin)
         records.append({"probe": label, "excess_cost": mean, "stderr": stderr,
@@ -338,70 +333,53 @@ def delta_local_optimality_check(problem: ProblemData, eq: DeltaEquilibrium,
 
 
 def _deviation_probes(problem, eq, k, n_probes):
-    """Constant and feedback-shift controls used as one-interval deviations."""
+    """Constant and feedback-shift controls used as one-interval deviations,
+    as control maps on [X; E_rho X; 1]."""
     m, n = problem.m, problem.n
     tk = float(eq.partition.nodes[k])
     K0 = eq.gains.theta(tk)
     probes = [
-        ("const +0.5", ("const", 0.5 * np.ones(m))),
-        ("const -0.5", ("const", -0.5 * np.ones(m))),
-        ("feedback +0.25", ("feedback", K0 + 0.25 * np.ones((m, n)))),
-        ("feedback -0.25", ("feedback", K0 - 0.25 * np.ones((m, n)))),
+        ("const +0.5", probe_map(m, n, const=0.5)),
+        ("const -0.5", probe_map(m, n, const=-0.5)),
+        ("feedback +0.25", probe_map(m, n, gain=K0 + 0.25)),
+        ("feedback -0.25", probe_map(m, n, gain=K0 - 0.25)),
     ]
     rng = np.random.default_rng(2024 + k)
     while len(probes) < n_probes:
         c = rng.normal(scale=0.75, size=m)
-        probes.append((f"const rand{len(probes)}", ("const", c)))
+        probes.append((f"const rand{len(probes)}", probe_map(m, n, const=c)))
     return probes[:n_probes]
 
 
 def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
     """Per-path frozen-at-t_k costs of the tail from the states Xk (n, paths):
-    row 0 for the equilibrium, row 1 + i for `probes[i]` on [t_k, t_{k+1}).
+    row 0 for the equilibrium, row 1 + i for the control map `probes[i]` on
+    [t_k, t_{k+1}).
 
-    All variants march as one batch on the same increments.  Each carries the
-    state [X, E_tk X, E_rho X, E_tk E_rho X, 1]: Euler recursions for the
-    conditional means mirror the state's, so they are the exact means of the
-    scheme, and the constant row carries the constant probes.
+    The variants run on `variant_costs` with y = [X; E_rho X] and the controls
+    [u; E_rho u]; E_rho X is re-anchored to X at every later partition node.
     """
     hp = hat(problem)
     n, m = problem.n, problem.m
     nodes = eq.partition.nodes
-    tk, tk1 = float(nodes[k]), float(nodes[k + 1])
-    d = 4 * n + 1
-    X, Mk, Mr, Mrk, one = np.split(np.eye(d), [n, 2 * n, 3 * n, 4 * n])   # row blocks
-
-    # the controls u, E_tk u, E_rho u and E_tk E_rho u as matrices on the state,
-    # per node and variant
+    # u = -Theta X + (Theta - Theta_hat) E_rho X, replaced by the probes on the window
     th, thh = eq.gains.at_many(grid)
-    dth = th - thh
-    U = np.empty((4, len(grid), 1 + len(probes), m, d))
-    U[:] = np.stack([-th @ X + dth @ Mr, -th @ Mk + dth @ Mrk,
-                     -thh @ Mr, -thh @ Mrk])[:, :, None]
-    window = grid < tk1 - 1e-12
-    for v, (kind, data) in enumerate(probes, start=1):
-        for i, E in enumerate((X, Mk, Mr, Mrk)):
-            U[i, window, v] = data[:, None] * one if kind == "const" else -data @ E
-    u, eu, ru, reu = U
+    u = np.empty((len(grid), 1 + len(probes), m, 2 * n + 1))
+    u[:] = np.concatenate([-th, th - thh, np.zeros((len(grid), m, 1))], axis=-1)[:, None]
+    window = grid < float(nodes[k + 1]) - 1e-12
+    for v, probe in enumerate(probes, start=1):
+        u[window, v] = probe
+    # E_rho u: the X columns act on E_rho X
+    w = np.zeros_like(u)
+    w[..., n:] = u[..., n:]
+    w[..., n:2 * n] += u[..., :n]
 
-    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(grid)[:, None] for f in (
+    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(grid) for f in (
         problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
         problem.D, problem.Dbar, hp.A, hp.B))
-    gen = stack_rows((
-        A @ X + Ab @ Mr + B @ u + Bb @ ru,
-        A @ Mk + Ab @ Mrk + B @ eu + Bb @ reu,
-        Ah @ Mr + Bh @ ru,
-        Ah @ Mrk + Bh @ reu,
-        np.zeros((1, 1, 1, d))))
-    noise = C @ X + Cb @ Mr + D @ u + Db @ ru
-
-    Q, Qb, R, Rb = (f.at_many(grid, tk)[:, None] for f in (
-        problem.Q, problem.Qbar, problem.R, problem.Rbar))
-    weight = trapezoid_weights(grid)[:, None, None, None] * (
-        sandwich(X, Q) + sandwich(Mk, Qb) + sandwich(u, R) + sandwich(eu, Rb))
-    weight[-1] += sandwich(X, problem.G(tk)) + sandwich(Mk, problem.Gbar(tk))
-
-    Z = np.concatenate([np.tile(Xk, (4, 1)), np.ones((1, Xk.shape[1]))])
-    resets = (reset_mask(grid, nodes[k + 1:-1]), slice(2 * n, 4 * n), slice(0, 2 * n))
-    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(grid)), noise[:-1], dW,
-                          weight=weight, reset=resets)[1]
+    drift = (np.block([[A, Ab], [np.zeros_like(A), Ah]]),
+             np.block([[B, Bb], [np.zeros_like(B), Bh]]))
+    noise = (np.concatenate([C, Cb], axis=-1), np.concatenate([D, Db], axis=-1))
+    reset = (reset_mask(grid, nodes[k + 1:-1]), slice(n, 2 * n), slice(0, n))
+    return variant_costs(problem, grid, dW, np.tile(Xk, (2, 1)), drift, noise,
+                         np.concatenate([u, w], axis=-2), reset)

@@ -445,22 +445,3 @@ def _check_midpoint_residual(rhs, times, P):
     if worst > tau_res:
         raise IllPosedError(
             f"Riccati midpoint residual {worst:.3g} exceeds tolerance {tau_res:.3g}")
-
-
-def k0_bound(coeffs: RiccatiCoefficients, interval: tuple[float, float],
-             samples: int = 101) -> float:
-    """A-priori uniform bound (|G| + T sup|Q|) * exp(T sup|A + A' + C'C|).
-
-    Operator 2-norms, sampled on a uniform grid.  It bounds the 2-norm of the
-    Riccati solution P over the interval (P lies between 0 and its Lyapunov
-    majorant, which Gronwall's inequality bounds).  No solver calls it; it is a
-    standalone check of a solution's size.
-    """
-    a, b = interval
-    T = b - a
-    ss = np.linspace(a, b, samples)
-    qn = max(float(np.linalg.norm(coeffs.Q(s), 2)) for s in ss)
-    an = max(float(np.linalg.norm(coeffs.A(s) + coeffs.A(s).T + coeffs.C(s).T @ coeffs.C(s), 2))
-             for s in ss)
-    gn = float(np.linalg.norm(np.atleast_2d(np.asarray(coeffs.G, float)), 2))
-    return (gn + T * qn) * math.exp(T * an)

@@ -9,7 +9,6 @@ and the pathwise stationarity residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ from .errors import ConfigurationError, ValidationError
 from .integrators import gain_path, left, march_levels
 from .precommit import default_step
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments, euler_maruyama,
-                       euler_transition, sandwich, stack_rows, trapezoid_weights)
+                       euler_transition, paired_mean_stderr, probe_map,
+                       variant_costs)
 from .types import ProblemData, TimeGrid, TwoParamMatrixField, _interp, hat
 
 
@@ -105,57 +105,42 @@ def _equilibrium_run(problem, sol, grid, dW, x0, it):
                           C - D @ th, dW[:, :it])[0]
 
 
-def _spiked_run(problem, sol, grid, dW, Xt, it, ie, t, probes):
+def _spiked_run(problem, sol, grid, dW, Xt, it, ie, probes):
     """Per-path costs from t = grid[it] on, weights frozen at t: row 0 for the
-    equilibrium, row 1 + i for `probes[i]` on [t, grid[ie]) followed by the
-    equilibrium path's own control.
+    equilibrium, row 1 + i for the control map `probes[i]` on [t, grid[ie])
+    followed by the equilibrium path's own control.
 
-    All variants march as one batch from the states Xt (n, paths).  Each
-    carries [X, X_eq, E_t X, E_t X_eq, 1]: the equilibrium state rides along
-    to supply the tail control, the Euler recursion of the conditional mean is
-    exactly the mean of the scheme, and the constant row carries the constant
-    probes.
+    The variants run on `variant_costs` from the states Xt (n, paths) with
+    y = [X; X_eq]: the equilibrium state rides along to supply the tail
+    control -Theta X_eq, which is also its partner control.
     """
-    n = problem.n
-    d = 4 * n + 1
-    X, Xe, M, Me, one = np.split(np.eye(d), [n, 2 * n, 3 * n, 4 * n])   # row blocks
+    m = problem.m
     tail = grid[it:]
     th = sol.theta_open_at(tail)
-    ctl, ectl = -th @ Xe, -th @ Me                     # the equilibrium's u, E_t u
-    u = np.repeat(ctl[:, None], 1 + len(probes), axis=1)
-    eu = np.repeat(ectl[:, None], 1 + len(probes), axis=1)
-    for v, (kind, val) in enumerate(probes, start=1):
-        if kind == "const":
-            u[:ie - it, v] = eu[:ie - it, v] = val[:, None] * one
-        else:
-            u[:ie - it, v], eu[:ie - it, v] = -val @ X, -val @ M
-    ctl, ectl = ctl[:, None], ectl[:, None]
+    eq = np.concatenate([np.zeros_like(th), -th, np.zeros((len(tail), m, 1))], axis=-1)
+    c = np.repeat(np.concatenate([eq, eq], axis=-2)[:, None], 1 + len(probes), axis=1)
+    for v, probe in enumerate(probes, start=1):
+        c[:ie - it, v, :m] = probe
+    A, B, C, D = (_twice(f.at_many(tail)) for f in (problem.A, problem.B, problem.C,
+                                                     problem.D))
+    return variant_costs(problem, tail, dW[:, it:], np.tile(Xt, (2, 1)), (A, B), (C, D), c)
 
-    A, B, C, D = (f.at_many(tail)[:, None] for f in (problem.A, problem.B, problem.C,
-                                                      problem.D))
-    gen = stack_rows((
-        A @ X + B @ u, A @ Xe + B @ ctl, A @ M + B @ eu, A @ Me + B @ ectl,
-        np.zeros((1, 1, 1, d))))
-    noise = stack_rows((C @ X + D @ u, C @ Xe + D @ ctl))
 
-    Q, Qb, R, Rb = (f.at_many(tail, t)[:, None] for f in (
-        problem.Q, problem.Qbar, problem.R, problem.Rbar))
-    weight = trapezoid_weights(tail)[:, None, None, None] * (
-        sandwich(X, Q) + sandwich(M, Qb) + sandwich(u, R) + sandwich(eu, Rb))
-    weight[-1] += sandwich(X, problem.G(t)) + sandwich(M, problem.Gbar(t))
-
-    Z = np.concatenate([np.tile(Xt, (4, 1)), np.ones((1, Xt.shape[1]))])
-    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(tail)), noise[:-1],
-                          dW[:, it:], weight=weight)[1]
+def _twice(M):
+    """blockdiag(M, M) along the last two axes."""
+    r, c = M.shape[-2:]
+    out = np.zeros(M.shape[:-2] + (2 * r, 2 * c))
+    out[..., :r, :c] = out[..., r:, c:] = M
+    return out
 
 
 def _default_probes(problem, sol, t):
-    ones = np.ones(problem.m)
-    K = sol.theta_open_at(t)
+    """Spikes as control maps on [X; X_eq; 1]."""
+    m, n = problem.m, problem.n
     return [
-        ("const+1", ("const", ones)),
-        ("const-1", ("const", -ones)),
-        ("feedback-shift", ("feedback", K + 0.3 * np.ones_like(K))),
+        ("const+1", probe_map(m, n, const=1.0)),
+        ("const-1", probe_map(m, n, const=-1.0)),
+        ("feedback-shift", probe_map(m, n, gain=sol.theta_open_at(t) + 0.3)),
     ]
 
 
@@ -209,18 +194,12 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
             ie = int(np.argmin(np.abs(grid - (t + eps))))
             Xt = _equilibrium_run(problem, sol, grid, dW, x0, it)
             probes = _default_probes(problem, sol, t)
-            costs = _spiked_run(problem, sol, grid, dW, Xt, it, ie, t,
+            costs = _spiked_run(problem, sol, grid, dW, Xt, it, ie,
                                 [probe for _, probe in probes])
             for (name, _), Jp in zip(probes, costs[1:]):
-                diff = Jp - costs[0]
-                if mc.antithetic:
-                    half = len(diff) // 2
-                    diff = 0.5 * (diff[:half] + diff[half:])
-                records.append({
-                    "t": float(t), "probe": name, "epsilon": float(eps),
-                    "ratio": float(diff.mean()) / eps,
-                    "stderr": float(diff.std(ddof=1) / math.sqrt(len(diff))) / eps,
-                })
+                mean, stderr = paired_mean_stderr(Jp - costs[0], mc.antithetic)
+                records.append({"t": float(t), "probe": name, "epsilon": float(eps),
+                                "ratio": mean / eps, "stderr": stderr / eps})
 
     smallest = min(eps_list)
     margins = [r["ratio"] + 3.0 * r["stderr"] for r in records

@@ -188,51 +188,29 @@ class PathEnsemble:
     t: float
     antithetic: bool
 
-    def fold_antithetic(self, per_path: np.ndarray) -> np.ndarray:
-        """Average antithetic partners so stderr reflects the paired estimator."""
-        if not self.antithetic:
-            return per_path
+
+def paired_mean_stderr(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
+    """(mean, stderr) of a per-path sample.  With antithetic sampling the two
+    halves are partners, averaged first so the stderr is the paired estimator's."""
+    if antithetic:
         half = per_path.shape[0] // 2
-        return 0.5 * (per_path[:half] + per_path[half:])
+        per_path = 0.5 * (per_path[:half] + per_path[half:])
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(len(per_path)))
 
 
 class _ConstantGain:
-    def __init__(self, theta, theta_hat, t0):
+    """A (theta, theta_hat) pair held constant over the whole horizon."""
+
+    partition = None
+
+    def __init__(self, theta, theta_hat):
         self._th = np.atleast_2d(np.asarray(theta, float))
         self._thh = np.atleast_2d(np.asarray(theta_hat, float))
-        self._t0 = t0
-
-    def theta(self, s):
-        return self._th
-
-    def theta_hat(self, s):
-        return self._thh
-
-    def anchor(self, s):
-        return self._t0
 
     def at_many(self, ss):
         shape = np.shape(ss)
         return (np.broadcast_to(self._th, shape + self._th.shape),
                 np.broadcast_to(self._thh, shape + self._thh.shape))
-
-    partition = None
-
-
-def as_gains(gains, t: float):
-    """Accept a PiecewiseGain, a (theta, theta_hat) pair of constants, or any object
-    exposing theta/theta_hat/anchor."""
-    if isinstance(gains, tuple) and len(gains) == 2:
-        return _ConstantGain(gains[0], gains[1], t)
-    return gains
-
-
-def sample_gains(gains, ss) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, theta_hat) at the times ss, through `at_many` when the gains have it."""
-    if hasattr(gains, "at_many"):
-        return gains.at_many(ss)
-    return (np.array([gains.theta(s) for s in ss], float),
-            np.array([gains.theta_hat(s) for s in ss], float))
 
 
 @dataclass(frozen=True)
@@ -255,13 +233,14 @@ def _closed_loop_system(problem: ProblemData, gains, t: float,
     s + dt/2 and s + dt; the gains are read right-continuously there, so a step
     ending on a partition node reads the next interval's gain at its last stage.
     """
-    gains = as_gains(gains, t)
-    nodes = () if getattr(gains, "partition", None) is None else gains.partition.nodes
+    if isinstance(gains, tuple):
+        gains = _ConstantGain(*gains)
+    nodes = () if gains.partition is None else gains.partition.nodes
     times = aligned_time_grid(t, problem.T, steps, nodes)
     L, n = len(times), problem.n
     dts = np.diff(times)
     ss = np.concatenate([times, times[:-1] + 0.5 * dts, times[:-1] + dts])
-    th, thh = sample_gains(gains, ss)
+    th, thh = gains.at_many(ss)
     hp = hat(problem)
     A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(ss) for f in (
         problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
@@ -329,6 +308,57 @@ def closed_loop_states_at(problem: ProblemData, gains, t: float, x0, mc: MCConfi
     return Z[:problem.n]
 
 
+def probe_map(m: int, n: int, const=0.0, gain=0.0) -> np.ndarray:
+    """The (m, 2n + 1) map of u = const - gain X on [X; W; 1]: the feedback in
+    the X columns, the constant in the last one."""
+    out = np.zeros((m, 2 * n + 1))
+    out[:, :n] -= gain
+    out[:, -1] = const
+    return out
+
+
+def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
+                  reset=None) -> np.ndarray:
+    """Per-path costs from t = grid[0], weights frozen at t, of control variants
+    of one linear system, marched as one batch from the states y0 (one column
+    per path) on the increments dW.
+
+    The system acts on y = [X; W], W a partner state, and on the controls
+    c = [u; w]: dy = (F y + G c) ds + (Nx y + Nc c) dW on the leading rows of
+    y, with drift = (F, G) and noise = (Nx, Nc) per node.  controls[j, v] maps
+    [y; 1] to c at node j for variant v.  Each variant carries [y, E_t y, 1]:
+    the E_t rows mirror the Euler recursion, so they are the exact means of
+    the scheme.  reset = (mask, dst, src) copies rows src of y onto rows dst
+    where mask[j], and mirrors the copy in E_t y.  The cost reads X = y[:n]
+    and u = c[:m].  Returns the (variants, paths) costs.
+    """
+    n, m = problem.n, problem.m
+    ny = y0.shape[0]
+    Y, EY = np.split(np.eye(2 * ny, 2 * ny + 1), 2)   # the rows of y and E_t y
+    # c and E_t c as matrices on [y, E_t y, 1]: E_t c applies c's map to E_t y
+    zero = np.zeros(controls.shape[:-1] + (ny,))
+    c = np.concatenate([controls[..., :ny], zero, controls[..., ny:]], axis=-1)
+    ec = np.concatenate([zero, controls], axis=-1)
+    F, G, Nx, Nc = (M[:, None] for M in drift + noise)
+    gen = stack_rows((F @ Y + G @ c, F @ EY + G @ ec, np.zeros((1, 1, 1, 2 * ny + 1))))
+
+    t = grid[0]
+    Q, Qb, R, Rb = (f.at_many(grid, t)[:, None] for f in (
+        problem.Q, problem.Qbar, problem.R, problem.Rbar))
+    weight = trapezoid_weights(grid)[:, None, None, None] * (
+        sandwich(Y[:n], Q) + sandwich(EY[:n], Qb)
+        + sandwich(c[..., :m, :], R) + sandwich(ec[..., :m, :], Rb))
+    weight[-1] += sandwich(Y[:n], problem.G(t)) + sandwich(EY[:n], problem.Gbar(t))
+
+    if reset is not None:
+        mask, dst, src = reset
+        rows = np.arange(ny)
+        reset = (mask, np.r_[rows[dst], ny + rows[dst]], np.r_[rows[src], ny + rows[src]])
+    Z = np.concatenate([y0, y0, np.ones((1, y0.shape[1]))])
+    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(grid)),
+                          (Nx @ Y + Nc @ c)[:-1], dW, weight=weight, reset=reset)[1]
+
+
 #: time columns per block of estimate_cost's running integral: its temporaries
 #: hold paths x _COST_BLOCK values, whatever the number of steps
 _COST_BLOCK = 16
@@ -358,10 +388,8 @@ def estimate_cost(problem: ProblemData, ens: PathEnsemble, t: float
     det = np.einsum("li,lij,lj->l", m, Qb, m) + np.einsum("li,lij,lj->l", u, Rb, u)
     det_total = float(w @ det) + float(m[-1] @ problem.Gbar(t) @ m[-1])
 
-    folded = ens.fold_antithetic(rand_total)
-    mean = float(folded.mean()) + det_total
-    stderr = float(folded.std(ddof=1) / math.sqrt(len(folded)))
-    return mean, stderr
+    mean, stderr = paired_mean_stderr(rand_total, ens.antithetic)
+    return mean + det_total, stderr
 
 
 def semigroup_failure_demo(s: float, tau: float, t: float, x: float,
@@ -398,19 +426,11 @@ def semigroup_failure_demo(s: float, tau: float, t: float, x: float,
             mB = XB.copy()
             restarted = True
 
-    gap = (XB - XA) ** 2
-    # fold antithetic pairs for the stderr of the paired estimator
-    if mc.antithetic:
-        half = P // 2
-        gap = 0.5 * (gap[:half] + gap[half:])
+    simulated, stderr = paired_mean_stderr((XB - XA) ** 2, mc.antithetic)
     closed = ((math.exp(s - tau) - 1.0) ** 2
               + 0.5 * (math.exp(2 * (s - tau)) - 1.0)) \
         * (0.5 * (math.exp(2 * (tau - t)) - 1.0)) * x * x
-    return {
-        "simulated": float(gap.mean()),
-        "stderr": float(gap.std(ddof=1) / math.sqrt(len(gap))),
-        "closed_form": closed,
-    }
+    return {"simulated": simulated, "stderr": stderr, "closed_form": closed}
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-#: relative symmetry tolerance enforced after every solver write
-TAU_SYM = 1e-9
-
 
 def tau_psd(M: np.ndarray) -> float:
     """Scale-aware eigenvalue floor for positive-semidefiniteness checks."""
@@ -521,12 +518,3 @@ class PiecewiseGain:
                           np.asarray(theta_hat, float))
         return cls(part, (seg,))
 
-
-def sample_fn(f, times) -> np.ndarray:
-    """Evaluate a MatrixFn on a vector of times, returning (len(times), r, c)."""
-    return f.at_many(times)
-
-
-def sample_two_time(f, times, t: float) -> np.ndarray:
-    """Evaluate a TwoTimeMatrixFn at fixed second argument t."""
-    return f.at_many(times, t)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mflq import (BlowUpError, IllPosedError, MatrixFn, RiccatiCoefficients,
-                  ValidationError, k0_bound, rk4_backward, solve_lyapunov,
-                  solve_riccati)
+                  ValidationError, rk4_backward, solve_lyapunov, solve_riccati)
 from mflq.integrators import feedback_gain
 
 
@@ -159,9 +158,3 @@ class TestRiccati:
             G=np.eye(2), delta=0.5)
         with pytest.raises(ValidationError):
             solve_riccati(bad, (0.0, 1.0), 1e-3)
-
-    def test_k0_bound_dominates_solution(self, classical):
-        coeffs = _classical_coeffs(classical)
-        sol = solve_riccati(coeffs, (0.0, 1.0), 1e-3)
-        bound = k0_bound(coeffs, (0.0, 1.0))
-        assert bound >= max(np.linalg.norm(P, 2) for P in sol.P)

@@ -8,7 +8,6 @@ are pinned by test_mc_parity.py and test_simulate.py.
 import numpy as np
 import pytest
 
-import mflq.game
 import mflq.openloop
 import mflq.simulate
 from mflq import (MCConfig, TimeGrid, brownian_increments, build_delta_equilibrium,
@@ -90,14 +89,13 @@ def test_deviation_head_stops_at_tk(ex12, monkeypatch):
     eq = build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4))
     mc = MCConfig(paths=20, steps=40, seed=5)
     marched = []
-    for module in (mflq.simulate, mflq.game):
-        real = module.euler_maruyama
+    real = mflq.simulate.euler_maruyama
 
-        def spy(Z, drift, *args, real=real, **kwargs):
-            marched.append(len(drift))
-            return real(Z, drift, *args, **kwargs)
+    def spy(Z, drift, *args, **kwargs):
+        marched.append(len(drift))
+        return real(Z, drift, *args, **kwargs)
 
-        monkeypatch.setattr(module, "euler_maruyama", spy)
+    monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)
     rep = delta_local_optimality_check(ex12, eq, 1, [1.0], mc=mc)
     assert np.isfinite(rep["min_margin"])
     # t_1 = 0.25: 10 head steps, 30 tail steps

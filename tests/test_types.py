@@ -8,7 +8,7 @@ from mflq import (MatrixFn, PiecewiseGain, TimeGrid, TwoParamMatrixField,
                   TwoTimeMatrixFn, ValidationError, hat, min_eig, symmetrize,
                   tau_psd, validate)
 from mflq.errors import DimensionError
-from mflq.types import GainSegment, sample_fn, sample_two_time
+from mflq.types import GainSegment
 
 
 class TestTimeGrid:
@@ -211,11 +211,3 @@ def test_validate_catches_indefinite_weight(classical):
     rep = validate(bad)
     assert not rep.passed
     assert any("R" in v for v in rep.violations)
-
-
-def test_sample_helpers(classical):
-    ts = np.linspace(0.0, 1.0, 5)
-    A = sample_fn(classical.A, ts)
-    assert A.shape == (5, 2, 2)
-    Q = sample_two_time(classical.Q, ts, 0.0)
-    assert Q.shape == (5, 2, 2)
