@@ -182,6 +182,7 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
     # every grid draws the same normals when it has the same step count: draw
     # them once at unit steps (sqrt(1) = 1 is exact) and scale a copy per grid
     normals = {}
+    heads = {}
     records = []
     for t in check_times:
         for eps in sorted(eps_list, reverse=True):
@@ -192,7 +193,11 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
             dW = normals[len(dts)] * np.sqrt(dts)
             it = int(np.argmin(np.abs(grid - t)))
             ie = int(np.argmin(np.abs(grid - (t + eps))))
-            Xt = _equilibrium_run(problem, sol, grid, dW, x0, it)
+            # the same normals on the same nodes up to t march the same head
+            head = (len(dts), grid[:it + 1].tobytes())
+            if head not in heads:
+                heads[head] = _equilibrium_run(problem, sol, grid, dW, x0, it)
+            Xt = heads[head]
             probes = _default_probes(problem, sol, t)
             costs = _spiked_run(problem, sol, grid, dW, Xt, it, ie,
                                 [probe for _, probe in probes])

@@ -326,37 +326,44 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
     The system acts on y = [X; W], W a partner state, and on the controls
     c = [u; w]: dy = (F y + G c) ds + (Nx y + Nc c) dW on the leading rows of
     y, with drift = (F, G) and noise = (Nx, Nc) per node.  controls[j, v] maps
-    [y; 1] to c at node j for variant v.  Each variant carries [y, E_t y, 1]:
-    the E_t rows mirror the Euler recursion, so they are the exact means of
-    the scheme.  reset = (mask, dst, src) copies rows src of y onto rows dst
-    where mask[j], and mirrors the copy in E_t y.  The cost reads X = y[:n]
-    and u = c[:m].  Returns the (variants, paths) costs.
+    [y; 1] to c at node j for variant v.  reset = (mask, dst, src) copies rows
+    src of y onto rows dst where mask[j].  The cost reads X = y[:n] and
+    u = c[:m] with the weights Q, R, G, and their conditional means E_t X,
+    E_t u with Qbar, Rbar, Gbar; no weight couples y with E_t y.
+
+    So the cost splits.  Each path marches only its [y; 1], ny + 1 rows per
+    variant, and pays Q, R and G.  E_t y is not random given the start: the
+    scheme's mean is E_t [y_j; 1] = Phi_j [y0; 1] on every path, with Phi_j
+    the same steps and resets marched once, without noise, from the identity.
+    The E_t part of the cost is then the quadratic form [y0; 1]' M [y0; 1],
+    M = sum_j Phi_j' Wbar_j Phi_j, Wbar the Qbar, Rbar and Gbar weights on
+    [y; 1].  Returns the (variants, paths) costs.
     """
     n, m = problem.n, problem.m
     ny = y0.shape[0]
-    Y, EY = np.split(np.eye(2 * ny, 2 * ny + 1), 2)   # the rows of y and E_t y
-    # c and E_t c as matrices on [y, E_t y, 1]: E_t c applies c's map to E_t y
-    zero = np.zeros(controls.shape[:-1] + (ny,))
-    c = np.concatenate([controls[..., :ny], zero, controls[..., ny:]], axis=-1)
-    ec = np.concatenate([zero, controls], axis=-1)
+    Y = np.eye(ny, ny + 1)                  # the rows of y in [y; 1]
+    u = controls[..., :m, :]
     F, G, Nx, Nc = (M[:, None] for M in drift + noise)
-    gen = stack_rows((F @ Y + G @ c, F @ EY + G @ ec, np.zeros((1, 1, 1, 2 * ny + 1))))
+    gen = stack_rows((F @ Y + G @ controls, np.zeros((1, 1, 1, ny + 1))))
+    step = euler_transition(gen[:-1], np.diff(grid))
 
     t = grid[0]
     Q, Qb, R, Rb = (f.at_many(grid, t)[:, None] for f in (
         problem.Q, problem.Qbar, problem.R, problem.Rbar))
-    weight = trapezoid_weights(grid)[:, None, None, None] * (
-        sandwich(Y[:n], Q) + sandwich(EY[:n], Qb)
-        + sandwich(c[..., :m, :], R) + sandwich(ec[..., :m, :], Rb))
-    weight[-1] += sandwich(Y[:n], problem.G(t)) + sandwich(EY[:n], problem.Gbar(t))
+    w = trapezoid_weights(grid)[:, None, None, None]
+    weight = w * (sandwich(Y[:n], Q) + sandwich(u, R))
+    weight[-1] += sandwich(Y[:n], problem.G(t))
+    mean_weight = w * (sandwich(Y[:n], Qb) + sandwich(u, Rb))
+    mean_weight[-1] += sandwich(Y[:n], problem.Gbar(t))
 
-    if reset is not None:
-        mask, dst, src = reset
-        rows = np.arange(ny)
-        reset = (mask, np.r_[rows[dst], ny + rows[dst]], np.r_[rows[src], ny + rows[src]])
-    Z = np.concatenate([y0, y0, np.ones((1, y0.shape[1]))])
-    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(grid)),
-                          (Nx @ Y + Nc @ c)[:-1], dW, weight=weight, reset=reset)[1]
+    basis = np.eye(ny + 1)
+    Phi = euler_maruyama(basis, step, reset=reset,
+                         observe=np.broadcast_to(basis, (len(grid), 1) + basis.shape))[2]
+    M = sandwich(Phi, mean_weight).sum(axis=0)
+    Z = np.concatenate([y0, np.ones((1, y0.shape[1]))])
+    cost = euler_maruyama(Z, step, (Nx @ Y + Nc @ controls)[:-1], dW, weight=weight,
+                          reset=reset)[1]
+    return cost + np.einsum("ip,vij,jp->vp", Z, M, Z)
 
 
 #: time columns per block of estimate_cost's running integral: its temporaries
@@ -401,7 +408,9 @@ def semigroup_failure_demo(s: float, tau: float, t: float, x: float,
     Var(X(tau)) = x^2 int_t^tau e^{2(r-t)} dr: the gap is driven by the random
     re-anchoring offset X(tau) - E_t[X(tau)], amplified through drift and noise.
     """
-    assert t <= tau <= s
+    if not t <= tau <= s:
+        raise ConfigurationError(f"the demo needs t <= tau <= s, got t = {t}, "
+                                 f"tau = {tau}, s = {s}")
     steps = mc.steps
     grid = aligned_time_grid(t, s, steps, (tau,)) if t < tau < s else \
         np.linspace(t, s, steps + 1)

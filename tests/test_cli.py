@@ -154,6 +154,11 @@ class TestDemo:
         rep = json.loads((out / "demo.json").read_text())
         assert rep["no_restart"]["simulated"] == 0.0
 
+    def test_tau_before_t_exit_code(self, tmp_path, capsys):
+        assert run(["demo", "semigroup", "--t", "0.5", "--tau", "0.2", "--paths", "20",
+                    "--out", tmp_path / "demo"]) == 2
+        assert "t <= tau <= s" in capsys.readouterr().err
+
 
 class TestCsvFormat:
     def test_17_significant_digits(self, tmp_path):

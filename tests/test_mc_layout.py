@@ -1,5 +1,5 @@
-"""Monte Carlo layout: step-major increments, one draw per spike test, and a
-deviation-check head that marches only to t_k.
+"""Monte Carlo layout: step-major increments, one draw and one head march per
+spike-test check time, and a deviation-check head that marches only to t_k.
 
 Every test here pins the layout or the amount of work; the values themselves
 are pinned by test_mc_parity.py and test_simulate.py.
@@ -69,6 +69,17 @@ def test_spike_test_draws_once(classical, monkeypatch):
     assert len(calls) == 1
 
 
+def test_spike_test_marches_one_head_per_check_time(classical, monkeypatch):
+    """The default 2 x 3 (t, eps) grids agree up to each t and share one draw:
+    one head march per check time serves all three spikes."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    calls = _count_calls(monkeypatch, mflq.openloop, "_equilibrium_run")
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
+                                       mc=MCConfig(paths=20, steps=400, seed=3))
+    assert len(rep["records"]) == 2 * 3 * 3
+    assert [call[-1] for call in calls] == [80, 200]
+
+
 def test_spike_test_redraws_per_step_count(classical, monkeypatch):
     """Grids whose aligned step counts differ draw their own normals."""
     sol = solve_open_loop(classical, t_nodes=8)
@@ -83,16 +94,30 @@ def test_spike_test_redraws_per_step_count(classical, monkeypatch):
         assert np.isfinite(rec["ratio"]) and np.isfinite(rec["stderr"])
 
 
+def test_spike_test_new_draw_marches_new_head(classical, monkeypatch):
+    """Grids that agree up to t but differ in step count read other normals
+    there, so each marches its own head."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    grids = [mflq.simulate.aligned_time_grid(0.0, 1.0, 7, (0.3, 0.3 + e)) for e in (0.4, 0.05)]
+    np.testing.assert_array_equal(grids[0][:3], grids[1][:3])
+    heads = _count_calls(monkeypatch, mflq.openloop, "_equilibrium_run")
+    verify_open_loop_equilibrium(classical, sol, np.ones(2), check_times=[0.3],
+                                 eps_list=[0.4, 0.05], mc=MCConfig(paths=20, steps=7, seed=4))
+    assert len(heads) == 2
+
+
 def test_deviation_head_stops_at_tk(ex12, monkeypatch):
     """The head marches the it steps up to t_k, with no deterministic mean;
-    the tail marches the rest."""
+    the tail marches the rest.  Only the per-path marches count: the tail's
+    one march of its mean propagator has a basis, not the paths, as columns."""
     eq = build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4))
     mc = MCConfig(paths=20, steps=40, seed=5)
     marched = []
     real = mflq.simulate.euler_maruyama
 
     def spy(Z, drift, *args, **kwargs):
-        marched.append(len(drift))
+        if Z.shape[-1] == mc.paths:
+            marched.append(len(drift))
         return real(Z, drift, *args, **kwargs)
 
     monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)

@@ -70,6 +70,13 @@ class TestSemigroupDemo:
         rep = semigroup_failure_demo(1.0, 0.0, 0.0, 1.0, mc)
         assert rep["simulated"] == 0.0
 
+    @pytest.mark.parametrize("s, tau, t", [(1.0, 0.2, 0.5), (0.4, 0.5, 0.0),
+                                           (1.0, float("nan"), 0.0)])
+    def test_rejects_times_out_of_order(self, s, tau, t):
+        """t <= tau <= s is checked whatever the interpreter's -O flag."""
+        with pytest.raises(ConfigurationError, match="t <= tau <= s"):
+            semigroup_failure_demo(s, tau, t, 1.0, MCConfig(paths=2, steps=4))
+
 
 class TestOracles:
     def test_value_consistency(self):

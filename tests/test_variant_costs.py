@@ -3,17 +3,25 @@
 A probe is an (m, 2n + 1) control map on [X; W; 1].  A probe equal to the
 equilibrium's own control map must march exactly as the equilibrium does, so
 its excess cost is zero on every path; a shifted map must not be.
+
+The kernel marches [y; 1] per path and the mean propagator Phi once per tail.
+It must give the costs of the mirrored formulation, which marches
+[y, E_t y, 1] on every path, on the systems both checks build.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import mflq.game
 import mflq.openloop
+import mflq.simulate
 from mflq import (GainSegment, MCConfig, PiecewiseGain, TimeGrid, build_delta_equilibrium,
                   delta_local_optimality_check, solve_open_loop,
                   verify_open_loop_equilibrium)
+from mflq.simulate import (euler_maruyama, euler_transition, sandwich, stack_rows,
+                           trapezoid_weights, variant_costs)
 
 
 def _spy_costs(monkeypatch, module):
@@ -81,3 +89,114 @@ def test_spike_probe_equal_to_equilibrium_map(classical, monkeypatch):
         _assert_own_zero_shifted_not(costs[0], rep["records"])
         assert rep["records"][0]["ratio"] == 0.0
 
+
+
+def _mirrored_variant_costs(problem, grid, dW, y0, drift, noise, controls, reset=None):
+    """Reference: every variant carries [y, E_t y, 1] on every path, the E_t
+    rows mirroring the Euler recursion and the re-anchoring, and every cost
+    term is read along the march."""
+    n, m = problem.n, problem.m
+    ny = y0.shape[0]
+    Y, EY = np.split(np.eye(2 * ny, 2 * ny + 1), 2)
+    zero = np.zeros(controls.shape[:-1] + (ny,))
+    c = np.concatenate([controls[..., :ny], zero, controls[..., ny:]], axis=-1)
+    ec = np.concatenate([zero, controls], axis=-1)
+    F, G, Nx, Nc = (M[:, None] for M in drift + noise)
+    gen = stack_rows((F @ Y + G @ c, F @ EY + G @ ec, np.zeros((1, 1, 1, 2 * ny + 1))))
+    t = grid[0]
+    Q, Qb, R, Rb = (f.at_many(grid, t)[:, None] for f in (
+        problem.Q, problem.Qbar, problem.R, problem.Rbar))
+    weight = trapezoid_weights(grid)[:, None, None, None] * (
+        sandwich(Y[:n], Q) + sandwich(EY[:n], Qb)
+        + sandwich(c[..., :m, :], R) + sandwich(ec[..., :m, :], Rb))
+    weight[-1] += sandwich(Y[:n], problem.G(t)) + sandwich(EY[:n], problem.Gbar(t))
+    if reset is not None:
+        mask, dst, src = reset
+        rows = np.arange(ny)
+        reset = (mask, np.r_[rows[dst], ny + rows[dst]], np.r_[rows[src], ny + rows[src]])
+    Z = np.concatenate([y0, y0, np.ones((1, y0.shape[1]))])
+    return euler_maruyama(Z, euler_transition(gen[:-1], np.diff(grid)),
+                          (Nx @ Y + Nc @ c)[:-1], dW, weight=weight, reset=reset)[1]
+
+
+def _kernel_calls(monkeypatch, module, run):
+    """The arguments of every variant_costs call the module makes in run()."""
+    calls = []
+    real = module.variant_costs
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "variant_costs", spy)
+        run()
+    assert calls
+    return calls
+
+
+def _game_calls(monkeypatch, problem, k):
+    eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4))
+    return _kernel_calls(monkeypatch, mflq.game, lambda: delta_local_optimality_check(
+        problem, eq, k, np.linspace(1.0, -0.5, problem.n),
+        mc=MCConfig(paths=60, steps=40, seed=8)))
+
+
+def _spike_calls(monkeypatch, problem):
+    sol = solve_open_loop(problem, t_nodes=8)
+    return _kernel_calls(monkeypatch, mflq.openloop, lambda: verify_open_loop_equilibrium(
+        problem, sol, np.ones(problem.n), check_times=[0.3], eps_list=[0.1],
+        mc=MCConfig(paths=60, steps=40, seed=9)))
+
+
+def _assert_matches_mirrored(args, kwargs):
+    ref = _mirrored_variant_costs(*args, **kwargs)
+    got = variant_costs(*args, **kwargs)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name, k", [("meanfield", 1), ("discounting", 0)])
+def test_game_tail_matches_mirrored_rows(name, k, monkeypatch, request):
+    """meanfield, player 1: mean-field dynamics and two re-anchorings after
+    t_1; discounting, player 0: non-constant weights from a fixed start."""
+    problem = request.getfixturevalue(name)
+    for args, kwargs in _game_calls(monkeypatch, problem, k):
+        _assert_matches_mirrored(args, kwargs)
+
+
+@pytest.mark.parametrize("name", ["ex12", "discounting"])
+def test_spike_tail_matches_mirrored_rows(name, monkeypatch, request):
+    """Problems whose hat weights are not zero, so the E_t part of the cost counts."""
+    problem = request.getfixturevalue(name)
+    assert problem.Gbar(0.3).any()
+    for args, kwargs in _spike_calls(monkeypatch, problem):
+        _assert_matches_mirrored(args, kwargs)
+
+
+def test_reanchored_mean_from_a_partner_off_the_state(meanfield, monkeypatch, rng):
+    """Started with W != X, the re-anchoring W := X changes E_t y, so the
+    propagator Phi must carry it as the mirrored rows do."""
+    (args, kwargs), = _game_calls(monkeypatch, meanfield, 1)
+    y0 = args[3].copy()
+    y0[meanfield.n:] += rng.normal(scale=0.5, size=y0[meanfield.n:].shape)
+    args = args[:3] + (y0,) + args[4:]
+    assert args[-1][0].any()    # the reset mask: re-anchorings do happen
+    _assert_matches_mirrored(args, kwargs)
+
+
+def test_per_path_march_carries_only_y_and_one(meanfield, monkeypatch):
+    """Per variant, each path marches ny + 1 rows; the mean propagator is one
+    march on the (ny + 1)-column identity."""
+    (args, kwargs), = _game_calls(monkeypatch, meanfield, 1)
+    ny, paths = args[3].shape
+    shapes = []
+    real = mflq.simulate.euler_maruyama
+
+    def spy(Z, *rest, **kw):
+        shapes.append(Z.shape)
+        return real(Z, *rest, **kw)
+
+    monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)
+    variant_costs(*args, **kwargs)
+    assert sorted(shapes, key=lambda s: s[-1]) == [(ny + 1, ny + 1), (ny + 1, paths)]
