@@ -242,7 +242,7 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     x0 = np.ones(problem.n)
     if problem.has_mean_field_dynamics:
-        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, args.N0))
+        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, args.N0), args.h)
         mc = MCConfig(paths=args.paths, steps=400, seed=args.seed)
         reports = [delta_local_optimality_check(problem, eq, k, x0, mc)
                    for k in range(eq.N)]

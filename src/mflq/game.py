@@ -3,13 +3,11 @@
 Each player k controls one interval [t_k, t_{k+1}) with all cost weights frozen
 at t_k, best-responding to the gains already fixed by the later players.  The
 solve runs backward over the intervals.  On each one an RK4 march carries the
-player's Riccati pair alone, on the pair field that the pre-commitment solve
-shares (`precommit.PairField`); the Lyapunov triples
+player's Riccati pair alone, on `integrators.PairField`; the Lyapunov triples
 that track every earlier player's cost under the composite feedback are linear
 once that march's stage gains are known, and advance by the affine maps of the
-same RK4 steps.
-Terminal data for player k-1 are stitched from player (k-1)'s own triple at
-t_k.
+same RK4 steps.  Terminal data for player k-1 are stitched from player
+(k-1)'s own triple at t_k.
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
-from .integrators import (check_step, feedback_gain, gain_path, march_triples,
-                          rk4_march, stage_times)
-from .precommit import PairField, default_step, lyapunov_pair, pair_coefficients
+from .integrators import (PairField, check_step, feedback_gain, gain_path,
+                          march_triples, rk4_march, stage_times)
+from .precommit import default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        closed_loop_states_at, paired_mean_stderr, probe_map,
-                       reset_mask, variant_costs)
+                       reset_mask, trapezoid_weights, variant_costs)
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
                     min_eig, symmetrize, tau_psd)
 
@@ -272,7 +270,7 @@ def jump_magnitudes(eq: DeltaEquilibrium) -> dict:
         dq = np.array([np.abs(problem.Q(s, tk) - problem.Q(s, tk1)).max()
                        + np.abs(problem.R(s, tk) - problem.R(s, tk1)).max()
                        for s in ss])
-        majorant = dG + float(np.trapezoid(dq, ss))
+        majorant = dG + float(trapezoid_weights(ss) @ dq)
         bound = 10.0 * majorant + 1e-9
         worst_ratio = max(worst_ratio, jump / bound)
         records.append({"player": k, "jump": jump, "majorant": majorant,

@@ -2,12 +2,12 @@
 
 Provides the RK4 march every solver runs on (its right-hand side reads
 coefficients sampled once on the march's stage grid), the feedback gain
-K^{-1} L with its definiteness check, the level march of the two-parameter
-Riccati systems (open-loop and closed-loop limit) with the products their
-fields share, the march of Lyapunov cost triples by the affine maps of their
-RK4 steps, linear (Lyapunov-type) equations with an optional sandwich term,
-and the symmetric Riccati equation with cross term, together with its
-a-priori bound constant.
+K^{-1} L with its definiteness check, and the three fields the solvers march:
+`LevelField`, the products the level systems (open-loop and closed-loop
+limit) share; `PairField`, the Riccati/Lyapunov field of a stack of equations
+(the pre-commitment pair, every game interval, the Lyapunov majorants,
+`solve_lyapunov`, and `solve_riccati` with its cross term folded into the
+coefficients); and `triple_field`, the Lyapunov cost triples.
 """
 
 from __future__ import annotations
@@ -223,6 +223,78 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     return tg, levels
 
 
+def pair_blocks(A, B, C, D, Q, R):
+    """The pair field's coefficients at a block of stages, regrouped so that a
+    stage is three products.
+
+    The coefficients are stacked over the equations, (b, k, ., .), k = 2 for
+    a plain-over-hat pair.  With M = [A B], N = [C D] and E = [I 0] (each
+    n x (n+m)), returns U = [E', M', N', blockdiag(Q, R)], of shape
+    (b, k, n+m, 4n+m).  On the stacked state Z, P = Z[0],
+
+        U [Z M; Z E; P N; I] = E'ZM + M'ZE + N'PN + blockdiag(Q, R)
+                             = [[Z A + A'Z + C'PC + Q, L'], [L, K]]
+
+    holds the linear part, L = B'Z + D'PC and K = R + D'PD, and the field is
+    L'K^{-1}L minus the linear part.
+    """
+    n, m = B.shape[-2:]
+    U = np.zeros(A.shape[:-2] + (n + m, 4 * n + m))
+    U[..., :n, :n] = np.eye(n)
+    U[..., n:2 * n] = np.concatenate([A, B], axis=-1).swapaxes(-1, -2)
+    U[..., 2 * n:3 * n] = np.concatenate([C, D], axis=-1).swapaxes(-1, -2)
+    U[..., :n, 3 * n:4 * n] = Q
+    U[..., n:, 4 * n:] = R
+    return U
+
+
+def without_control(A, C, Q):
+    """(A, B, C, D, Q, R) with B, D and R of width zero, on which `pair_blocks`
+    and `PairField` give the linear part of the pair field alone."""
+    none = np.empty(A.shape[:-1] + (0,))
+    return A, none, C, none, Q, none[..., :0, :]
+
+
+#: stages per block of `pair_blocks`: their time hardly moves between 64 and
+#: 512 stages, and the regrouped coefficients of a whole march at once would
+#: raise the peak memory.
+_PAIR_BLOCK = 128
+
+
+class PairField:
+    """The Riccati/Lyapunov field of a stack of k equations on the stage grid
+    of a backward RK4 march, its coefficients sampled and regrouped
+    (`pair_blocks`) block by block as the march reaches them.
+
+    sample(lo, hi) returns the coefficients (A, B, C, D, Q, R) at stages
+    lo:hi, stacked over the equations, m = 0 for `without_control` ones.
+    Called at stage q on the state Z (k, n, n), the field gives the linear
+    part, L and K as views of one buffer, which the next call overwrites;
+    every equation sandwiches P = Z[0].  The march must visit the stages in
+    non-increasing order, as `rk4_march` does.
+    """
+
+    def __init__(self, sample, stages: int, n: int, m: int):
+        self.sample, self.lo, self.n, self.m = sample, stages, n, m
+
+    def __call__(self, q, Z):
+        if q < self.lo:
+            n, m, self.lo = self.n, self.m, max(0, q + 1 - _PAIR_BLOCK)
+            self.U = pair_blocks(*self.sample(self.lo, q + 1))
+            self.M, self.N = (self.U[..., k * n:(k + 1) * n].swapaxes(-1, -2) for k in (1, 2))
+            r = self.right = np.zeros((self.U.shape[1], 4 * n + m, n + m))  # [ZM; ZE; PN; I]
+            r[:, 3 * n:] = np.eye(n + m)
+            self.ZM, self.ZE, self.PN = r[:, :n], r[:, n:2 * n, :n], r[:, 2 * n:3 * n]
+            F = self.F = np.empty((len(r), n + m, n + m))
+            self.views = F[:, :n, :n], F[:, n:, :n], F[:, n:, n:]
+        j = q - self.lo
+        np.matmul(Z, self.M[j], out=self.ZM)
+        self.ZE[...] = Z
+        np.matmul(Z[0], self.N[j], out=self.PN)
+        np.matmul(self.U[j], self.right, out=self.F)
+        return self.views
+
+
 def triple_field(X: np.ndarray, M1, N1, M2, N2) -> np.ndarray:
     """The linear part of the Lyapunov-triple field on k stacked triples
     X[..., c, i, :, :] (component c = 0 tilde, 1 plain, 2 bar, of triple i):
@@ -332,28 +404,28 @@ def march_triples(times: np.ndarray, terminal: np.ndarray, coefficients) -> np.n
 def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,
                    G: np.ndarray, interval: tuple[float, float], h: float,
                    sandwich: Optional[Callable[[float], np.ndarray]] = None):
-    """Solve P' + P A + A' P + C' S C + forcing = 0 backward from P(b) = G.
+    """Solve P' + P A + A' P + C' S C + forcing = 0 backward from P(b) = G, as
+    a stack of one on `PairField` without control.
 
     The sandwiched matrix S is P itself by default; passing `sandwich` substitutes
     an externally supplied path s -> S(s) (needed when a previously computed field
-    enters the quadratic term). With C absent the sandwich term is dropped.
-    Returns (times, path) with every stored matrix symmetric.
+    enters the quadratic term), which joins the forcing. With C absent the
+    sandwich term is dropped. Returns (times, path), every matrix symmetric.
     """
     times = march_times(*interval, h)
     ss = stage_times(times)
-    As, F = A.at_many(ss), forcing.at_many(ss)
-    Cs = C.at_many(ss) if C is not None else None
-    S = np.array([sandwich(s) for s in ss]) if sandwich is not None else None
+    G = np.atleast_2d(np.asarray(G, dtype=float))
 
-    def rhs(q, P):
-        out = P @ As[q] + As[q].T @ P + F[q]
-        if Cs is not None:
-            mid = S[q] if S is not None else P
-            out = out + Cs[q].T @ mid @ Cs[q]
-        return -out
+    def sample(lo, hi):
+        As, F = A.at_many(ss[lo:hi]), forcing.at_many(ss[lo:hi])
+        Cs = np.zeros_like(As) if C is None else C.at_many(ss[lo:hi])
+        if sandwich is not None:
+            S = np.array([sandwich(s) for s in ss[lo:hi]])
+            F, Cs = F + Cs.swapaxes(-1, -2) @ S @ Cs, np.zeros_like(As)
+        return without_control(As[:, None], Cs[:, None], F[:, None])
 
-    return times, rk4_march(rhs, times, np.atleast_2d(np.asarray(G, dtype=float)),
-                            symmetric=True)
+    field = PairField(sample, len(ss), len(G), 0)
+    return times, rk4_march(lambda q, Z: -field(q, Z)[0], times, G[None], symmetric=True)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -393,42 +465,45 @@ class RiccatiSolution:
     Theta: np.ndarray  # (len(times), m, n)
 
 
-def _riccati_rhs(coeffs: RiccatiCoefficients, ss: np.ndarray):
-    """The Riccati field at the stages ss, each coefficient sampled there once."""
-    A, B, C, D, S, Q, R = (f.at_many(ss) for f in (coeffs.A, coeffs.B, coeffs.C, coeffs.D,
-                                                   coeffs.S, coeffs.Q, coeffs.R))
 
-    def rhs(q, P):
-        As, Cs, Ds = A[q], C[q], D[q]
-        L = B[q].T @ P + S[q] + Ds.T @ P @ Cs
-        Theta = feedback_gain(R[q] + Ds.T @ P @ Ds, L, coeffs.delta, "R + D'PD", ss[q])
-        return -(P @ As + As.T @ P + Cs.T @ P @ Cs + Q[q] - L.T @ Theta)
-    return rhs
 
 
 def solve_riccati(coeffs: RiccatiCoefficients, interval: tuple[float, float],
                   h: float) -> RiccatiSolution:
     """Backward RK4 solve of the Riccati equation; returns P and the gain path.
 
-    Asserts positive semidefiniteness of P at every node and a small midpoint
-    residual of the integrated equation.
+    The cross term is folded into the coefficients: with u = v - R^{-1}S x the
+    equation is the one for A - BR^{-1}S, C - DR^{-1}S and Q - S'R^{-1}S
+    without it, marched as a stack of one on `PairField`, and
+    Theta = Theta' + R^{-1}S.  Asserts positive semidefiniteness of P at every
+    node and a small midpoint residual of the integrated equation.
     """
     coeffs.check_definiteness(interval)
     times = march_times(*interval, h)
-    rhs = _riccati_rhs(coeffs, stage_times(times))
-    P = rk4_march(rhs, times, np.atleast_2d(np.asarray(coeffs.G, float)), symmetric=True)
-    B, C, D, S, R = (f.at_many(times) for f in (coeffs.B, coeffs.C, coeffs.D, coeffs.S,
-                                                coeffs.R))
-    Dt = np.swapaxes(D, -1, -2)
-    Theta = feedback_gain(R + Dt @ P @ D, np.swapaxes(B, -1, -2) @ P + S + Dt @ P @ C,
-                          coeffs.delta, "R + D'PD", times)
-    lo = np.linalg.eigvalsh(symmetrize(P)).min(axis=-1)
+    ss = stage_times(times)
+    A, B, C, D, S, Q, R = (f.at_many(ss)[:, None] for f in (
+        coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.S, coeffs.Q, coeffs.R))
+    RS = feedback_gain(R, S, coeffs.delta, "R", ss[:, None])
+    folded = A - B @ RS, B, C - D @ RS, D, Q - S.swapaxes(-1, -2) @ RS, R
+
+    def field_rhs():
+        field = PairField(lambda lo, hi: tuple(x[lo:hi] for x in folded), len(ss), *B.shape[-2:])
+
+        def rhs(q, P):
+            lin, L, K = field(q, P)
+            return L.swapaxes(-1, -2) @ feedback_gain(K, L, coeffs.delta, "R + D'PD", ss[q]) - lin
+        return rhs
+
+    P = rk4_march(field_rhs(), times, np.atleast_2d(coeffs.G)[None], symmetric=True)
+    Theta = gain_path(P, P, *(x[::2] for x in folded[1:4]), R[::2], coeffs.delta,
+                      "R + D'PD", times[:, None]) + RS[::2]
+    lo = np.linalg.eigvalsh(symmetrize(P[:, 0])).min(axis=-1)
     for i, s in enumerate(times):
-        if lo[i] < -tau_psd(P[i]):
+        if lo[i] < -tau_psd(P[i, 0]):
             raise IllPosedError(f"Riccati solution lost PSD at s={s:g}")
 
-    _check_midpoint_residual(rhs, times, P)
-    return RiccatiSolution(times=times, P=P, Theta=Theta)
+    _check_midpoint_residual(field_rhs(), times, P)
+    return RiccatiSolution(times=times, P=P[:, 0], Theta=Theta[:, 0])
 
 
 def _check_midpoint_residual(rhs, times, P):
@@ -437,7 +512,7 @@ def _check_midpoint_residual(rhs, times, P):
     h_max = float(np.diff(times).max())
     tau_res = max(1e-6, 0.5 * h_max ** 2) * scale
     worst = 0.0
-    for i in range(len(times) - 1):
+    for i in range(len(times) - 2, -1, -1):    # downwards, as a PairField is visited
         dt = times[i + 1] - times[i]
         dP = (P[i + 1] - P[i]) / dt
         res = dP - rhs(2 * i + 1, 0.5 * (P[i] + P[i + 1]))

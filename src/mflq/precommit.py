@@ -2,14 +2,10 @@
 and the quadratic-cost representation by a triple of Lyapunov equations.
 
 The Riccati pair (P, Phat) is marched as one stacked (2, n, n) state, plain
-coefficients over hat ones (`pair_coefficients`), the hat equation reading P in
-its sandwich and D'PD terms.  At every RK4 stage three products, on
-coefficients regrouped once per block of stages (`pair_blocks`), give the
-field's linear part, L and K; one feedback gain then gives its quadratic term
-L'K^{-1}L.  `PairField` regroups the coefficients block by block as a backward
-march reaches them; the game marches its players' pairs on it too, and the
-Lyapunov majorants (Pi, Pi_hat) run on it without control, as its linear part
-alone.
+coefficients over hat ones (`pair_coefficients`, which the game shares), on
+`integrators.PairField`: the hat equation reads P in its sandwich and D'PD
+terms, and the Lyapunov majorants (Pi, Pi_hat) run on the same field without
+control, as its linear part alone.
 """
 
 from __future__ import annotations
@@ -19,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .integrators import (feedback_gain, gain_path, march_times, march_triples,
-                          rk4_march, stage_times)
+from .integrators import (PairField, feedback_gain, gain_path, march_times,
+                          march_triples, rk4_march, stage_times, without_control)
 from .types import MatrixFn, ProblemData, _interp, hat, min_eig
 
 
@@ -63,78 +59,6 @@ def pair_coefficients(problem: ProblemData, ss: np.ndarray, t: float,
     return tuple(np.stack([at(problem, x), at(hp, x)], axis=1) for x in names)
 
 
-def pair_blocks(A, B, C, D, Q, R):
-    """The pair field's coefficients at a block of stages, regrouped so that a
-    stage is three products.
-
-    The coefficients are stacked plain over hat, (b, 2, ., .) as
-    `pair_coefficients` returns them.  With M = [A B], N = [C D] and E = [I 0]
-    (each n x (n+m)), returns U = [E', M', N', blockdiag(Q, R)], of shape
-    (b, 2, n+m, 4n+m).  On the stacked state Z = (P, Phat),
-
-        U [Z M; Z E; P N; I] = E'ZM + M'ZE + N'PN + blockdiag(Q, R)
-                             = [[Z A + A'Z + C'PC + Q, L'], [L, K]]
-
-    holds the linear part, L = B'Z + D'PC and K = R + D'PD, and the field is
-    L'K^{-1}L minus the linear part.
-    """
-    n, m = B.shape[-2:]
-    U = np.zeros(A.shape[:-2] + (n + m, 4 * n + m))
-    U[..., :n, :n] = np.eye(n)
-    U[..., n:2 * n] = np.concatenate([A, B], axis=-1).swapaxes(-1, -2)
-    U[..., 2 * n:3 * n] = np.concatenate([C, D], axis=-1).swapaxes(-1, -2)
-    U[..., :n, 3 * n:4 * n] = Q
-    U[..., n:, 4 * n:] = R
-    return U
-
-
-def without_control(A, C, Q):
-    """(A, B, C, D, Q, R) with B, D and R of width zero, on which `pair_blocks`
-    and `PairField` give the linear part of the pair field alone."""
-    none = np.empty(A.shape[:-1] + (0,))
-    return A, none, C, none, Q, none[..., :0, :]
-
-
-#: stages per block of `pair_blocks`: their time hardly moves between 64 and
-#: 512 stages, and the regrouped coefficients of a whole march at once would
-#: raise the peak memory.
-_PAIR_BLOCK = 128
-
-
-class PairField:
-    """The pair field on the stage grid of a backward RK4 march, its
-    coefficients sampled and regrouped (`pair_blocks`) block by block as the
-    march reaches them.
-
-    sample(lo, hi) returns the stacked coefficients (A, B, C, D, Q, R) at
-    stages lo:hi, m = 0 for `without_control` ones.  Called at stage q on the
-    state Z (2, n, n), the field gives the linear part, L and K as views of
-    one buffer, which the next call overwrites.  The march must visit
-    the stages in non-increasing order, as `rk4_march` does.
-    """
-
-    def __init__(self, sample, stages: int, n: int, m: int):
-        self.sample, self.lo, self.n = sample, stages, n
-        self.right = np.zeros((2, 4 * n + m, n + m))     # [Z M; Z E; P N; I]
-        self.right[:, 3 * n:] = np.eye(n + m)
-        self.ZM, self.ZE, self.PN = (self.right[:, :n], self.right[:, n:2 * n, :n],
-                                     self.right[:, 2 * n:3 * n])
-        self.F = np.empty((2, n + m, n + m))
-        self.views = self.F[:, :n, :n], self.F[:, n:, :n], self.F[:, n:, n:]
-
-    def __call__(self, q, Z):
-        if q < self.lo:
-            n, self.lo = self.n, max(0, q + 1 - _PAIR_BLOCK)
-            self.U = pair_blocks(*self.sample(self.lo, q + 1))
-            self.M, self.N = (self.U[..., k * n:(k + 1) * n].swapaxes(-1, -2) for k in (1, 2))
-        j = q - self.lo
-        np.matmul(Z, self.M[j], out=self.ZM)
-        self.ZE[...] = Z
-        np.matmul(Z[0], self.N[j], out=self.PN)
-        np.matmul(self.U[j], self.right, out=self.F)
-        return self.views
-
-
 def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
                   terminal: np.ndarray) -> np.ndarray:
     """March the Lyapunov majorants (Pi, Pi_hat) of the Riccati pair, weights
@@ -154,9 +78,9 @@ def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
     Weights are frozen at the initial time t, which must lie in [0, T); the
     value of the optimally controlled problem at (t, x) is <Phat(t) x, x>.
     The pair is one stacked (2, n, n) state under one RK4 march at the step h
-    on `PairField`, with one feedback gain on the
-    stacked factors R(t)+D'PD and Rhat(t)+Dhat'PDhat, so an ill-posed factor is
-    named by whichever loses definiteness first in backward time.
+    on `PairField`, with one feedback gain on the stacked factors R(t)+D'PD and
+    Rhat(t)+Dhat'PDhat, so an ill-posed factor is named by whichever loses
+    definiteness first in backward time.
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"initial time t={t:g} outside [0, T) with T={problem.T:g}")

@@ -500,10 +500,13 @@ def dump_states(ens: PathEnsemble, path: str) -> None:
 
 
 def load_states(path: str) -> np.ndarray:
+    """The states of a `dump_states` file, its header and payload size checked."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        magic, version, P, L, n = struct.unpack("<4sHIIH", header)
-        if magic != _MAGIC or version != _VERSION:
-            raise ConfigurationError(f"unrecognized dump header in {path}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(P, L, n)
+        header, payload = fh.read(16), fh.read()
+    if len(header) < 16 or header[:6] != struct.pack("<4sH", _MAGIC, _VERSION):
+        raise ConfigurationError(f"unrecognized dump header in {path}")
+    P, L, n = struct.unpack("<IIH", header[6:])
+    if len(payload) != 8 * P * L * n:
+        raise ConfigurationError(f"dump {path} holds {len(payload)} payload bytes, "
+                                 f"expected {8 * P * L * n} for {P}x{L}x{n} states")
+    return np.frombuffer(payload, dtype="<f8").reshape(P, L, n)

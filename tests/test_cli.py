@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mflq import cli
 from mflq.cli import main
 
 
@@ -144,6 +145,23 @@ class TestVerify:
         assert rep["passed"]
         assert {"probe", "t", "epsilon", "ratio", "stderr"} <= set(
             rep["records"][0])
+
+    def test_game_step_reaches_the_game(self, tmp_path, capsys, monkeypatch):
+        """On a mean-field problem --h is the step of the game that verify
+        builds: a negative one exits 2, and a valid one reaches the build."""
+        assert run(["verify", "meanfield", "--h", "-0.1", "--paths", "200",
+                    "--out", tmp_path / "bad"]) == 2
+        assert "step size must be positive" in capsys.readouterr().err
+        steps, build = [], cli.build_delta_equilibrium
+
+        def spy(problem, partition, h=None):
+            steps.append(h)
+            return build(problem, partition, h)
+
+        monkeypatch.setattr(cli, "build_delta_equilibrium", spy)
+        assert run(["verify", "meanfield", "--h", "0.05", "--paths", "200",
+                    "--out", tmp_path / "ok"]) == 0
+        assert steps == [0.05]
 
 
 class TestDemo:

@@ -99,6 +99,17 @@ def test_jump_magnitudes(disc_eq):
     assert all(r["within_bound"] for r in rep["records"])
 
 
+#: the majorants of jump_magnitudes(disc_eq) as np.trapezoid computed them
+DISC_MAJORANTS = [0.06704352910212905, 0.051543370174080706]
+
+
+def test_jump_magnitudes_without_np_trapezoid(disc_eq, monkeypatch):
+    """The majorants need no np.trapezoid, which numpy 1.x lacks."""
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    got = [r["majorant"] for r in jump_magnitudes(disc_eq)["records"]]
+    np.testing.assert_allclose(got, DISC_MAJORANTS, rtol=0, atol=1e-14)
+
+
 def test_local_optimality_single_player(ex12):
     eq = build_delta_equilibrium(ex12, TimeGrid.uniform(1.0, 2))
     rep = delta_local_optimality_check(ex12, eq, 1, [1.0],

@@ -78,6 +78,29 @@ class TestLyapunov:
                                  sandwich=lambda s: np.eye(2))
         np.testing.assert_allclose(vals[0], np.eye(2), atol=1e-10)
 
+    @pytest.mark.parametrize("external", [False, True])
+    def test_matches_scipy_reference(self, external):
+        """C != I, sandwiching P itself or a non-constant external path."""
+        from scipy.integrate import solve_ivp
+        A0, C0 = np.array([[-0.3, 0.5], [0.2, 0.1]]), np.array([[0.4, -0.6], [0.3, 0.8]])
+        A = MatrixFn(lambda s: A0 + np.sin(3 * s) * np.eye(2), (2, 2), 1.0)
+        C = MatrixFn(lambda s: (1 + s) * C0, (2, 2), 1.0)
+        F = MatrixFn(lambda s: np.array([[1 + s, 0.3], [0.3, 2 - s]]), (2, 2), 1.0)
+        G = np.array([[1.0, 0.2], [0.2, 0.5]])
+
+        def S(s):
+            return np.array([[np.exp(s), s], [s, 1 + s * s]])
+
+        def rhs(s, y):
+            P = y.reshape(2, 2)
+            mid = S(s) if external else P
+            return -(P @ A(s) + A(s).T @ P + C(s).T @ mid @ C(s) + F(s)).reshape(-1)
+
+        _, vals = solve_lyapunov(A, C, F, G, (0.0, 1.0), 1e-3,
+                                 sandwich=S if external else None)
+        ref = solve_ivp(rhs, (1.0, 0.0), G.reshape(-1), rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(vals[0], ref.y[:, -1].reshape(2, 2), atol=1e-8)
+
 
 @given(arrays(np.float64, (3, 2), elements=st.floats(-3, 3)))
 @settings(max_examples=60, deadline=None)
@@ -158,3 +181,60 @@ class TestRiccati:
             G=np.eye(2), delta=0.5)
         with pytest.raises(ValidationError):
             solve_riccati(bad, (0.0, 1.0), 1e-3)
+
+
+def _cross_coeffs(R=None):
+    """A time-varying problem with n = 3, m = 2 and cross term S != 0."""
+    rng = np.random.default_rng(7)
+    A0, A1, B0, C0, D0, S0, S1 = (rng.normal(scale=0.5, size=s) for s in
+                                  [(3, 3), (3, 3), (3, 2), (3, 3), (3, 2), (2, 3), (2, 3)])
+
+    def fn(f, shape):
+        return MatrixFn(f, shape, 1.0)
+
+    return RiccatiCoefficients(
+        A=fn(lambda s: A0 + np.sin(2 * s) * A1, (3, 3)), B=fn(lambda s: (1 + s) * B0, (3, 2)),
+        C=fn(lambda s: np.cos(s) * C0, (3, 3)), D=fn(lambda s: D0 + 0.1 * s, (3, 2)),
+        S=fn(lambda s: S0 + s * S1, (2, 3)), Q=fn(lambda s: (4 + s) * np.eye(3), (3, 3)),
+        R=R or fn(lambda s: np.array([[1.5 + s, 0.2], [0.2, 1.0]]), (2, 2)),
+        G=np.eye(3), delta=1e-3)
+
+
+class TestRiccatiCrossTerm:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        coeffs = _cross_coeffs()
+        return coeffs, solve_riccati(coeffs, (0.0, 1.0), 5e-4)
+
+    def test_matches_scipy_reference(self, solved):
+        from scipy.integrate import solve_ivp
+        c, sol = solved
+
+        def rhs(s, y):
+            P = y.reshape(3, 3)
+            A, B, C, D = c.A(s), c.B(s), c.C(s), c.D(s)
+            L = B.T @ P + c.S(s) + D.T @ P @ C
+            dP = -(P @ A + A.T @ P + C.T @ P @ C + c.Q(s)
+                   - L.T @ np.linalg.solve(c.R(s) + D.T @ P @ D, L))
+            return dP.reshape(-1)
+
+        ref = solve_ivp(rhs, (1.0, 0.0), c.G.reshape(-1), rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(sol.P[0], ref.y[:, -1].reshape(3, 3), atol=1e-8)
+
+    def test_gain_consistent_with_P(self, solved):
+        c, sol = solved
+        i = len(sol.times) // 3
+        s, P = sol.times[i], sol.P[i]
+        D = c.D(s)
+        L = c.B(s).T @ P + c.S(s) + D.T @ P @ c.C(s)
+        np.testing.assert_allclose(sol.Theta[i], np.linalg.solve(c.R(s) + D.T @ P @ D, L),
+                                   atol=1e-12)
+
+    def test_indefinite_R_between_samples_is_ill_posed(self):
+        """R dips below delta/2 only between the sampled definiteness checks."""
+        def R(s):
+            return np.diag([1.0, 1.0 - 2.0 * np.exp(-((s - 0.0625) / 0.005) ** 2)])
+
+        coeffs = _cross_coeffs(MatrixFn(R, (2, 2), 1.0))
+        with pytest.raises(IllPosedError, match=r"R lost definiteness at s=0\.0[56]"):
+            solve_riccati(coeffs, (0.0, 1.0), 5e-4)

@@ -15,7 +15,7 @@ import pytest
 from mflq import (TimeGrid, ValidationError, build_delta_equilibrium,
                   bundled_problem, ordering_report, precommit_bounds,
                   solve_precommitment)
-from mflq import precommit
+from mflq import integrators, precommit
 from mflq.cli import main
 from mflq.integrators import feedback_gain
 
@@ -101,7 +101,7 @@ def _mismatch(n, m, seed, field_type=precommit.PairField):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(precommit, "_PAIR_BLOCK", 8)
+    monkeypatch.setattr(integrators, "_PAIR_BLOCK", 8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

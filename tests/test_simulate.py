@@ -156,3 +156,18 @@ class TestStateDump:
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ConfigurationError):
             load_states(str(path))
+
+    def test_truncated_payload_rejected(self, tmp_path, ex12):
+        ens = simulate_closed_loop(ex12, (np.zeros((1, 1)), np.zeros((1, 1))),
+                                   0.0, [1.0], MCConfig(paths=10, steps=5, seed=1))
+        path = tmp_path / "states.bin"
+        dump_states(ens, str(path))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigurationError, match="states.bin holds 472 payload bytes"):
+            load_states(str(path))
+
+    def test_short_file_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"MFLQ\x01\x00")
+        with pytest.raises(ConfigurationError, match="unrecognized dump header in .*short.bin"):
+            load_states(str(path))
