@@ -2,7 +2,8 @@
 """Partition-refinement study across all bundled problems.
 
 Prints, for each problem, the sup-norm deltas of the equilibrium fields and
-gains per mesh doubling, plus the cross-scheme gap against the direct solve.
+gains per mesh doubling, raw and Richardson-extrapolated, plus the gap of the
+limit `solve_closed_loop` would return against the direct solve.
 Writes CSVs under --out (default: out/convergence).
 """
 
@@ -33,37 +34,40 @@ def main():
         problem = bundled_problem(name)
         t0 = time.monotonic()
         # one refinement serves both the study up to N_max and the closed-loop
-        # limit: the first N whose delta falls below TOL
+        # limit: the first doubling that solve_closed_loop would accept
         records, limit = [], None
-        for j, (N, _, fields, deltas) in enumerate(refinements(problem, N0=4)):
-            if deltas is not None:
-                if N <= args.N_max:
-                    records.append({"N": N, "sup_delta_Gamma": deltas[0],
-                                    "sup_delta_Theta": deltas[1]})
-                if limit is None and j <= MAX_DOUBLINGS and max(deltas) < TOL:
-                    limit = N, fields
+        for j, item in enumerate(refinements(problem, N0=4)):
+            rec = item.record
+            N = rec["N"]
+            if rec["delta"] is not None and N <= args.N_max:
+                records.append(rec)
+            if limit is None and j <= MAX_DOUBLINGS:
+                limit = item.accepted(TOL)
             if 2 * N > args.N_max and (limit is not None or j == MAX_DOUBLINGS):
                 break
         elapsed = time.monotonic() - t0
         print(f"\n{name} ({elapsed:.1f}s):")
         for r in records:
+            ext = r["extrapolated_delta"]
             print(f"  N={r['N']:4d}  sup|dGamma|={r['sup_delta_Gamma']:.3e}  "
-                  f"sup|dTheta|={r['sup_delta_Theta']:.3e}")
+                  f"sup|dTheta|={r['sup_delta_Theta']:.3e}  "
+                  f"extrapolated={'-' if ext is None else f'{ext:.3e}'}")
         write_csv(os.path.join(args.out, f"{name}.csv"),
-                  ["N", "sup_delta_Gamma", "sup_delta_Theta"],
-                  [[r["N"], r["sup_delta_Gamma"], r["sup_delta_Theta"]]
+                  ["N", "sup_delta_Gamma", "sup_delta_Theta", "extrapolated_delta"],
+                  [[r["N"], r["sup_delta_Gamma"], r["sup_delta_Theta"],
+                    np.nan if r["extrapolated_delta"] is None else r["extrapolated_delta"]]
                    for r in records])
 
         if limit is None:
             print(f"  refinement did not reach tolerance: game refinement not Cauchy "
                   f"below {TOL:g} after {MAX_DOUBLINGS} doublings")
             continue
-        N, (Gamma, Gamma_hat, _, _) = limit
+        N = limit.grid.num_intervals
         direct = direct_diagonal_solve(problem, t_nodes=N)
-        gap = max(np.nanmax(np.abs(Gamma - direct.Gamma)),
-                  np.nanmax(np.abs(Gamma_hat - direct.Gamma_hat)))
-        print(f"  cross-scheme gap vs direct solve at N={N}: {gap:.3e}")
-
+        gap = max(np.nanmax(np.abs(limit.Gamma - direct.Gamma)),
+                  np.nanmax(np.abs(limit.Gamma_hat - direct.Gamma_hat)))
+        print(f"  limit on N={N} nodes (finest game N={limit.game.N}); "
+              f"cross-scheme gap vs direct solve: {gap:.3e}")
 
 if __name__ == "__main__":
     main()

@@ -175,21 +175,24 @@ def cmd_closed_loop(args) -> int:
               ["t"] + _matrix_header("Gamma", problem.n, problem.n)
               + _matrix_header("Gamma_hat", problem.n, problem.n), rows)
     _write_json(os.path.join(out, "trace.json"),
-                {"trace": list(sol.trace), "final_N": sol.grid.num_intervals})
+                {"trace": list(sol.trace), "final_N": sol.grid.num_intervals,
+                 "game_N": sol.game.N})
     _write_json(os.path.join(out, "metadata.json"),
                 _metadata(args, doc, N0=args.N0, tol=args.tol, h=args.h))
-    print(f"closed-loop equilibrium converged at N={sol.grid.num_intervals}")
+    print(f"closed-loop equilibrium converged at N={sol.grid.num_intervals} "
+          f"(finest game N={sol.game.N})")
     return 0
 
 
 def converge_study(problem, N0: int = 4, N_max: int = 64, h: float | None = None
                    ) -> list[dict]:
-    """Refinement deltas of (Gamma, Gamma_hat, Theta, Theta_hat) for N0, 2 N0, ...
-    up to N_max."""
+    """Refinement trace records (raw and extrapolated deltas of (Gamma,
+    Gamma_hat, Theta, Theta_hat) and their ratios) for 2 N0, 4 N0, ... up to
+    N_max."""
     levels = (N_max // N0).bit_length()    # N0 * 2**j <= N_max for j < levels
-    return [{"N": N, "sup_delta_Gamma": deltas[0], "sup_delta_Theta": deltas[1]}
-            for N, _, _, deltas in itertools.islice(refinements(problem, N0, h), levels)
-            if deltas is not None]
+    return [item.record
+            for item in itertools.islice(refinements(problem, N0, h), levels)
+            if item.record["delta"] is not None]
 
 
 def cmd_converge(args) -> int:
@@ -206,8 +209,10 @@ def cmd_converge(args) -> int:
     _write_json(os.path.join(out, "metadata.json"),
                 _metadata(args, doc, N0=args.N0, h=args.h))
     for r in records:
+        ext = r["extrapolated_delta"]
         print(f"N={r['N']:4d}  dGamma={r['sup_delta_Gamma']:.3e}  "
-              f"dTheta={r['sup_delta_Theta']:.3e}")
+              f"dTheta={r['sup_delta_Theta']:.3e}  "
+              f"extrapolated={'-' if ext is None else f'{ext:.3e}'}")
     print(f"monotone: {monotone}")
     return 0
 
@@ -367,7 +372,8 @@ def main(argv=None) -> int:
         print(f"convergence failure: {exc}", file=sys.stderr)
         if getattr(exc, "trace", None):
             for r in exc.trace:
-                print(f"  N={r['N']} delta={r['delta']}", file=sys.stderr)
+                print(f"  N={r['N']} delta={r['delta']} "
+                      f"extrapolated_delta={r['extrapolated_delta']}", file=sys.stderr)
         return 4
 
 

@@ -1,7 +1,8 @@
 """Closed-loop equilibrium: the limit of the finite-player game.
 
 Two independent routes produce the two-parameter pair (Gamma, Gamma_hat):
-refinement of the interval game under partition doubling, and a direct backward
+refinement of the interval game under partition doubling, with Richardson
+extrapolation of its first-order fields, and a direct backward
 march of the limit system on the shared level march
 (`integrators.march_levels`), in which every t-slice is driven by the shared
 diagonal gain and each level carries only the slices read on it.
@@ -12,7 +13,8 @@ field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +63,16 @@ def equilibrium_value(sol: ClosedLoopSolution, t: float, x) -> float:
     return sol.value(t, x)
 
 
-def _assemble(eq: DeltaEquilibrium) -> tuple[np.ndarray, ...]:
+def _field_solution(problem: ProblemData, grid: TimeGrid, Gm: np.ndarray,
+                    Gh: np.ndarray, game: DeltaEquilibrium | None = None
+                    ) -> ClosedLoopSolution:
+    """The field pair (Gm, Gh) on `grid`, with the diagonal gains of that pair."""
+    Th, Thh = _diagonal_gains(problem, grid.nodes, Gm, Gh)
+    return ClosedLoopSolution(problem=problem, grid=grid, Gamma=Gm, Gamma_hat=Gh,
+                              Theta=Th, Theta_hat=Thh, trace=(), game=game)
+
+
+def _assemble(eq: DeltaEquilibrium) -> ClosedLoopSolution:
     """Node-grid field pair from a finite-player solve.
 
     Every anchor column t_j is served by player j's own cost triple so the
@@ -72,19 +83,17 @@ def _assemble(eq: DeltaEquilibrium) -> tuple[np.ndarray, ...]:
     if N < 2:
         raise ConfigurationError("field assembly needs at least two intervals")
     problem = eq.problem
-    hp = hat(problem)
     n = problem.n
     J = N + 1
     nodes = eq.partition.nodes
     Gm = np.full((J, J, n, n), np.nan)
     Gh = np.full((J, J, n, n), np.nan)
     Gm[N] = problem.G.at_many(nodes)
-    Gh[N] = hp.G.at_many(nodes)
+    Gh[N] = hat(problem).G.at_many(nodes)
     # node_triples is NaN above the diagonal, as the fields are
     Gm[:N, :N] = eq.node_triples[:N, :, 1]
     Gh[:N, :N] = eq.node_triples[:N, :, 1] + eq.node_triples[:N, :, 2]
-    Th, Thh = _diagonal_gains(problem, hp, nodes, Gm, Gh)
-    return Gm, Gh, Th, Thh
+    return _field_solution(problem, eq.partition, Gm, Gh, eq)
 
 
 def _tri_diff(A: np.ndarray, B: np.ndarray) -> float:
@@ -93,29 +102,82 @@ def _tri_diff(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.nanmax(d)) if d.size else 0.0
 
 
-def refinements(problem: ProblemData, N0: int = 4, h: float | None = None):
-    """The game refined by partition doubling: yields (N, eq, fields, deltas)
-    for N = N0, 2 N0, 4 N0, ... without end.
+def _deltas(fine: ClosedLoopSolution, coarse: ClosedLoopSolution) -> tuple[float, float]:
+    """(sup delta of the field pair, sup delta of the gain pair) of `fine`
+    against `coarse` on the coarse nodes, every other fine node."""
+    return (max(_tri_diff(fine.Gamma[::2, ::2], coarse.Gamma),
+                _tri_diff(fine.Gamma_hat[::2, ::2], coarse.Gamma_hat)),
+            max(float(np.abs(fine.Theta[::2] - coarse.Theta).max()),
+                float(np.abs(fine.Theta_hat[::2] - coarse.Theta_hat).max())))
 
-    fields = (Gamma, Gamma_hat, Theta, Theta_hat) on the partition's nodes;
-    deltas = (sup_delta_Gamma, sup_delta_Theta) against the previous
-    refinement on its nodes, which are an exact subset of the finer ones (None
-    for N0).  Each game is built only when the next item is asked for.
+
+def _ratio(prev: float | None, cur: float | None) -> float | None:
+    """Observed reduction of a delta over one doubling: about 2 at first
+    order, 4 at second."""
+    return prev / cur if prev is not None and cur else None
+
+
+class Refinement(NamedTuple):
+    """One doubling of `refinements`.
+
+    raw: the N-interval game's fields F_N on its partition (raw.game is that
+    game).  extrapolated: from the second doubling on, the Richardson
+    extrapolant E = 2 F_N - F_{N/2} on the N/2 nodes, with Theta and
+    Theta_hat the diagonal gains of its field pair (its game is the
+    N-interval one, the finest built).  record: the trace entry, with N, the
+    raw deltas against F_{N/2}, the extrapolated delta against the previous
+    extrapolant (sup-norm over all four arrays) and each delta's ratio to the
+    one before it.
     """
-    prev = None
+
+    raw: ClosedLoopSolution
+    extrapolated: ClosedLoopSolution | None
+    record: dict
+
+    def accepted(self, tol: float) -> ClosedLoopSolution | None:
+        """The raw fields if their delta is below tol, failing that the
+        extrapolant if its delta is, else None."""
+        for sol, delta in ((self.raw, self.record["delta"]),
+                           (self.extrapolated, self.record["extrapolated_delta"])):
+            if delta is not None and delta < tol:
+                return sol
+        return None
+
+
+def refinements(problem: ProblemData, N0: int = 4, h: float | None = None):
+    """The game refined by partition doubling: yields a `Refinement` for
+    N = N0, 2 N0, 4 N0, ... without end.
+
+    The raw fields converge to first order in the mesh, so their deltas
+    halve per doubling; the extrapolants cancel that leading term (Richardson
+    1911; Hairer-Norsett-Wanner, Solving ODEs I, II.9) and their deltas fall
+    about fourfold.  Every comparison is made on the coarser nodes, an exact
+    subset of the finer ones.  Each game is built only when the next item is
+    asked for.
+    """
+    prev = prev_ext = None
+    prev_rec: dict = {}
     N = N0
     while True:
         eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h)
-        fields = _assemble(eq)
-        deltas = None
+        raw = _assemble(eq)
+        ext = deltas = ext_delta = None
         if prev is not None:
-            Gm, Gh, Th, Thh = fields
-            pGm, pGh, pTh, pThh = prev
-            deltas = (max(_tri_diff(Gm[::2, ::2], pGm), _tri_diff(Gh[::2, ::2], pGh)),
-                      max(float(np.abs(Th[::2] - pTh).max()),
-                          float(np.abs(Thh[::2] - pThh).max())))
-        yield N, eq, fields, deltas
-        prev = fields
+            deltas = _deltas(raw, prev)
+            ext = _field_solution(problem, prev.grid,
+                                  2.0 * raw.Gamma[::2, ::2] - prev.Gamma,
+                                  2.0 * raw.Gamma_hat[::2, ::2] - prev.Gamma_hat, eq)
+            if prev_ext is not None:
+                ext_delta = max(_deltas(ext, prev_ext))
+        dG, dT = deltas or (None, None)
+        delta = None if deltas is None else max(deltas)
+        record = {"N": N, "delta": delta, "sup_delta_Gamma": dG, "sup_delta_Theta": dT,
+                  "extrapolated_delta": ext_delta,
+                  "ratio": _ratio(prev_rec.get("delta"), delta),
+                  "extrapolated_ratio": _ratio(prev_rec.get("extrapolated_delta"),
+                                               ext_delta)}
+        yield Refinement(raw, ext, record)
+        prev, prev_ext, prev_rec = raw, ext, record
         N *= 2
 
 
@@ -124,30 +186,27 @@ def solve_closed_loop(problem: ProblemData, N0: int = 4, tol: float = 1e-4,
                       ) -> ClosedLoopSolution:
     """Partition-doubling refinement of the interval game until Cauchy in sup-norm.
 
-    Successive field pairs (and the feedback gains) are compared on the coarser
-    partition's nodes (see `refinements`); stops when the difference drops
-    below `tol`, raises ConvergenceError (with the full refinement trace)
-    otherwise.
+    At every doubling (see `refinements`) the raw fields F_N, and failing
+    them the Richardson extrapolant E = 2 F_N - F_{N/2}, are accepted when
+    their delta against the previous doubling's drops below `tol`.  Returns
+    the fields that passed, the raw F_N on the N-interval partition or the
+    extrapolant on the N/2-interval one, with `game` the N-interval game, the
+    finest built.  Raises ConvergenceError (with the full refinement trace)
+    after `max_doublings` doublings.
     """
     if N0 < 2:
         raise ConfigurationError("N0 must be at least 2")
     trace: list[dict] = []
-    for N, eq, fields, deltas in itertools.islice(refinements(problem, N0, h),
-                                                  max_doublings + 1):
-        if deltas is None:
-            trace.append({"N": N, "delta": None})
-            continue
-        delta = max(deltas)
-        trace.append({"N": N, "delta": delta,
-                      "sup_delta_Gamma": deltas[0], "sup_delta_Theta": deltas[1]})
-        if delta < tol:
-            Gm, Gh, Th, Thh = fields
-            return ClosedLoopSolution(problem=problem, grid=eq.partition,
-                                      Gamma=Gm, Gamma_hat=Gh, Theta=Th,
-                                      Theta_hat=Thh, trace=tuple(trace), game=eq)
+    for item in itertools.islice(refinements(problem, N0, h), max_doublings + 1):
+        trace.append(item.record)
+        sol = item.accepted(tol)
+        if sol is not None:
+            return replace(sol, trace=tuple(trace))
+    last = trace[-1]
     raise ConvergenceError(
-        f"game refinement not Cauchy below {tol:g} after {max_doublings} doublings",
-        trace=tuple(trace))
+        f"game refinement not Cauchy below {tol:g} after {max_doublings} doublings "
+        f"(last delta ratios: raw {last['ratio']}, extrapolated "
+        f"{last['extrapolated_ratio']})", trace=tuple(trace))
 
 
 def direct_diagonal_solve(problem: ProblemData, h: float | None = None,
@@ -181,13 +240,12 @@ def direct_diagonal_solve(problem: ProblemData, h: float | None = None,
         problem, default_step(problem) if h is None else h, t_nodes,
         (hp.A, hp.B, hp.C, hp.D), [(problem.Q, hp.Q), (problem.R, hp.R)], rhs,
         symmetric=True)
-    Theta, Theta_hat = _diagonal_gains(problem, hp, tg, Gm, Gh)
-    return ClosedLoopSolution(problem=problem, grid=TimeGrid(tg), Gamma=Gm,
-                              Gamma_hat=Gh, Theta=Theta, Theta_hat=Theta_hat, trace=())
+    return _field_solution(problem, TimeGrid(tg), Gm, Gh)
 
 
-def _diagonal_gains(problem, hp, nodes, Gm, Gh):
+def _diagonal_gains(problem, nodes, Gm, Gh):
     """Diagonal gain pair (Theta, Theta_hat) of a field pair at its nodes."""
+    hp = hat(problem)
     idx = np.arange(len(nodes))
     d, dh = Gm[idx, idx], Gh[idx, idx]
     B, C, D, Bh, Ch, Dh = (f.at_many(nodes) for f in (

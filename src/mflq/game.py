@@ -13,14 +13,13 @@ same RK4 steps.  Terminal data for player k-1 are stitched from player
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
 from .integrators import (PairField, check_step, feedback_gain, gain_path,
-                          march_triples, rk4_march, stage_times)
+                          march_times, march_triples, rk4_march, stage_times)
 from .precommit import default_step, lyapunov_pair, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        closed_loop_states_at, paired_mean_stderr, probe_map,
@@ -116,8 +115,8 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     for k in range(N - 1, -1, -1):
         a, b = float(nodes[k]), float(nodes[k + 1])
         tk = a
-        steps = max(50, math.ceil((b - a) / h - 1e-12))
-        times_k = np.linspace(a, b, steps + 1)
+        times_k = march_times(a, b, h)
+        steps = len(times_k) - 1
 
         # Entering this interval the tilde components restart from the plain
         # ones (both players' views agree at the boundary).

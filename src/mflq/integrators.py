@@ -507,10 +507,13 @@ def solve_riccati(coeffs: RiccatiCoefficients, interval: tuple[float, float],
 
 
 def _check_midpoint_residual(rhs, times, P):
-    scale = 1.0 + float(np.abs(P).max())
-    # the midpoint-rule residual of the exact solution is itself O(h^2)
+    # The midpoint-rule residual of the exact solution is itself
+    # h^2 (P'''/24 - J P''/8) to leading order, J the field's Jacobian, so the
+    # tolerance scales with the solution's curvature, estimated from its
+    # second differences at the nodes, as well as with its size.
     h_max = float(np.diff(times).max())
-    tau_res = max(1e-6, 0.5 * h_max ** 2) * scale
+    curvature = float(np.abs(np.diff(P, 2, axis=0)).max()) / h_max ** 2 if len(P) > 2 else 0.0
+    tau_res = max(1e-6, h_max ** 2) * (1.0 + float(np.abs(P).max()) + curvature)
     worst = 0.0
     for i in range(len(times) - 2, -1, -1):    # downwards, as a PairField is visited
         dt = times[i + 1] - times[i]

@@ -89,11 +89,42 @@ class TestClosedLoop:
         assert trace["trace"][1]["sup_delta_Gamma"] <= 1e-8
         assert trace["final_N"] == 8
 
+    def test_extrapolated_acceptance(self, tmp_path, capsys):
+        """ex12's raw fields converge only to first order and never reach
+        1e-4 in six doublings; their extrapolant does at the N = 128 game."""
+        out = tmp_path / "cl"
+        assert run(["closed-loop", "ex12", "--tol", "1e-4", "--out", out]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        assert (trace["final_N"], trace["game_N"]) == (64, 128)
+        last = trace["trace"][-1]
+        assert last["delta"] >= 1e-4 > last["extrapolated_delta"]
+        assert 1.8 <= last["ratio"] <= 2.2
+        assert 3.5 <= last["extrapolated_ratio"] <= 4.5
+        lines = (out / "gamma_diag.csv").read_text().splitlines()
+        assert len(lines) == 1 + 65
+        assert "finest game N=128" in capsys.readouterr().out
+
     def test_convergence_failure(self, tmp_path, capsys):
         code = run(["closed-loop", "discounting", "--tol", "1e-12",
                     "--max-doublings", "1", "--out", tmp_path / "cl"])
         assert code == 4
         assert "convergence failure" in capsys.readouterr().err
+
+
+class TestConverge:
+    def test_trace_carries_extrapolated_deltas_and_ratios(self, tmp_path):
+        out = tmp_path / "conv"
+        assert run(["converge", "discounting", "--out", out]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        records = trace["trace"]
+        assert [r["N"] for r in records] == [8, 16, 32, 64]
+        assert records[0]["extrapolated_delta"] is None
+        for prev, r in zip(records, records[1:]):
+            assert r["ratio"] == pytest.approx(prev["delta"] / r["delta"], rel=1e-15)
+        for prev, r in zip(records[1:], records[2:]):
+            assert r["extrapolated_ratio"] == pytest.approx(
+                prev["extrapolated_delta"] / r["extrapolated_delta"], rel=1e-15)
+        assert trace["monotone"]
 
 
 class TestGame:

@@ -6,6 +6,8 @@ import pytest
 from mflq import (ConvergenceError, MatrixFn, TwoTimeMatrixFn, ValidationError,
                   direct_diagonal_solve, equilibrium_value, residual,
                   solve_closed_loop, solve_precommitment)
+from mflq.cli import converge_study
+from mflq.closedloop import _assemble, _diagonal_gains
 
 
 @pytest.mark.parametrize("kwargs", [{"h": -0.1}, {"h": 0.0}, {"h": float("nan")},
@@ -97,6 +99,51 @@ class TestRefinement:
         sol = solve_closed_loop(discounting, N0=4, tol=1e-4)
         asym = np.nanmax(np.abs(sol.Gamma - np.swapaxes(sol.Gamma, -1, -2)))
         assert asym <= 1e-9
+
+
+class TestExtrapolation:
+    """Acceptance on the Richardson extrapolant 2 F_2N - F_N of the game fields."""
+
+    @pytest.fixture(scope="class", params=["discounting", "meanfield"])
+    def solved(self, request):
+        problem = request.getfixturevalue(request.param)
+        return problem, solve_closed_loop(problem, N0=4, tol=1e-4)
+
+    @staticmethod
+    def _error(sol, ref):
+        """Sup-norm gap of (Gamma, Gamma_hat) to a finer reference at sol's nodes."""
+        k = ref.grid.num_intervals // sol.grid.num_intervals
+        return max(np.nanmax(np.abs(sol.Gamma - ref.Gamma[::k, ::k])),
+                   np.nanmax(np.abs(sol.Gamma_hat - ref.Gamma_hat[::k, ::k])))
+
+    def test_extrapolant_is_returned_on_the_coarser_grid(self, solved):
+        _, sol = solved
+        last = sol.trace[-1]
+        assert last["delta"] >= 1e-4 > last["extrapolated_delta"]
+        assert (sol.grid.num_intervals, sol.game.N) == (8, 16)
+        np.testing.assert_array_equal(sol.nodes, sol.game.partition.nodes[::2])
+
+    def test_closer_to_reference_than_the_finest_game(self, solved):
+        problem, sol = solved
+        ref = direct_diagonal_solve(problem, t_nodes=64)
+        assert self._error(sol, ref) < 0.5 * self._error(_assemble(sol.game), ref)
+
+    def test_gains_are_those_of_the_returned_diagonals(self, solved):
+        problem, sol = solved
+        Th, Thh = _diagonal_gains(problem, sol.nodes, sol.Gamma, sol.Gamma_hat)
+        assert np.abs(sol.Theta - Th).max() <= 1e-12
+        assert np.abs(sol.Theta_hat - Thh).max() <= 1e-12
+
+    def test_observed_orders(self, discounting):
+        """Raw deltas fall about 2x per doubling, extrapolated ones about 4x."""
+        records = converge_study(discounting, N0=4, N_max=64)
+        raw = [r["ratio"] for r in records if r["ratio"] is not None]
+        ext = [r["extrapolated_ratio"] for r in records
+               if r["extrapolated_ratio"] is not None]
+        assert len(raw) == 3 and len(ext) == 2
+        assert all(1.4 <= q <= 2.2 for q in raw), raw
+        assert all(3.0 <= q <= 4.5 for q in ext), ext
+        assert ext[-1] / raw[-1] >= 1.8
 
 
 class TestCrossScheme:

@@ -17,6 +17,22 @@ def test_rejects_non_positive_step(discounting, h):
         build_delta_equilibrium(discounting, TimeGrid.uniform(1.0, 2), h)
 
 
+@pytest.mark.parametrize("name", ["meanfield", "discounting"])
+def test_interval_steps_follow_h_without_a_floor(name, request):
+    """At N = 64 the default h = T/2000 asks for 32 steps per interval; the
+    fields match a build at the 50 steps a floor used to impose."""
+    problem = request.getfixturevalue(name)
+    grid = TimeGrid.uniform(problem.T, 64)
+    eq = build_delta_equilibrium(problem, grid)
+    floored = build_delta_equilibrium(problem, grid, h=(problem.T / 64) / 50)
+    assert [len(iv.times) for iv in eq.intervals] == [33] * 64
+    assert [len(iv.times) for iv in floored.intervals] == [51] * 64
+    populated = ~np.isnan(eq.node_triples)
+    assert np.array_equal(populated, ~np.isnan(floored.node_triples))
+    assert np.abs(eq.node_triples[populated] - floored.node_triples[populated]).max() <= 1e-12
+    assert np.abs(eq.values - floored.values).max() <= 1e-12
+
+
 class TestSingleInterval:
     def test_single_player_is_precommitment(self, discounting):
         """With one interval the interval recursion is exactly the

@@ -226,7 +226,7 @@ def _joint_march(problem, partition, h):
     values, thetas, theta_hats = np.empty((N, n, n)), [None] * N, [None] * N
     for k in range(N - 1, -1, -1):
         a, b, tk = nodes[k], nodes[k + 1], nodes[k]
-        times = np.linspace(a, b, max(50, int(np.ceil((b - a) / h - 1e-12))) + 1)
+        times = np.linspace(a, b, max(1, int(np.ceil((b - a) / h - 1e-12))) + 1)
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
         ss = stage_times(times)
         A, B, C, D, Ah, Bh, Ch, Dh = (f.at_many(ss) for f in (

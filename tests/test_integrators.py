@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mflq import (BlowUpError, IllPosedError, MatrixFn, RiccatiCoefficients,
                   ValidationError, rk4_backward, solve_lyapunov, solve_riccati)
+from mflq import integrators
 from mflq.integrators import feedback_gain
 
 
@@ -229,6 +230,18 @@ class TestRiccatiCrossTerm:
         L = c.B(s).T @ P + c.S(s) + D.T @ P @ c.C(s)
         np.testing.assert_allclose(sol.Theta[i], np.linalg.solve(c.R(s) + D.T @ P @ D, L),
                                    atol=1e-12)
+
+    def test_midpoint_check_passes_at_coarser_step(self):
+        """The midpoint residual of the exact solution is about 8.6 h^2 here,
+        above a tolerance that scaled with max|P| alone (5.4e-6 at h = 1e-3)."""
+        sol = solve_riccati(_cross_coeffs(), (0.0, 1.0), 1e-3)
+        assert len(sol.times) == 1001
+
+    def test_midpoint_check_rejects_scaled_solution(self, monkeypatch):
+        march = integrators.rk4_march
+        monkeypatch.setattr(integrators, "rk4_march", lambda *a, **k: 1.01 * march(*a, **k))
+        with pytest.raises(IllPosedError, match="midpoint residual"):
+            solve_riccati(_cross_coeffs(), (0.0, 1.0), 1e-3)
 
     def test_indefinite_R_between_samples_is_ill_posed(self):
         """R dips below delta/2 only between the sampled definiteness checks."""
