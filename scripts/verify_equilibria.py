@@ -55,7 +55,8 @@ def main():
     mean, stderr = estimate_cost(meanfield, ens, 0.0)
     value = cl.value(0.0, x0)
     print(f"closed-loop (meanfield): simulated cost {mean:.6g} "
-          f"+- {stderr:.2g}, equilibrium value {value:.6g}")
+          f"+- {stderr:.2g} under the N={cl.game.N} game's gains, "
+          f"equilibrium value {value:.6g} at N={cl.grid.num_intervals}")
 
 
 if __name__ == "__main__":

@@ -237,8 +237,11 @@ def cmd_simulate(args) -> int:
                 _metadata(args, doc, paths=args.paths, steps=args.steps,
                           seed=args.seed, N0=args.N0, tol=args.tol, h=args.h))
     value = sol.value(0.0, x0)
-    print(f"simulated cost {mean:.6g} +- {stderr:.2g}; "
-          f"equilibrium value {value:.6g}")
+    print(f"simulated cost {mean:.6g} +- {stderr:.2g} under the N={sol.game.N} "
+          f"game's gains; equilibrium value {value:.6g} at N={sol.grid.num_intervals}")
+    if sol.game.N != sol.grid.num_intervals:
+        print("(the value is the extrapolated field's; the game's own fields "
+              "did not pass --tol)")
     return 0
 
 

@@ -34,6 +34,12 @@ class ClosedLoopSolution:
     equations of the limit system carry, and Theta the gain
     [R + D'Gamma D]^{-1} [B'Gamma + D'Gamma C] of the Gamma diagonal alone, a
     second quantity the refinement requires to be Cauchy.
+
+    game is the finest game the refinement built (None for the direct
+    solve).  When the returned fields are a Richardson extrapolant, that
+    game has twice as many intervals as `grid`, and its own fields did not
+    pass the tolerance: its piecewise gains (`game.gains`, the policy to
+    simulate) are first-order accurate while the fields are second-order.
     """
 
     problem: ProblemData

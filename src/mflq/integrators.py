@@ -513,7 +513,7 @@ def _check_midpoint_residual(rhs, times, P):
     # second differences at the nodes, as well as with its size.
     h_max = float(np.diff(times).max())
     curvature = float(np.abs(np.diff(P, 2, axis=0)).max()) / h_max ** 2 if len(P) > 2 else 0.0
-    tau_res = max(1e-6, h_max ** 2) * (1.0 + float(np.abs(P).max()) + curvature)
+    tau_res = max(1e-6, 0.5 * h_max ** 2) * (1.0 + float(np.abs(P).max()) + curvature)
     worst = 0.0
     for i in range(len(times) - 2, -1, -1):    # downwards, as a PairField is visited
         dt = times[i + 1] - times[i]

@@ -165,6 +165,16 @@ class TestSimulate:
              "--seed", "6", "--out", b])
         assert (a / "summary.csv").read_bytes() != (b / "summary.csv").read_bytes()
 
+    def test_names_the_game_behind_an_extrapolated_value(self, tmp_path, capsys):
+        """On meanfield the value is the extrapolant on N = 8, the gains the
+        N = 16 game's; the output says so."""
+        assert run(["simulate", "meanfield", "--paths", "200", "--steps", "50",
+                    "--out", tmp_path]) == 0
+        out = capsys.readouterr().out
+        assert "under the N=16 game's gains" in out
+        assert "at N=8" in out
+        assert "did not pass --tol" in out
+
 
 class TestVerify:
     def test_spike_report(self, tmp_path, capsys):
