@@ -22,7 +22,7 @@ from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
 from .game import (build_delta_equilibrium, delta_local_optimality_check,
                    jump_magnitudes, ordering_report)
 from .openloop import solve_open_loop, verify_open_loop_equilibrium
-from .precommit import solve_precommitment
+from .precommit import solve_precommitment, step_choice
 from .problem_io import apply_overrides, parse_problem, problem_hash, resolve_document
 from .simulate import MCConfig, estimate_cost, semigroup_failure_demo, simulate_closed_loop
 from .types import TimeGrid, validate
@@ -57,6 +57,14 @@ def _metadata(args, doc: dict, **params) -> dict:
         },
     }
     return meta
+
+
+def _march_record(problem, h: float | None) -> dict:
+    """march_step, the RK4 step the solves marched at (every step is at most
+    it), and pilot_error, the pilot's estimate behind a measured default
+    step (null at an explicit --h, or when the pilot fell back)."""
+    step, err = (h, None) if h is not None else step_choice(problem)
+    return {"march_step": step, "pilot_error": err}
 
 
 def _matrix_header(prefix: str, r: int, c: int) -> list[str]:
@@ -105,7 +113,8 @@ def cmd_precommit(args) -> int:
                   ["t"] + _matrix_header("Phat", n, n), rows)
 
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, t=args.t, h=h, sweep=args.sweep))
+                {**_metadata(args, doc, t=args.t, h=h, sweep=args.sweep),
+                 **_march_record(problem, h)})
     print(f"pre-commitment solved at t={args.t:g}; value matrix "
           f"Phat(t)={sol.Phat[0].tolist()}")
     return 0
@@ -119,7 +128,8 @@ def cmd_open_loop(args) -> int:
     rows = [[t, *sol.Theta_open[j].reshape(-1)] for j, t in enumerate(nodes)]
     write_csv(os.path.join(out, "theta_open.csv"),
               ["t"] + _matrix_header("Theta", problem.m, problem.n), rows)
-    _write_json(os.path.join(out, "metadata.json"), _metadata(args, doc, h=args.h))
+    _write_json(os.path.join(out, "metadata.json"),
+                {**_metadata(args, doc, h=args.h), **_march_record(problem, args.h)})
     print(f"open-loop equilibrium gains written for {len(nodes)} nodes")
     return 0
 
@@ -155,7 +165,7 @@ def cmd_game(args) -> int:
                         "passed": order["passed"]},
     })
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, N=N, h=args.h))
+                {**_metadata(args, doc, N=N, h=args.h), **_march_record(problem, args.h)})
     print(f"{N}-interval equilibrium built; value at t_0: {eq.values[0].tolist()}")
     return 0
 
@@ -178,7 +188,8 @@ def cmd_closed_loop(args) -> int:
                 {"trace": list(sol.trace), "final_N": sol.grid.num_intervals,
                  "game_N": sol.game.N})
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, N0=args.N0, tol=args.tol, h=args.h))
+                {**_metadata(args, doc, N0=args.N0, tol=args.tol, h=args.h),
+                 **_march_record(problem, args.h)})
     print(f"closed-loop equilibrium converged at N={sol.grid.num_intervals} "
           f"(finest game N={sol.game.N})")
     return 0
@@ -238,7 +249,10 @@ def cmd_simulate(args) -> int:
                           seed=args.seed, N0=args.N0, tol=args.tol, h=args.h))
     value = sol.value(0.0, x0)
     print(f"simulated cost {mean:.6g} +- {stderr:.2g} under the N={sol.game.N} "
-          f"game's gains; equilibrium value {value:.6g} at N={sol.grid.num_intervals}")
+          f"game's gains, {args.steps} Euler-Maruyama steps; equilibrium value "
+          f"{value:.6g} at N={sol.grid.num_intervals}")
+    print(f"(+- is the sampling error only: the {args.steps} Euler steps add a bias "
+          f"of order 1/steps that it does not cover)")
     if sol.game.N != sol.grid.num_intervals:
         print("(the value is the extrapolated field's; the game's own fields "
               "did not pass --tol)")
@@ -292,6 +306,11 @@ def cmd_demo(args) -> int:
     return 0
 
 
+_H_HELP = ("RK4 step h: every march runs at h, and pre-commitment and game "
+           "paths are written at h.  Default: the step a pilot march measures "
+           "(between T/2000 and T/64), with those paths written at step T/2000")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mflq",
@@ -313,26 +332,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("precommit", cmd_precommit, help="pre-commitment Riccati pair")
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
     p.add_argument("--sweep", type=int, default=0,
                    help="also solve at the initial times k*T/SWEEP, k < SWEEP")
 
     p = add("open-loop", cmd_open_loop, help="open-loop equilibrium")
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("game", cmd_game, help="finite-player interval equilibrium")
     p.add_argument("--N0", type=int, default=8, help="number of intervals")
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("closed-loop", cmd_closed_loop, help="closed-loop equilibrium")
     p.add_argument("--N0", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-doublings", type=int, default=6)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("converge", cmd_converge, help="partition refinement study")
     p.add_argument("--N0", type=int, default=4)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("simulate", cmd_simulate, help="Monte Carlo along the equilibrium")
     p.add_argument("--paths", type=int, default=10000)
@@ -340,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--N0", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("verify", cmd_verify, help="statistical equilibrium verification")
     p.add_argument("--paths", type=int, default=20000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--N0", type=int, default=4)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=float, default=None, help=_H_HELP)
 
     p = add("demo", cmd_demo, problem=False,
             help="conditional-expectation restart demonstration")

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
 from .integrators import gain_path, left, march_levels, right
 from .precommit import default_step
-from .types import ProblemData, TimeGrid, _interp, hat
+from .types import ProblemData, TimeGrid, hat
 
 
 @dataclass(frozen=True)
@@ -267,11 +267,14 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
     """Finite-difference residual of the limit system over the stored field.
 
     Uses a five-point fourth-order stencil for the s-derivative along each
-    t-column.  Both equations carry the equilibrium feedback Theta_hat, as the
-    game recursion and direct_diagonal_solve do: the Gamma-equation with
-    Theta_hat' R(s,t) Theta_hat, the Gamma_hat one with Theta_hat' Rhat(s,t)
-    Theta_hat.  Returns the max and per-equation residuals over all interior
-    stencil points.
+    t-column, skipping every stencil whose points straddle a breakpoint of
+    the coefficients read in that column (`ProblemData.breakpoints`), where
+    the field is not smooth enough for the stencil.  Both equations carry the
+    equilibrium feedback Theta_hat, as the game recursion and
+    direct_diagonal_solve do: the Gamma-equation with
+    Theta_hat' R(s,t) Theta_hat, the Gamma_hat one with
+    Theta_hat' Rhat(s,t) Theta_hat.  Returns the max and per-equation
+    residuals over all interior stencil points.
     """
     if problem is None:
         problem = sol.problem
@@ -282,29 +285,30 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
         raise ConfigurationError("residual needs at least five grid nodes")
     dt = float(tg[1] - tg[0])
     w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dt)
-    worst_g = 0.0
-    worst_gh = 0.0
+    Thh = sol.Theta_hat
+    Ah, Bh, Ch, Dh = (f.at_many(tg) for f in (hp.A, hp.B, hp.C, hp.D))
+    M, Nc = Ah - Bh @ Thh, Ch - Dh @ Thh
+    Mt, Nt = M.swapaxes(-1, -2), Nc.swapaxes(-1, -2)
+    worst = {"Gamma": 0.0, "Gamma_hat": 0.0}
     for j in range(J):
-        for i in range(max(j + 2, 2), J - 2):
-            s = float(tg[i])
-            t = float(tg[j])
-            dG = np.tensordot(w, sol.Gamma[i - 2:i + 3, j], axes=(0, 0))
-            dGh = np.tensordot(w, sol.Gamma_hat[i - 2:i + 3, j], axes=(0, 0))
-            Ah, Bh, Ch, Dh = hp.A(s), hp.B(s), hp.C(s), hp.D(s)
-            Thh = _interp(s, tg, sol.Theta_hat)
-            M = Ah - Bh @ Thh
-            Nc = Ch - Dh @ Thh
-            G = sol.Gamma[i, j]
-            Gh = sol.Gamma_hat[i, j]
-            sand = Nc.T @ G @ Nc
-            res_g = dG + G @ M + M.T @ G + sand \
-                + Thh.T @ problem.R(s, t) @ Thh + problem.Q(s, t)
-            res_gh = dGh + Gh @ M + M.T @ Gh + sand \
-                + Thh.T @ hp.R(s, t) @ Thh + hp.Q(s, t)
-            worst_g = max(worst_g, float(np.abs(res_g).max()))
-            worst_gh = max(worst_gh, float(np.abs(res_gh).max()))
+        i = np.arange(max(j + 2, 2), J - 2)
+        bps = np.array(problem.breakpoints((tg[j],)))
+        if bps.size and i.size:
+            tol = 1e-9 * dt
+            inside = (bps > tg[i - 2, None] + tol) & (bps < tg[i + 2, None] - tol)
+            i = i[~inside.any(axis=1)]
+        if not i.size:
+            continue
+        for name, F, (Q, R) in (("Gamma", sol.Gamma, (problem.Q, problem.R)),
+                                ("Gamma_hat", sol.Gamma_hat, (hp.Q, hp.R))):
+            G = F[i, j]
+            res = np.tensordot(w, F[i + np.arange(-2, 3)[:, None], j], axes=(0, 0))
+            res += G @ M[i] + Mt[i] @ G + Nt[i] @ sol.Gamma[i, j] @ Nc[i]
+            res += Thh[i].swapaxes(-1, -2) @ R.at_many(tg[i], tg[j]) @ Thh[i]
+            res += Q.at_many(tg[i], tg[j])
+            worst[name] = max(worst[name], float(np.abs(res).max()))
     scale = 1.0 + float(np.nanmax(np.abs(sol.Gamma_hat)))
-    return {"max_residual": max(worst_g, worst_gh),
-            "gamma_residual": worst_g,
-            "gamma_hat_residual": worst_gh,
+    return {"max_residual": max(worst.values()),
+            "gamma_residual": worst["Gamma"],
+            "gamma_hat_residual": worst["Gamma_hat"],
             "scale": scale}

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
-from .integrators import (PairField, check_step, feedback_gain, gain_path,
-                          march_times, march_triples, rk4_march, stage_times)
-from .precommit import default_step, lyapunov_pair, pair_coefficients
+from .integrators import (PairField, check_step, dense_march, feedback_gain,
+                          gain_path, march_triples, stage_times)
+from .precommit import lyapunov_pair, march_grids, pair_coefficients
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        closed_loop_states_at, paired_mean_stderr, probe_map,
                        reset_mask, trapezoid_weights, variant_costs)
@@ -89,8 +89,14 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     coincides with the pair) solve linear equations: they advance by the affine
     maps of the same RK4 steps (`march_triples`).  The triples restart their
     first component from the second at every interval boundary.
+
+    The march and output grids of every interval are `march_grids`': an
+    explicit h marches and returns at h; by default the march runs at
+    `default_step` and each `IntervalSolution` comes back at step T/2000 by
+    Hermite dense output, its gains recomputed there.
     """
-    h = check_step(default_step(problem) if h is None else h)
+    if h is not None:
+        check_step(h)
     nodes = partition.nodes
     N = partition.num_intervals
     if N < 1:
@@ -115,7 +121,7 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     for k in range(N - 1, -1, -1):
         a, b = float(nodes[k]), float(nodes[k + 1])
         tk = a
-        times_k = march_times(a, b, h)
+        times_k, out_k = march_grids(problem, a, b, h, nodes[:k + 1])
         steps = len(times_k) - 1
 
         # Entering this interval the tilde components restart from the plain
@@ -128,7 +134,7 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         # regroups them block by block.
         ss = stage_times(times_k)
         coeffs = pair_coefficients(problem, ss, tk)
-        Ap, Bp, Cp, Dp, _, Rp = coeffs
+        Ap, Bp, Cp, Dp = coeffs[:4]
         (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in (Ap, Bp, Cp, Dp))
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
@@ -136,9 +142,9 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         field = PairField(lambda lo, hi: tuple(x[lo:hi] for x in coeffs), len(ss), n, m)
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
-        # the gains of every RK4 stage, in call order: four per step, from the top
-        stage_gains = np.empty((steps, 4, 2, m, n))
-        record, calls = stage_gains.reshape(-1, 2, m, n), itertools.count()
+        # the gains of every RK4 stage, in call order: four per step, from the
+        # top, and one at t_k that dense output may ask for
+        record, calls = np.empty((4 * steps + 1, 2, m, n)), itertools.count()
 
         def rhs(q, Z):
             lin, L, K = field(q, Z)
@@ -146,8 +152,9 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
             record[next(calls)] = Th
             return L.swapaxes(-1, -2) @ Th - lin
 
-        path = rk4_march(rhs, times_k, pair, symmetric=True)
-        gains4 = stage_gains[::-1]     # row r: the step from node r+1 to r
+        path = dense_march(rhs, times_k, out_k, pair, symmetric=True)
+        # row r: the step from node r+1 to r
+        gains4 = record[:4 * steps].reshape(steps, 4, 2, m, n)[::-1]
 
         def coefficients(rows, q):
             Th, Thh = gains4[rows, :, 0], gains4[rows, :, 1]
@@ -163,9 +170,9 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                                     coefficients)[0].swapaxes(0, 1)
         node_triples[k, :k + 1] = Tri[:k + 1]
 
-        th = gain_path(path, path[:, :1], Bp[::2], Cp[::2], Dp[::2], Rp[::2], delta,
-                       what, times_k[:, None])
-        intervals[k] = IntervalSolution(times=times_k, P=path[:, 0], Phat=path[:, 1],
+        th = gain_path(path, path[:, :1], *pair_coefficients(problem, out_k, tk, "BCDR"),
+                       delta, what, out_k[:, None])
+        intervals[k] = IntervalSolution(times=out_k, P=path[:, 0], Phat=path[:, 1],
                                         Theta=th[:, 0], Theta_hat=th[:, 1])
         values[k] = path[0, 1]
 

@@ -1,7 +1,8 @@
 """Backward terminal-value integration of matrix ODEs.
 
 Provides the RK4 march every solver runs on (its right-hand side reads
-coefficients sampled once on the march's stage grid), the feedback gain
+coefficients sampled once on the march's stage grid) with its node grids
+(`march_times`, breakpoints on nodes) and dense output, the feedback gain
 K^{-1} L with its definiteness check, and the three fields the solvers march:
 `LevelField`, the products the level systems (open-loop and closed-loop
 limit) share; `PairField`, the Riccati/Lyapunov field of a stack of equations
@@ -30,14 +31,35 @@ def check_step(h: float) -> float:
     return h
 
 
-def march_times(a: float, b: float, h: float) -> np.ndarray:
-    """Uniform nodes from a to b with the fewest steps of size <= h, so the
-    requested endpoints are always nodes."""
+def _uniform(a: float, b: float, h: float) -> np.ndarray:
+    """Uniform nodes from a to b with the fewest steps of size <= h."""
+    return np.linspace(a, b, max(1, math.ceil((b - a) / h - 1e-12)) + 1)
+
+
+def march_times(a: float, b: float, h: float, breakpoints=()) -> np.ndarray:
+    """Nodes from a to b with steps of size <= h that hold a, b and every
+    breakpoint inside (a, b), so that RK4 keeps its order on coefficients
+    that are smooth only between breakpoints.
+
+    The uniform grid with the fewest steps is returned whenever it already
+    holds every breakpoint (to 1e-9 of the span); otherwise every stretch
+    between consecutive breakpoints gets its own such grid.
+    """
     check_step(h)
     span = b - a
     if span <= 0:
         raise ValidationError("empty integration interval")
-    return np.linspace(a, b, max(1, math.ceil(span / h - 1e-12)) + 1)
+    times = _uniform(a, b, h)
+    tol = 1e-9 * span
+    cuts = [a]
+    for x in sorted(breakpoints):
+        if cuts[-1] + tol < x < b - tol:
+            cuts.append(float(x))
+    if len(cuts) == 1 or np.abs(np.subtract.outer(cuts[1:], times)).min(axis=1).max() <= tol:
+        return times
+    cuts.append(b)
+    return np.concatenate([_uniform(lo, hi, h)[:-1] for lo, hi in zip(cuts, cuts[1:])]
+                          + [[b]])
 
 
 def stage_times(times: np.ndarray) -> np.ndarray:
@@ -49,8 +71,8 @@ def stage_times(times: np.ndarray) -> np.ndarray:
     return ss
 
 
-def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = False
-              ) -> np.ndarray:
+def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = False,
+              slopes: np.ndarray | None = None) -> np.ndarray:
     """Classic RK4 march from times[-1] down to times[0].
 
     rhs(q, M) is the field at stage q of `stage_times(times)`: the step from
@@ -61,6 +83,10 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
     symmetric projects the state onto symmetric matrices after every step:
     along its last two axes if True, or along the transpose given by a tuple of
     axes, for a state in another layout (`march_levels`).
+
+    slopes, an array shaped like the values, receives the field at every node
+    for `dense_march`: the first stage of each step, and one more evaluation
+    at times[0] once the march is done.
     """
     M = np.array(terminal, dtype=float, copy=True)
     vals = np.empty((len(times),) + M.shape)
@@ -71,6 +97,8 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
         half = 0.5 * dt
         q = 2 * i
         k1 = rhs(q, M)
+        if slopes is not None:
+            slopes[i] = k1
         k2 = rhs(q - 1, M - half * k1)
         k3 = rhs(q - 1, M - half * k2)
         k4 = rhs(q - 2, M - dt * k3)
@@ -82,7 +110,33 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
             raise BlowUpError(f"backward integration blew up at s={times[i - 1]:g}",
                               time=float(times[i - 1]))
         vals[i - 1] = M
+    if slopes is not None:
+        slopes[0] = rhs(0, M)
     return vals
+
+
+def dense_march(rhs, times: np.ndarray, out: np.ndarray, terminal: np.ndarray,
+                symmetric: bool = False) -> np.ndarray:
+    """`rk4_march` over `times`, returned at the times `out` in
+    [times[0], times[-1]]: the march's own values when `out` is `times`, else
+    its cubic Hermite dense output from the node values and node slopes,
+    fourth order like the march (Hairer-Norsett-Wanner, Solving ODEs I, II.6)
+    and the node values themselves wherever `out` hits a node.  symmetric
+    (True or False) also projects the dense output."""
+    if out is times:
+        return rk4_march(rhs, times, terminal, symmetric)
+    slopes = np.empty((len(times),) + np.shape(terminal))
+    vals = rk4_march(rhs, times, terminal, symmetric, slopes)
+    i = np.clip(np.searchsorted(times, out, side="right") - 1, 0, len(times) - 2)
+    dt = times[i + 1] - times[i]
+    th = (out - times[i]) / dt
+    th2 = th * th
+    th3 = th2 * th
+    w = [2.0 * th3 - 3.0 * th2 + 1.0, (th3 - 2.0 * th2 + th) * dt,
+         3.0 * th2 - 2.0 * th3, (th3 - th2) * dt]
+    w = [x.reshape(x.shape + (1,) * (vals.ndim - 1)) for x in w]
+    dense = w[0] * vals[i] + w[1] * slopes[i] + w[2] * vals[i + 1] + w[3] * slopes[i + 1]
+    return symmetrize(dense) if symmetric else dense
 
 
 def rk4_backward(rhs, a: float, b: float, terminal_value: np.ndarray, h: float,
@@ -188,9 +242,11 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
 
     Slice j, the pair (plain, hat) at t = tg[j] as a function of s, starts from
     (G, Ghat)(tg[j]) at s = T.  Level lev marches s from tg[lev] down to
-    tg[lev-1] in `sub` RK4 steps of size <= h, and only the live slices
+    tg[lev-1] in RK4 steps of size <= h (`march_times`), and only the live slices
     0..lev: slice j is read at s >= tg[j], and slice lev stays for the
-    diagonal, which interpolates between slices lev-1 and lev.  Per level the
+    diagonal, which interpolates between slices lev-1 and lev; the sub-steps
+    put every breakpoint of the coefficients on a node, the weights' lags
+    shifted by every live anchor (`ProblemData.breakpoints`).  Per level the
     MatrixFns `dynamics` (A, B, C, D) and hat R(s, s) are sampled at the
     stages, and each pair (plain, hat) of two-time `weights` at (stage, tg[j])
     for the live slices, into a `LevelField` f; rhs(f, q, Z) is the field.
@@ -205,13 +261,12 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     hp = hat(problem)
     tg = np.linspace(0.0, problem.T, t_nodes + 1)
     J = t_nodes + 1
-    sub = max(1, math.ceil((problem.T / t_nodes) / h - 1e-12))
     levels = np.full((2, J, J, problem.n, problem.n), np.nan)
     levels[:, -1] = problem.G.at_many(tg), hp.G.at_many(tg)
     Z = levels[:, -1].transpose(0, 2, 1, 3)
     for lev in range(J - 1, 0, -1):
         a, b = tg[lev - 1], tg[lev]
-        times = np.linspace(a, b, sub + 1)
+        times = march_times(a, b, h, problem.breakpoints(tg[:lev + 1]))
         ss = stage_times(times)
         W = [np.stack([f.at_many(ss[:, None], tg[:lev + 1]).transpose(0, 2, 1, 3)
                        for f in pair], axis=1) for pair in weights]

@@ -11,17 +11,84 @@ control, as its linear part alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .integrators import (PairField, feedback_gain, gain_path, march_times,
-                          march_triples, rk4_march, stage_times, without_control)
+from .errors import MFLQError, ValidationError
+from .integrators import (PairField, dense_march, feedback_gain, gain_path,
+                          march_times, march_triples, rk4_march, stage_times,
+                          without_control)
 from .types import MatrixFn, ProblemData, _interp, hat, min_eig
+
+#: default solves return their paths on a grid of step T/OUTPUT_STEPS, the
+#: finest step the pilot of `default_step` may choose
+OUTPUT_STEPS = 2000
+#: the pilot's coarse march has T/PILOT_STEPS steps, the coarsest default step
+PILOT_STEPS = 64
+#: the pilot aims the finer march's error at STEP_TOL * (1 + max|Z|)
+STEP_TOL = 1e-12
+#: the pair's two factors, named in a loss of definiteness
+_PAIR_FACTORS = np.array(["R(t)+D'PD", "Rhat(t)+Dhat'PDhat"])
+
+
+class StepChoice(NamedTuple):
+    """The default march step of a problem and the pilot's error estimate
+    behind it (None when the pilot raised and the step fell back)."""
+
+    step: float
+    pilot_error: float | None
+
+
+def step_choice(problem: ProblemData) -> StepChoice:
+    """The measured default step, computed once per problem object.
+
+    A pilot marches the pre-commitment pair at t = 0 with H = T/64 and again
+    with every step halved.  |Z_H - Z_{H/2}|/15, the largest over the coarse
+    nodes, estimates the error of the finer march; RK4's h^4 law then gives
+    the step that brings it to 1e-12 (1 + max|Z|), clamped to
+    [T/2000, T/64].  If the pilot raises, the step falls back to T/2000, at
+    which the solvers raise what they raise there.
+    """
+    if "step" not in problem.memo:
+        T = problem.T
+        try:
+            coarse = march_times(0.0, T, T / PILOT_STEPS, problem.breakpoints((0.0,)))
+            fine = stage_times(coarse)
+            Zc, Zf = (_pair_march(problem, 0.0, x, x) for x in (coarse, fine))
+        except MFLQError:
+            choice = StepChoice(T / OUTPUT_STEPS, None)
+        else:
+            err = float(np.abs(Zc - Zf[::2]).max()) / 15.0
+            tol = STEP_TOL * (1.0 + float(np.abs(Zf).max()))
+            h = 0.5 * T / PILOT_STEPS * (tol / err) ** 0.25 if err > 0 else np.inf
+            choice = StepChoice(float(np.clip(h, T / OUTPUT_STEPS, T / PILOT_STEPS)), err)
+        problem.memo["step"] = choice
+    return problem.memo["step"]
 
 
 def default_step(problem: ProblemData) -> float:
-    return problem.T / 2000.0
+    """The RK4 step every solve marches at when no h is given: measured by
+    `step_choice`, between T/2000 and T/64."""
+    return step_choice(problem).step
+
+
+def march_grids(problem: ProblemData, a: float, b: float, h: float | None,
+                anchors) -> tuple[np.ndarray, np.ndarray]:
+    """(march nodes, output nodes) of a solve over [a, b] whose weights are
+    read at `anchors`, both holding every breakpoint.
+
+    An explicit h marches and returns at h.  By default the march runs at
+    `default_step` and the output keeps the resolution T/2000; the two are
+    one array when the steps agree.
+    """
+    bps = problem.breakpoints(anchors)
+    if h is not None:
+        times = march_times(a, b, h, bps)
+        return times, times
+    step, out = default_step(problem), problem.T / OUTPUT_STEPS
+    times = march_times(a, b, step, bps)
+    return times, times if step == out else march_times(a, b, out, bps)
 
 
 @dataclass(frozen=True)
@@ -71,39 +138,46 @@ def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
     return rk4_march(lambda q, Z: -field(q, Z)[0], times, terminal, symmetric=True)
 
 
+def _pair_march(problem: ProblemData, t: float, times: np.ndarray, out: np.ndarray
+                ) -> np.ndarray:
+    """The stacked pair (P, Phat), weights frozen at t, marched over `times`
+    and returned at `out` (`dense_march`): (len(out), 2, n, n)."""
+    ss = stage_times(times)
+    field = PairField(lambda lo, hi: pair_coefficients(problem, ss[lo:hi], t),
+                      len(ss), problem.n, problem.m)
+    delta = problem.delta
+
+    def rhs(q, Z):
+        lin, L, K = field(q, Z)
+        Th = feedback_gain(K, L, delta, _PAIR_FACTORS, ss[q])
+        return L.swapaxes(-1, -2) @ Th - lin
+
+    return dense_march(rhs, times, out, np.stack([np.atleast_2d(problem.G(t)),
+                                                  np.atleast_2d(hat(problem).G(t))]),
+                       symmetric=True)
+
+
 def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
                         ) -> PrecommitSolution:
     """Solve the decoupled Riccati pair (P, and the hat equation reading P).
 
     Weights are frozen at the initial time t, which must lie in [0, T); the
     value of the optimally controlled problem at (t, x) is <Phat(t) x, x>.
-    The pair is one stacked (2, n, n) state under one RK4 march at the step h
-    on `PairField`, with one feedback gain on the stacked factors R(t)+D'PD and
+    The pair is one stacked (2, n, n) state under one RK4 march on
+    `PairField`, with one feedback gain on the stacked factors R(t)+D'PD and
     Rhat(t)+Dhat'PDhat, so an ill-posed factor is named by whichever loses
-    definiteness first in backward time.
+    definiteness first in backward time.  The march and output grids are
+    `march_grids`': an explicit h marches and returns at h; by default the
+    march runs at `default_step` and P, Phat come back at step T/2000 by
+    Hermite dense output, with the gains recomputed there.
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"initial time t={t:g} outside [0, T) with T={problem.T:g}")
-    if h is None:
-        h = default_step(problem)
-    times = march_times(t, problem.T, h)
-    ss = stage_times(times)
-    field = PairField(lambda lo, hi: pair_coefficients(problem, ss[lo:hi], t),
-                      len(ss), problem.n, problem.m)
-    delta = problem.delta
-    what = np.array(["R(t)+D'PD", "Rhat(t)+Dhat'PDhat"])
-
-    def rhs(q, Z):
-        lin, L, K = field(q, Z)
-        Th = feedback_gain(K, L, delta, what, ss[q])
-        return L.swapaxes(-1, -2) @ Th - lin
-
-    hp = hat(problem)
-    Z = rk4_march(rhs, times, np.stack([np.atleast_2d(problem.G(t)),
-                                        np.atleast_2d(hp.G(t))]), symmetric=True)
-    B, C, D, R = pair_coefficients(problem, times, t, "BCDR")
-    th = gain_path(Z, Z[:, :1], B, C, D, R, delta, what, times[:, None])
-    return PrecommitSolution(t=t, times=times, P=Z[:, 0], Phat=Z[:, 1],
+    times, out = march_grids(problem, t, problem.T, h, (t,))
+    Z = _pair_march(problem, t, times, out)
+    B, C, D, R = pair_coefficients(problem, out, t, "BCDR")
+    th = gain_path(Z, Z[:, :1], B, C, D, R, problem.delta, _PAIR_FACTORS, out[:, None])
+    return PrecommitSolution(t=t, times=out, P=Z[:, 0], Phat=Z[:, 1],
                              Theta=th[:, 0], Theta_hat=th[:, 1])
 
 
@@ -131,8 +205,6 @@ def precommit_bounds(problem: ProblemData, t: float, h: float | None = None
     Returns the bound paths together with the sampled eigenvalue margins of
     0 <= P <= Pi and 0 <= Phat <= Pi_hat (reported, never thrown).
     """
-    if h is None:
-        h = default_step(problem)
     sol = solve_precommitment(problem, t, h)
     Z = lyapunov_pair(problem, sol.times, t, np.stack([sol.P[-1], sol.Phat[-1]]))
     Pi, Pi_hat = Z[:, 0], Z[:, 1]

@@ -1,11 +1,12 @@
 """Core value types: time grids, matrix-valued functions, problem data, sampled fields.
 
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction and safe to share across threads;
+`ProblemData.memo` only caches what is derived from the problem itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,12 +93,19 @@ def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x + y
 
 
+def _union(*groups) -> tuple[float, ...]:
+    """The sorted distinct times of several breakpoint tuples."""
+    return tuple(sorted({float(x) for g in groups for x in g}))
+
+
 @dataclass(frozen=True)
 class MatrixFn:
     """A continuous matrix-valued function of one time variable on [0, T].
 
     `many`, when present, evaluates an array of times in one vectorized call;
-    `at_many` falls back to a scalar loop otherwise.
+    `at_many` falls back to a scalar loop otherwise.  `breakpoints` are the
+    times where the function may fail to be smooth (the knots of sampled
+    data); a march that puts them on its nodes keeps its order.
     """
 
     fn: Callable[[float], np.ndarray]
@@ -105,6 +113,7 @@ class MatrixFn:
     T: float
     name: str = ""
     many: Callable[[np.ndarray], np.ndarray] | None = None
+    breakpoints: tuple[float, ...] = ()
 
     def __call__(self, s: float) -> np.ndarray:
         M = np.asarray(self.fn(s), dtype=float)
@@ -155,7 +164,7 @@ class MatrixFn:
         def ev(s):
             return _interp(s, times, values)
 
-        return cls(ev, values.shape[1:], T, name, ev)
+        return cls(ev, values.shape[1:], T, name, ev, _union(times))
 
     @classmethod
     def terminal_discount(cls, lam: float, base, T: float, name: str = "") -> "MatrixFn":
@@ -172,7 +181,8 @@ class MatrixFn:
             raise DimensionError(f"cannot add MatrixFn shapes {self.shape} and {other.shape}")
         return MatrixFn(lambda s, a=self, b=other: a(s) + b(s), self.shape, self.T,
                         f"{self.name}+{other.name}",
-                        lambda ss, a=self, b=other: _add(a.at_many(ss), b.at_many(ss)))
+                        lambda ss, a=self, b=other: _add(a.at_many(ss), b.at_many(ss)),
+                        _union(self.breakpoints, other.breakpoints))
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,8 @@ class TwoTimeMatrixFn:
 
     `many`, when present, evaluates arrays of s and t values, broadcast against
     each other, in a single vectorized call; `at_many` falls back to a scalar
-    loop otherwise.
+    loop otherwise.  `breakpoints` are lags u = s - t where the function may
+    fail to be smooth: at the anchor t they sit at s = t + u.
     """
 
     fn: Callable[[float, float], np.ndarray]
@@ -189,6 +200,7 @@ class TwoTimeMatrixFn:
     T: float
     name: str = ""
     many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    breakpoints: tuple[float, ...] = ()
 
     def __call__(self, s: float, t: float) -> np.ndarray:
         M = np.asarray(self.fn(s, t), dtype=float)
@@ -212,9 +224,11 @@ class TwoTimeMatrixFn:
                         float).reshape(s.shape + self.shape)
 
     def frozen(self, t: float) -> MatrixFn:
-        """The one-time function s -> self(s, t) at a fixed anchor t."""
+        """The one-time function s -> self(s, t) at a fixed anchor t, its
+        breakpoints the lags shifted by t."""
         return MatrixFn(lambda s, f=self: f(s, t), self.shape, self.T, self.name,
-                        lambda ss, f=self: f.at_many(ss, t))
+                        lambda ss, f=self: f.at_many(ss, t),
+                        _union([t + u for u in self.breakpoints]))
 
     @classmethod
     def constant(cls, M, T: float, name: str = "") -> "TwoTimeMatrixFn":
@@ -246,7 +260,7 @@ class TwoTimeMatrixFn:
         def ev(s, t):
             return _interp(np.asarray(s) - t, lags, values)
 
-        return cls(ev, values.shape[1:], T, name, ev)
+        return cls(ev, values.shape[1:], T, name, ev, _union(lags))
 
     def __add__(self, other: "TwoTimeMatrixFn") -> "TwoTimeMatrixFn":
         if self.shape != other.shape:
@@ -256,7 +270,8 @@ class TwoTimeMatrixFn:
         return TwoTimeMatrixFn(
             lambda s, t, a=self, b=other: a(s, t) + b(s, t), self.shape, self.T,
             f"{self.name}+{other.name}",
-            lambda s, ts, a=self, b=other: _add(a.at_many(s, ts), b.at_many(s, ts)))
+            lambda s, ts, a=self, b=other: _add(a.at_many(s, ts), b.at_many(s, ts)),
+            _union(self.breakpoints, other.breakpoints))
 
 
 @dataclass(frozen=True)
@@ -295,6 +310,9 @@ class ProblemData:
     Gbar: MatrixFn
     delta: float
     monotone: bool = False
+    #: quantities derived from this problem object and kept with it (the
+    #: measured default step); `dataclasses.replace` starts a new one
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = {
@@ -312,6 +330,15 @@ class ProblemData:
                 raise DimensionError(f"{fname} has shape {f.shape}, expected {shape}")
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
+
+    def breakpoints(self, anchors=()) -> tuple[float, ...]:
+        """The times where the coefficients a march samples may fail to be
+        smooth: the breakpoints of the dynamics, and the weights' lag
+        breakpoints shifted by every anchor t at which they are read."""
+        lags = _union(*(f.breakpoints for f in (self.Q, self.Qbar, self.R, self.Rbar)))
+        return _union(*(getattr(self, x).breakpoints for x in (
+            "A", "Abar", "B", "Bbar", "C", "Cbar", "D", "Dbar")),
+            [float(t) + u for t in np.atleast_1d(anchors) for u in lags])
 
     @property
     def has_mean_field_dynamics(self) -> bool:

@@ -37,7 +37,8 @@ class TestPrecommit:
         assert float(s) == 0.0
         assert float(v) == pytest.approx(0.5, abs=1e-6)
         meta = json.loads((out / "metadata.json").read_text())
-        assert set(meta) == {"command", "problem_hash", "params", "versions"}
+        assert set(meta) == {"command", "problem_hash", "params", "versions",
+                             "march_step", "pilot_error"}
         assert len(meta["problem_hash"]) == 64
 
     def test_sweep_writes_values(self, tmp_path):
@@ -174,6 +175,30 @@ class TestSimulate:
         assert "under the N=16 game's gains" in out
         assert "at N=8" in out
         assert "did not pass --tol" in out
+
+    def test_names_the_euler_steps_and_what_the_error_covers(self, tmp_path, capsys):
+        assert run(["simulate", "classical", "--paths", "200", "--steps", "50",
+                    "--out", tmp_path]) == 0
+        out = capsys.readouterr().out
+        assert "50 Euler-Maruyama steps" in out
+        assert "+- is the sampling error only" in out
+        assert "bias of order 1/steps" in out
+
+
+@pytest.mark.parametrize("argv", [["precommit", "ex12"], ["open-loop", "classical"],
+                                  ["game", "meanfield", "--N0", "4"],
+                                  ["closed-loop", "discounting"]])
+def test_metadata_records_the_march_step(tmp_path, argv):
+    """By default march_step is the pilot's step, in [T/2000, T/64] (T = 1
+    for every bundled problem), with its error estimate; an explicit --h is
+    the step, with no estimate."""
+    assert run(argv + ["--out", tmp_path / "a"]) == 0
+    meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+    assert 1 / 2000 <= meta["march_step"] <= 1 / 64
+    assert 0 < meta["pilot_error"] < 1e-8
+    assert run(argv + ["--h", "0.004", "--out", tmp_path / "b"]) == 0
+    meta = json.loads((tmp_path / "b" / "metadata.json").read_text())
+    assert meta["march_step"] == 0.004 and meta["pilot_error"] is None
 
 
 class TestVerify:

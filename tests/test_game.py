@@ -19,11 +19,11 @@ def test_rejects_non_positive_step(discounting, h):
 
 @pytest.mark.parametrize("name", ["meanfield", "discounting"])
 def test_interval_steps_follow_h_without_a_floor(name, request):
-    """At N = 64 the default h = T/2000 asks for 32 steps per interval; the
+    """At N = 64 the step h = T/2000 asks for 32 steps per interval; the
     fields match a build at the 50 steps a floor used to impose."""
     problem = request.getfixturevalue(name)
     grid = TimeGrid.uniform(problem.T, 64)
-    eq = build_delta_equilibrium(problem, grid)
+    eq = build_delta_equilibrium(problem, grid, h=problem.T / 2000)
     floored = build_delta_equilibrium(problem, grid, h=(problem.T / 64) / 50)
     assert [len(iv.times) for iv in eq.intervals] == [33] * 64
     assert [len(iv.times) for iv in floored.intervals] == [51] * 64

@@ -72,52 +72,53 @@ MF_COND_MEAN = np.array([[1.0, -0.5],
 MF_COST = (3.0708802789306615, 0.21188326100692723)          # estimate_cost at t = 0
 MF_COST_T = (3.0708802789306615, 0.21188326100692723)        # estimate_cost at t = 0.25
 
-# discounting, N = 3 game gains (h = 1/200), from t = 0.2, x0 = 1, 4 paths, 10 steps, seed 6
+# discounting, N = 3 game gains (h = 1/200), from t = 0.2, x0 = 1, 4 paths, 10 steps, seed 6;
+# re-pinned when the game's grids began to hold the lag knots k/8 of Qbar
 DISC_STATES = np.array([[[1.0],
-                        [0.922189569389636],
-                        [0.8672056664986724],
-                        [0.7989643342985843],
-                        [0.7327171595100469],
-                        [0.6490403180413454],
-                        [0.5951622903643474],
-                        [0.5378668167103353],
-                        [0.5097686072481495],
-                        [0.48328671477741614],
-                        [0.4518690673548595]],
-                       [[1.0],
-                        [0.912013635028057],
-                        [0.8254470210500354],
-                        [0.7388604010174542],
-                        [0.6922581776861304],
-                        [0.6201060763731832],
-                        [0.5441975149072233],
-                        [0.5118434332263752],
-                        [0.47780637363005707],
-                        [0.45123772996251854],
-                        [0.40281369562563696]],
-                       [[1.0],
-                        [0.9446484496496845],
-                        [0.8750431641092491],
-                        [0.7949678220043547],
-                        [0.7255911389396343],
-                        [0.6845751877137536],
-                        [0.6238946526143601],
-                        [0.5747707684079588],
-                        [0.5035749945783734],
-                        [0.44042876991749996],
-                        [0.38997659774563054]],
-                       [[1.0],
-                        [0.9548243840112636],
-                        [0.9182639549982647],
-                        [0.8582971129629714],
-                        [0.7662723983568159],
-                        [0.715344209905184],
-                        [0.6802373965195154],
-                        [0.6016337251199972],
-                        [0.5358677283710978],
-                        [0.4707488417473082],
-                        [0.4360908938323728]]])
-DISC_COST = (1.1880052601790787, 0.0013190781906763924)
+                         [0.9221895998020435],
+                         [0.8672056946150644],
+                         [0.7989643625994065],
+                         [0.7327171668215727],
+                         [0.6490403669956437],
+                         [0.5951623883118322],
+                         [0.5378669073278313],
+                         [0.5097687942120799],
+                         [0.48328700925873835],
+                         [0.4518694235830346]],
+                        [[1.0],
+                         [0.9120136591060701],
+                         [0.8254470426002396],
+                         [0.7388604218379197],
+                         [0.6922581746641792],
+                         [0.6201061232719504],
+                         [0.5441975801482988],
+                         [0.511843497646832],
+                         [0.4778065129190264],
+                         [0.45123796395493776],
+                         [0.40281394445997193]],
+                        [[1.0],
+                         [0.9446484940424693],
+                         [0.875043204898368],
+                         [0.7949678610901619],
+                         [0.7255911568450151],
+                         [0.6845753038242293],
+                         [0.6238948079527297],
+                         [0.5747709143376132],
+                         [0.5035751566770799],
+                         [0.4404289500691786],
+                         [0.3899767978115657]],
+                        [[1.0],
+                         [0.9548244347384427],
+                         [0.9182640032638204],
+                         [0.8582971610412327],
+                         [0.7662724279348742],
+                         [0.7153443314250303],
+                         [0.6802375935603583],
+                         [0.6016339010459599],
+                         [0.5358679387581001],
+                         [0.4707490738165607],
+                         [0.43609119536791774]]])
+DISC_COST = (1.1880052874076088, 0.0013190756413741234)
 
 # ex12, N = 4 game, player 1, x0 = 1, 200 paths, 40 steps, seed 2
 DELTA_COST = 0.5760827094050593
@@ -167,7 +168,7 @@ def _close(actual, expected):
 
 @pytest.fixture(scope="module")
 def ex12_game(ex12):
-    return build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4))
+    return build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4), h=ex12.T / 2000)
 
 
 def test_closed_loop_ensemble_and_cost(meanfield, discounting):
@@ -199,7 +200,7 @@ def test_interval_deviation_report(ex12, ex12_game):
 
 
 def test_spike_report(classical):
-    sol = solve_open_loop(classical, t_nodes=16)
+    sol = solve_open_loop(classical, h=classical.T / 2000, t_nodes=16)
     rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
                                        mc=MCConfig(paths=200, steps=40, seed=3))
     assert not rep["passed"]     # 200 paths and 40 steps are too few to pass
@@ -229,7 +230,7 @@ def test_interval_deviation_fails_without_theta_hat(ex12, ex12_game):
 def test_spike_fails_on_shifted_gain(classical):
     """Theta_open + 0.5 is not an equilibrium, and a spike beats it (margin
     about -1.05); the solved gain passes."""
-    sol = solve_open_loop(classical)
+    sol = solve_open_loop(classical, h=classical.T / 2000)
     mc = MCConfig(paths=2000, steps=400, seed=3)
     bad = verify_open_loop_equilibrium(
         classical, replace(sol, Theta_open=sol.Theta_open + 0.5), np.ones(2), mc=mc)

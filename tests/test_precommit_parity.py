@@ -3,8 +3,9 @@ replaced.
 
 The pre-commitment pair was once solved by two marches: P at half the step,
 then Phat reading P at its stage times.  REFERENCE holds that solve's P, Phat,
-Theta and Theta_hat at the first, middle and last node, at the default step
-h = T/2000, for the four bundled problems at t = 0 and t = 0.4.
+Theta and Theta_hat at the first, middle and last node, at the step
+h = T/2000 (then the default), for the four bundled problems at t = 0 and
+t = 0.4.
 """
 
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from mflq import IllPosedError, bundled_document, bundled_problem, parse_problem
-from mflq import precommit
+from mflq import integrators, precommit
 from mflq.cli import main
 
 RTOL = 1e-12
@@ -121,7 +122,8 @@ REFERENCE = {
 
 @pytest.mark.parametrize("name, t", sorted(REFERENCE))
 def test_matches_two_march_solve(name, t):
-    sol = precommit.solve_precommitment(bundled_problem(name), t)
+    problem = bundled_problem(name)
+    sol = precommit.solve_precommitment(problem, t, problem.T / 2000)
     last = len(sol.times) - 1
     nodes = [0, last // 2, last]
     for field in FIELDS:
@@ -134,7 +136,7 @@ def test_matches_two_march_solve(name, t):
 
 def test_one_march_of_four_stages_per_step(monkeypatch, meanfield):
     marches, evals = [], [0]
-    march = precommit.rk4_march
+    march = integrators.rk4_march
 
     def counted(rhs, times, terminal, symmetric=False):
         def counted_rhs(q, M):
@@ -143,8 +145,8 @@ def test_one_march_of_four_stages_per_step(monkeypatch, meanfield):
         marches.append(len(times) - 1)
         return march(counted_rhs, times, terminal, symmetric)
 
-    monkeypatch.setattr(precommit, "rk4_march", counted)
-    sol = precommit.solve_precommitment(meanfield, 0.4)
+    monkeypatch.setattr(integrators, "rk4_march", counted)
+    sol = precommit.solve_precommitment(meanfield, 0.4, meanfield.T / 2000)
     assert marches == [len(sol.times) - 1] == [1200]
     assert evals[0] == 4 * marches[0]
 

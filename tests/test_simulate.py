@@ -129,7 +129,7 @@ class TestSimulation:
         np.testing.assert_allclose(ens.cond_mean[:, 0], 1.0, atol=1e-12)
 
     def test_estimate_cost_shape_and_determinism(self, ex12):
-        sol = solve_precommitment(ex12, 0.0)
+        sol = solve_precommitment(ex12, 0.0, ex12.T / 2000)
         pg = PiecewiseGain.single(0.0, 1.0, sol.times, sol.Theta, sol.Theta_hat)
         mc = MCConfig(paths=2000, steps=100, seed=8)
         a = estimate_cost(ex12, simulate_closed_loop(ex12, pg, 0.0, [1.0], mc), 0.0)
