@@ -12,7 +12,9 @@ wall time over --repeat runs of `solve_precommitment(problem, 0)`,
 N = 8 intervals, and with --levels the two level solvers at their default
 t-grids: `direct_diagonal_solve(problem)` and `solve_open_loop` on the same
 problem with its mean-field dynamics (Abar, Bbar, Cbar, Dbar) set to zero.
-All run at the default step T/2000.  --src times another
+All run at the package's default step: measured per problem here (README,
+"March step and output grid"), T/2000 in trees older than that, which --src
+may time.  --src times another
 tree's package (for example a parent commit exported with ``git archive``)
 under the same problems.
 """

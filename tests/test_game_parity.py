@@ -10,8 +10,8 @@ joint march built here checks a synthetic n = 3, m = 2 problem the same way.
 Discounting's values were re-pinned when march grids began to hold the
 coefficients' breakpoints: at h = T/200 the lag knots k/8 of its Qbar,
 shifted by the anchors 0, 1/3 and 2/3, are now nodes (68, 71 and 73 nodes
-per interval instead of 68).  The new values lie within 8e-12 of a build at
-h = T/1600, the joint march's within 5.4e-8.
+per interval instead of 68).  The new node triples and values lie within
+8e-12 of a build at h = T/1600, the joint march's within 5.4e-8.
 """
 
 import re
