@@ -52,11 +52,10 @@ def main():
             print(f"  N={r['N']:4d}  sup|dGamma|={r['sup_delta_Gamma']:.3e}  "
                   f"sup|dTheta|={r['sup_delta_Theta']:.3e}  "
                   f"extrapolated={'-' if ext is None else f'{ext:.3e}'}")
-        write_csv(os.path.join(args.out, f"{name}.csv"),
-                  ["N", "sup_delta_Gamma", "sup_delta_Theta", "extrapolated_delta"],
-                  [[r["N"], r["sup_delta_Gamma"], r["sup_delta_Theta"],
-                    np.nan if r["extrapolated_delta"] is None else r["extrapolated_delta"]]
-                   for r in records])
+        columns = ["N", "sup_delta_Gamma", "sup_delta_Theta", "extrapolated_delta"]
+        write_csv(os.path.join(args.out, f"{name}.csv"), columns,
+                  np.column_stack([[np.nan if r[c] is None else r[c] for r in records]
+                                   for c in columns]))
 
         if limit is None:
             print(f"  refinement did not reach tolerance: game refinement not Cauchy "

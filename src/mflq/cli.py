@@ -28,15 +28,16 @@ from .simulate import MCConfig, estimate_cost, semigroup_failure_demo, simulate_
 from .types import TimeGrid, validate
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path: str, header: list[str], table) -> None:
+    """The columns of `table` (one row per line, e.g. from `np.column_stack`)
+    under `header`, every value to 17 significant digits."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A stack of matrices as one row per matrix, row-major."""
+    return a.reshape(len(a), -1)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -45,8 +46,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _metadata(args, doc: dict, **params) -> dict:
-    meta = {
+def _metadata(args, doc: dict, problem, **params) -> dict:
+    """The record of a solving command: its problem and parameters, the
+    versions, and its `_march_record` at the step params["h"]."""
+    return {
         "command": args.command,
         "problem_hash": problem_hash(doc),
         "params": {k: v for k, v in params.items() if v is not None},
@@ -55,8 +58,8 @@ def _metadata(args, doc: dict, **params) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
+        **_march_record(problem, params["h"]),
     }
-    return meta
 
 
 def _march_record(problem, h: float | None) -> dict:
@@ -91,30 +94,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_precommit(args) -> int:
+    if args.sweep < 0:
+        raise ValidationError(f"--sweep must be >= 0, got {args.sweep}")
     doc, problem = _load(args)
     out = _outdir(args)
     h = args.h
 
     sol = solve_precommitment(problem, args.t, h)
-    n, m = problem.n, problem.m
-    for name, arr, r, c in (("P", sol.P, n, n), ("Phat", sol.Phat, n, n),
-                            ("Theta", sol.Theta, m, n),
-                            ("Theta_hat", sol.Theta_hat, m, n)):
-        rows = [[s, *mat.reshape(-1)] for s, mat in zip(sol.times, arr)]
+    for name in ("P", "Phat", "Theta", "Theta_hat"):
+        arr = getattr(sol, name)
         write_csv(os.path.join(out, f"{name}.csv"),
-                  ["s"] + _matrix_header(name, r, c), rows)
+                  ["s"] + _matrix_header(name, *arr.shape[1:]),
+                  np.column_stack([sol.times, _flat(arr)]))
 
-    if args.sweep > 1:
+    if args.sweep >= 1:
         ts = np.linspace(0.0, problem.T, args.sweep + 1)[:-1]
         # the solve at --t is already done when the sweep passes through it
-        rows = [[t, *(sol if t == args.t else solve_precommitment(problem, float(t), h))
-                 .Phat[0].reshape(-1)] for t in ts]
+        values = np.array([(sol if t == args.t else solve_precommitment(problem, float(t), h))
+                           .Phat[0] for t in ts])
         write_csv(os.path.join(out, "values.csv"),
-                  ["t"] + _matrix_header("Phat", n, n), rows)
+                  ["t"] + _matrix_header("Phat", problem.n, problem.n),
+                  np.column_stack([ts, _flat(values)]))
 
     _write_json(os.path.join(out, "metadata.json"),
-                {**_metadata(args, doc, t=args.t, h=h, sweep=args.sweep),
-                 **_march_record(problem, h)})
+                _metadata(args, doc, problem, t=args.t, h=h, sweep=args.sweep))
     print(f"pre-commitment solved at t={args.t:g}; value matrix "
           f"Phat(t)={sol.Phat[0].tolist()}")
     return 0
@@ -125,11 +128,10 @@ def cmd_open_loop(args) -> int:
     out = _outdir(args)
     sol = solve_open_loop(problem, args.h)
     nodes = sol.tgrid.nodes
-    rows = [[t, *sol.Theta_open[j].reshape(-1)] for j, t in enumerate(nodes)]
     write_csv(os.path.join(out, "theta_open.csv"),
-              ["t"] + _matrix_header("Theta", problem.m, problem.n), rows)
-    _write_json(os.path.join(out, "metadata.json"),
-                {**_metadata(args, doc, h=args.h), **_march_record(problem, args.h)})
+              ["t"] + _matrix_header("Theta", problem.m, problem.n),
+              np.column_stack([nodes, _flat(sol.Theta_open)]))
+    _write_json(os.path.join(out, "metadata.json"), _metadata(args, doc, problem, h=args.h))
     print(f"open-loop equilibrium gains written for {len(nodes)} nodes")
     return 0
 
@@ -140,21 +142,18 @@ def cmd_game(args) -> int:
     N = args.N0
     eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), args.h)
 
-    rows = []
-    for seg in eq.gains.segments:
-        for i, s in enumerate(seg.times[:-1]):
-            rows.append([s, *seg.theta[i].reshape(-1), *seg.theta_hat[i].reshape(-1)])
-    last = eq.gains.segments[-1]
-    rows.append([last.times[-1], *last.theta[-1].reshape(-1),
-                 *last.theta_hat[-1].reshape(-1)])
+    # every segment but its last node, which the next one starts from, and T
+    segs = eq.gains.segments
+    s, th, thh = (np.concatenate([getattr(seg, x)[:-1] for seg in segs]
+                                 + [getattr(segs[-1], x)[-1:]])
+                  for x in ("times", "theta", "theta_hat"))
     write_csv(os.path.join(out, "gains.csv"),
               ["s"] + _matrix_header("Theta", problem.m, problem.n)
-              + _matrix_header("Theta_hat", problem.m, problem.n), rows)
-
-    vrows = [[k, eq.partition.nodes[k], *eq.values[k].reshape(-1)]
-             for k in range(N)]
+              + _matrix_header("Theta_hat", problem.m, problem.n),
+              np.column_stack([s, _flat(th), _flat(thh)]))
     write_csv(os.path.join(out, "values.csv"),
-              ["k", "t_k"] + _matrix_header("Phat", problem.n, problem.n), vrows)
+              ["k", "t_k"] + _matrix_header("Phat", problem.n, problem.n),
+              np.column_stack([np.arange(N), eq.partition.nodes[:N], _flat(eq.values)]))
 
     jumps = jump_magnitudes(eq)
     order = ordering_report(eq)
@@ -165,7 +164,7 @@ def cmd_game(args) -> int:
                         "passed": order["passed"]},
     })
     _write_json(os.path.join(out, "metadata.json"),
-                {**_metadata(args, doc, N=N, h=args.h), **_march_record(problem, args.h)})
+                _metadata(args, doc, problem, N=N, h=args.h))
     print(f"{N}-interval equilibrium built; value at t_0: {eq.values[0].tolist()}")
     return 0
 
@@ -176,20 +175,19 @@ def cmd_closed_loop(args) -> int:
     sol = solve_closed_loop(problem, N0=args.N0, tol=args.tol,
                             max_doublings=args.max_doublings, h=args.h)
     nodes = sol.nodes
-    rows = [[s, *sol.Theta_hat[j].reshape(-1)] for j, s in enumerate(nodes)]
     write_csv(os.path.join(out, "theta_hat.csv"),
-              ["s"] + _matrix_header("Theta_hat", problem.m, problem.n), rows)
-    rows = [[t, *sol.Gamma[j, j].reshape(-1), *sol.Gamma_hat[j, j].reshape(-1)]
-            for j, t in enumerate(nodes)]
+              ["s"] + _matrix_header("Theta_hat", problem.m, problem.n),
+              np.column_stack([nodes, _flat(sol.Theta_hat)]))
+    j = np.arange(len(nodes))
     write_csv(os.path.join(out, "gamma_diag.csv"),
               ["t"] + _matrix_header("Gamma", problem.n, problem.n)
-              + _matrix_header("Gamma_hat", problem.n, problem.n), rows)
+              + _matrix_header("Gamma_hat", problem.n, problem.n),
+              np.column_stack([nodes, _flat(sol.Gamma[j, j]), _flat(sol.Gamma_hat[j, j])]))
     _write_json(os.path.join(out, "trace.json"),
                 {"trace": list(sol.trace), "final_N": sol.grid.num_intervals,
                  "game_N": sol.game.N})
     _write_json(os.path.join(out, "metadata.json"),
-                {**_metadata(args, doc, N0=args.N0, tol=args.tol, h=args.h),
-                 **_march_record(problem, args.h)})
+                _metadata(args, doc, problem, N0=args.N0, tol=args.tol, h=args.h))
     print(f"closed-loop equilibrium converged at N={sol.grid.num_intervals} "
           f"(finest game N={sol.game.N})")
     return 0
@@ -214,11 +212,11 @@ def cmd_converge(args) -> int:
     monotone = all(a > b for a, b in zip(deltas, deltas[1:]))
     _write_json(os.path.join(out, "trace.json"),
                 {"trace": records, "monotone": monotone})
-    write_csv(os.path.join(out, "trace.csv"),
-              ["N", "sup_delta_Gamma", "sup_delta_Theta"],
-              [[r["N"], r["sup_delta_Gamma"], r["sup_delta_Theta"]] for r in records])
+    columns = ["N", "sup_delta_Gamma", "sup_delta_Theta"]
+    write_csv(os.path.join(out, "trace.csv"), columns,
+              np.column_stack([[r[c] for r in records] for c in columns]))
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, N0=args.N0, h=args.h))
+                _metadata(args, doc, problem, N0=args.N0, h=args.h))
     for r in records:
         ext = r["extrapolated_delta"]
         print(f"N={r['N']:4d}  dGamma={r['sup_delta_Gamma']:.3e}  "
@@ -238,14 +236,14 @@ def cmd_simulate(args) -> int:
     mean, stderr = estimate_cost(problem, ens, 0.0)
     emp = ens.states.mean(axis=0)
     std = ens.states.std(axis=0)
-    rows = [[j, ens.times[j], *emp[j], *ens.cond_mean[j], *std[j]]
-            for j in range(len(ens.times))]
     hdr = ["step", "s"] + [f"mean_{i}" for i in range(problem.n)] \
         + [f"cond_mean_{i}" for i in range(problem.n)] \
         + [f"std_{i}" for i in range(problem.n)]
-    write_csv(os.path.join(out, "summary.csv"), hdr, rows)
+    write_csv(os.path.join(out, "summary.csv"), hdr,
+              np.column_stack([np.arange(len(ens.times)), ens.times, emp,
+                               ens.cond_mean, std]))
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, paths=args.paths, steps=args.steps,
+                _metadata(args, doc, problem, paths=args.paths, steps=args.steps,
                           seed=args.seed, N0=args.N0, tol=args.tol, h=args.h))
     value = sol.value(0.0, x0)
     print(f"simulated cost {mean:.6g} +- {stderr:.2g} under the N={sol.game.N} "
@@ -284,7 +282,7 @@ def cmd_verify(args) -> int:
               f"{'pass' if rep['passed'] else 'FAIL'} "
               f"(min margin {rep['min_margin']:.3e})")
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, paths=args.paths, seed=args.seed,
+                _metadata(args, doc, problem, paths=args.paths, seed=args.seed,
                           N0=args.N0, h=args.h))
     return 0
 

@@ -263,7 +263,7 @@ def _diagonal_gains(problem, nodes, Gm, Gh):
     return Th, Thh
 
 
-def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dict:
+def residual(sol: ClosedLoopSolution) -> dict:
     """Finite-difference residual of the limit system over the stored field.
 
     Uses a five-point fourth-order stencil for the s-derivative along each
@@ -276,8 +276,7 @@ def residual(sol: ClosedLoopSolution, problem: ProblemData | None = None) -> dic
     Theta_hat' Rhat(s,t) Theta_hat.  Returns the max and per-equation
     residuals over all interior stencil points.
     """
-    if problem is None:
-        problem = sol.problem
+    problem = sol.problem
     hp = hat(problem)
     tg = sol.nodes
     J = len(tg)

@@ -2,41 +2,35 @@
 
 Each player k controls one interval [t_k, t_{k+1}) with all cost weights frozen
 at t_k, best-responding to the gains already fixed by the later players.  The
-solve runs backward over the intervals.  On each one an RK4 march carries the
-player's Riccati pair alone, on `integrators.PairField`; the Lyapunov triples
-that track every earlier player's cost under the composite feedback are linear
-once that march's stage gains are known, and advance by the affine maps of the
-same RK4 steps.  Terminal data for player k-1 are stitched from player
-(k-1)'s own triple at t_k.
+solve runs backward over the intervals.  On each one player k solves the
+pre-commitment pair frozen at t_k, by the same march (`precommit._pair_march`),
+from other terminal data; the Lyapunov triples that track every earlier
+player's cost under the composite feedback are linear once that march's stage
+gains are known, and advance by the affine maps of the same RK4 steps.  This
+module holds only those triple maps and the stitching: terminal data for
+player k-1 come from player (k-1)'s own triple at t_k.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
-from .integrators import (PairField, check_step, dense_march, feedback_gain,
-                          gain_path, march_triples, stage_times)
-from .precommit import lyapunov_pair, march_grids, pair_coefficients
+from .integrators import check_step, march_triples, stage_times
+from .precommit import (PrecommitSolution, _pair_march, lyapunov_pair, march_grids,
+                        pair_coefficients)
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
-                       closed_loop_states_at, paired_mean_stderr, probe_map,
-                       reset_mask, trapezoid_weights, variant_costs)
-from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, hat,
-                    min_eig, symmetrize, tau_psd)
+                       closed_loop_states_at, mean_field_system, paired_mean_stderr,
+                       probe_map, reset_mask, trapezoid_weights, variant_costs)
+from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, min_eig,
+                    symmetrize, tau_psd)
 
 
-@dataclass(frozen=True)
-class IntervalSolution:
-    """One player's Riccati pair and gains on their own interval."""
-
-    times: np.ndarray
-    P: np.ndarray          # (len(times), n, n)
-    Phat: np.ndarray
-    Theta: np.ndarray      # (len(times), m, n)
-    Theta_hat: np.ndarray
+#: one player's Riccati pair and gains on their own interval [t_k, t_{k+1}),
+#: the pre-commitment solution frozen at t = t_k on that interval
+IntervalSolution = PrecommitSolution
 
 
 @dataclass(frozen=True)
@@ -81,11 +75,10 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                             h: float | None = None) -> DeltaEquilibrium:
     """Backward interval recursion producing the piecewise equilibrium gains.
 
-    Inside interval k one RK4 march carries player k's Riccati pair
-    (P_k, Phat_k) alone, stacked and evaluated by `PairField` (three products
-    and one feedback gain per stage), and keeps
-    the gains (Theta, Theta_hat) of its four stages in every step.  Given those
-    gains the cost triples of players 0..k (player k's own included, which
+    Inside interval k the pre-commitment pair march (`precommit._pair_march`)
+    carries player k's Riccati pair (P_k, Phat_k) alone and keeps the gains
+    (Theta, Theta_hat) of its four stages in every step.  Given those gains
+    the cost triples of players 0..k (player k's own included, which
     coincides with the pair) solve linear equations: they advance by the affine
     maps of the same RK4 steps (`march_triples`).  The triples restart their
     first component from the second at every interval boundary.
@@ -101,7 +94,6 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     N = partition.num_intervals
     if N < 1:
         raise ConfigurationError("partition must contain at least one interval")
-    hp = hat(problem)
     n, m = problem.n, problem.m
 
     # Active triples, player-indexed; initialized at t_N where the first two
@@ -112,49 +104,37 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     node_triples = np.full((N + 1, N, 3, n, n), np.nan)
     node_triples[N] = Tri
 
-    pair = np.stack([np.atleast_2d(problem.G(nodes[N - 1])),
-                     np.atleast_2d(hp.G(nodes[N - 1]))])
+    pair = None     # the last player's own (G, Ghat), `_pair_march`'s default
     intervals: list[IntervalSolution | None] = [None] * N
     values = np.empty((N, n, n))
-    delta = problem.delta
 
     for k in range(N - 1, -1, -1):
         a, b = float(nodes[k]), float(nodes[k + 1])
         tk = a
         times_k, out_k = march_grids(problem, a, b, h, nodes[:k + 1])
-        steps = len(times_k) - 1
 
         # Entering this interval the tilde components restart from the plain
         # ones (both players' views agree at the boundary).
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
 
-        # Coefficients at the stage times; the tracked players' frozen weights
-        # are batched over the anchor axis l, player k's own anchor last.  The
-        # pair's coefficients are stacked plain over hat, and its field
-        # regroups them block by block.
+        # Coefficients at the stage times, sampled once for the pair march and
+        # the triple maps; the tracked players' frozen weights are batched
+        # over the anchor axis l, player k's own anchor last.
         ss = stage_times(times_k)
         coeffs = pair_coefficients(problem, ss, tk)
-        Ap, Bp, Cp, Dp = coeffs[:4]
-        (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in (Ap, Bp, Cp, Dp))
+        (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in coeffs[:4])
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
         Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
-        field = PairField(lambda lo, hi: tuple(x[lo:hi] for x in coeffs), len(ss), n, m)
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
-        # the gains of every RK4 stage, in call order: four per step, from the
-        # top, and one at t_k that dense output may ask for
-        record, calls = np.empty((4 * steps + 1, 2, m, n)), itertools.count()
-
-        def rhs(q, Z):
-            lin, L, K = field(q, Z)
-            Th = feedback_gain(K, L, delta, what, ss[q])
-            record[next(calls)] = Th
-            return L.swapaxes(-1, -2) @ Th - lin
-
-        path = dense_march(rhs, times_k, out_k, pair, symmetric=True)
-        # row r: the step from node r+1 to r
-        gains4 = record[:4 * steps].reshape(steps, 4, 2, m, n)[::-1]
+        intervals[k], record = _pair_march(
+            problem, tk, times_k, out_k, pair, what,
+            lambda lo, hi: tuple(x[lo:hi] for x in coeffs))
+        values[k] = intervals[k].Phat[0]
+        # row r: the four stages of the step from node r+1 down to node r
+        steps = len(times_k) - 1
+        gains4 = np.array(record[:4 * steps]).reshape(steps, 4, 2, m, n)[::-1]
 
         def coefficients(rows, q):
             Th, Thh = gains4[rows, :, 0], gains4[rows, :, 1]
@@ -169,12 +149,6 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         Tri[:k + 1] = march_triples(times_k, Tri[:k + 1].swapaxes(0, 1),
                                     coefficients)[0].swapaxes(0, 1)
         node_triples[k, :k + 1] = Tri[:k + 1]
-
-        th = gain_path(path, path[:, :1], *pair_coefficients(problem, out_k, tk, "BCDR"),
-                       delta, what, out_k[:, None])
-        intervals[k] = IntervalSolution(times=out_k, P=path[:, 0], Phat=path[:, 1],
-                                        Theta=th[:, 0], Theta_hat=th[:, 1])
-        values[k] = path[0, 1]
 
         if k:
             Gk = Tri[k - 1, 1]
@@ -193,14 +167,14 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                             node_triples=node_triples, values=values)
 
 
-def ordering_report(eq: DeltaEquilibrium, h: float | None = None) -> dict:
+def ordering_report(eq: DeltaEquilibrium) -> dict:
     """Eigenvalue margins for the comparison chain at every partition node.
 
     On interval k the chain is 0 <= Gamma_tilde_l <= P_k <= Pi_k and
     0 <= Gamma_hat_l <= Phat_k <= Pi_hat_k for every earlier player l < k,
     checked at both interval endpoints.  Pi_k / Pi_hat_k are the Lyapunov
     majorants obtained by dropping each equation's quadratic gain term,
-    marched on each interval's own grid (h is not used).
+    marched on each interval's own grid.
     Returns {"min_margin", "passed", "per_interval"}.
     """
     problem = eq.problem
@@ -361,9 +335,9 @@ def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
     [t_k, t_{k+1}).
 
     The variants run on `variant_costs` with y = [X; E_rho X] and the controls
-    [u; E_rho u]; E_rho X is re-anchored to X at every later partition node.
+    [u; E_rho u] (`mean_field_system`); E_rho X is re-anchored to X at every
+    later partition node.
     """
-    hp = hat(problem)
     n, m = problem.n, problem.m
     nodes = eq.partition.nodes
     # u = -Theta X + (Theta - Theta_hat) E_rho X, replaced by the probes on the window
@@ -373,17 +347,7 @@ def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
     window = grid < float(nodes[k + 1]) - 1e-12
     for v, probe in enumerate(probes, start=1):
         u[window, v] = probe
-    # E_rho u: the X columns act on E_rho X
-    w = np.zeros_like(u)
-    w[..., n:] = u[..., n:]
-    w[..., n:2 * n] += u[..., :n]
-
-    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(grid) for f in (
-        problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
-        problem.D, problem.Dbar, hp.A, hp.B))
-    drift = (np.block([[A, Ab], [np.zeros_like(A), Ah]]),
-             np.block([[B, Bb], [np.zeros_like(B), Bh]]))
-    noise = (np.concatenate([C, Cb], axis=-1), np.concatenate([D, Db], axis=-1))
+    drift, noise, controls = mean_field_system(problem, grid, u)
     reset = (reset_mask(grid, nodes[k + 1:-1]), slice(n, 2 * n), slice(0, n))
     return variant_costs(problem, grid, dW, np.tile(Xk, (2, 1)), drift, noise,
-                         np.concatenate([u, w], axis=-2), reset)
+                         controls, reset)

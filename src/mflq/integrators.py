@@ -71,9 +71,24 @@ def stage_times(times: np.ndarray) -> np.ndarray:
     return ss
 
 
+def rk4_step(f, y, h, stages=(0, 1, 2, 3)):
+    """One classic RK4 step of y' = f(stage, y): (y + h/6 (k1 + 2 k2 + 2 k3
+    + k4), k1), the stages being the step's start, its midpoint twice and its
+    end.  k1, the field at the start, is the node slope of dense output.
+
+    h is negative for a backward step and may be an array that broadcasts
+    against y, for a batch of steps taken at once.
+    """
+    k1 = f(stages[0], y)
+    k2 = f(stages[1], y + 0.5 * h * k1)
+    k3 = f(stages[2], y + 0.5 * h * k2)
+    k4 = f(stages[3], y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+
+
 def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = False,
               slopes: np.ndarray | None = None) -> np.ndarray:
-    """Classic RK4 march from times[-1] down to times[0].
+    """Classic RK4 march (`rk4_step`) from times[-1] down to times[0].
 
     rhs(q, M) is the field at stage q of `stage_times(times)`: the step from
     node i to node i-1 evaluates stages 2i, 2i-1 (twice) and 2i-2, so callers
@@ -93,16 +108,10 @@ def rk4_march(rhs, times: np.ndarray, terminal: np.ndarray, symmetric: bool = Fa
     vals[-1] = M
     tl = times.tolist()
     for i in range(len(tl) - 1, 0, -1):
-        dt = tl[i] - tl[i - 1]
-        half = 0.5 * dt
         q = 2 * i
-        k1 = rhs(q, M)
+        M, k1 = rk4_step(rhs, M, tl[i - 1] - tl[i], (q, q - 1, q - 1, q - 2))
         if slopes is not None:
             slopes[i] = k1
-        k2 = rhs(q - 1, M - half * k1)
-        k3 = rhs(q - 1, M - half * k2)
-        k4 = rhs(q - 2, M - dt * k3)
-        M = M - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if symmetric:
             Mt = M.swapaxes(-1, -2) if symmetric is True else M.transpose(symmetric)
             M = 0.5 * (M + Mt)
@@ -392,7 +401,7 @@ def march_triples(times: np.ndarray, terminal: np.ndarray, coefficients) -> np.n
     the forcing).  On the upper triangles of the three components Phi is block
     lower-triangular: a tilde block, a plain block coupled to tilde through the
     sandwich, and a bar block equal to plain's own.  The maps of a block of
-    steps are built at once by one batched RK4 step of the symmetric unit
+    steps are built at once by one batched `rk4_step` of the symmetric unit
     basis (S, 0, S), which returns the three blocks, and of the zero triples,
     which return c; then they are applied one per step.
 
@@ -427,14 +436,8 @@ def march_triples(times: np.ndarray, terminal: np.ndarray, coefficients) -> np.n
             out[:, :, ds:] += F[:, j]
             return -out
 
-        dt = dts[rows, None, None, None, None]
-        half = 0.5 * dt
         x = np.broadcast_to(probes, (b,) + probes.shape)
-        k1 = k(0, x)
-        k2 = k(1, x - half * k1)
-        k3 = k(2, x - half * k2)
-        k4 = k(3, x - dt * k3)
-        Y = symmetrize(x - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[..., iu[0], iu[1]]
+        Y = symmetrize(rk4_step(k, x, -dts[rows, None, None, None, None])[0])[..., iu[0], iu[1]]
         # Phi[:, c, j, c', :] is component c' of the step of basis triple j in slot c
         Phi = np.zeros((b, 3, ds, 3, ds))
         Phi[:, 0, :, 0] = Y[:, 0, :ds]
@@ -497,10 +500,11 @@ class RiccatiCoefficients:
     G: np.ndarray
     delta: float = 1e-8
 
-    def check_definiteness(self, interval, samples: int = 9):
-        """Sampled check of R >= delta I, Q - S' R^{-1} S >= 0, G >= 0."""
+    def check_definiteness(self, interval):
+        """Check of R >= delta I, Q - S' R^{-1} S >= 0 at 9 times of the
+        interval, and of G >= 0."""
         a, b = interval
-        for s in np.linspace(a, b, samples):
+        for s in np.linspace(a, b, 9):
             Rs = self.R(s)
             if min_eig(Rs) < self.delta - tau_psd(Rs):
                 raise ValidationError(f"R(s) not >= delta I at s={s:g}")

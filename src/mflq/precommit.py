@@ -2,10 +2,10 @@
 and the quadratic-cost representation by a triple of Lyapunov equations.
 
 The Riccati pair (P, Phat) is marched as one stacked (2, n, n) state, plain
-coefficients over hat ones (`pair_coefficients`, which the game shares), on
-`integrators.PairField`: the hat equation reads P in its sandwich and D'PD
-terms, and the Lyapunov majorants (Pi, Pi_hat) run on the same field without
-control, as its linear part alone.
+coefficients over hat ones (`pair_coefficients`), on `integrators.PairField`
+by `_pair_march`, which every game interval runs too: the hat equation reads
+P in its sandwich and D'PD terms, and the Lyapunov majorants (Pi, Pi_hat) run
+on the same field without control, as its linear part alone.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def step_choice(problem: ProblemData) -> StepChoice:
         try:
             coarse = march_times(0.0, T, T / PILOT_STEPS, problem.breakpoints((0.0,)))
             fine = stage_times(coarse)
-            Zc, Zf = (_pair_march(problem, 0.0, x, x) for x in (coarse, fine))
+            sols = [_pair_march(problem, 0.0, x, x)[0] for x in (coarse, fine)]
+            Zc, Zf = (np.stack([sol.P, sol.Phat], axis=1) for sol in sols)
         except MFLQError:
             choice = StepChoice(T / OUTPUT_STEPS, None)
         else:
@@ -93,7 +94,12 @@ def march_grids(problem: ProblemData, a: float, b: float, h: float | None,
 
 @dataclass(frozen=True)
 class PrecommitSolution:
-    """Riccati pair and feedback gains for the problem frozen at initial time t."""
+    """Riccati pair and feedback gains for the problem frozen at initial time t.
+
+    A game interval [t_k, t_{k+1}) has the same form (`IntervalSolution`),
+    with t = t_k: its player solves this pair on that interval, from terminal
+    data stitched from the next player's cost triple.
+    """
 
     t: float
     times: np.ndarray
@@ -138,23 +144,41 @@ def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
     return rk4_march(lambda q, Z: -field(q, Z)[0], times, terminal, symmetric=True)
 
 
-def _pair_march(problem: ProblemData, t: float, times: np.ndarray, out: np.ndarray
-                ) -> np.ndarray:
+def _pair_march(problem: ProblemData, t: float, times: np.ndarray, out: np.ndarray,
+                terminal: np.ndarray | None = None, what=_PAIR_FACTORS,
+                sample=None) -> tuple[PrecommitSolution, list]:
     """The stacked pair (P, Phat), weights frozen at t, marched over `times`
-    and returned at `out` (`dense_march`): (len(out), 2, n, n)."""
+    from `terminal` (default (G(t), Ghat(t))) on `PairField`: the solution at
+    the times `out` (`dense_march`), its gains recomputed there, and the list
+    of the (2, m, n) gains of every RK4 stage in call order, four per step
+    from the top (and one at times[0] if dense output asked for it).
+
+    A loss of definiteness names the failing factor of `what`.  sample(lo, hi)
+    gives the pair's coefficients at stages lo:hi of the march (default
+    `pair_coefficients`, block by block); a caller that samples every stage
+    anyway passes its sample.
+    """
     ss = stage_times(times)
-    field = PairField(lambda lo, hi: pair_coefficients(problem, ss[lo:hi], t),
-                      len(ss), problem.n, problem.m)
+    if terminal is None:
+        terminal = np.stack([np.atleast_2d(problem.G(t)), np.atleast_2d(hat(problem).G(t))])
+    if sample is None:
+        def sample(lo, hi):
+            return pair_coefficients(problem, ss[lo:hi], t)
     delta = problem.delta
+    field = PairField(sample, len(ss), problem.n, problem.m)
+    record = []
 
     def rhs(q, Z):
         lin, L, K = field(q, Z)
-        Th = feedback_gain(K, L, delta, _PAIR_FACTORS, ss[q])
+        Th = feedback_gain(K, L, delta, what, ss[q])
+        record.append(Th)
         return L.swapaxes(-1, -2) @ Th - lin
 
-    return dense_march(rhs, times, out, np.stack([np.atleast_2d(problem.G(t)),
-                                                  np.atleast_2d(hat(problem).G(t))]),
-                       symmetric=True)
+    Z = dense_march(rhs, times, out, terminal, symmetric=True)
+    th = gain_path(Z, Z[:, :1], *pair_coefficients(problem, out, t, "BCDR"),
+                   delta, what, out[:, None])
+    return PrecommitSolution(t=t, times=out, P=Z[:, 0], Phat=Z[:, 1],
+                             Theta=th[:, 0], Theta_hat=th[:, 1]), record
 
 
 def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
@@ -164,21 +188,17 @@ def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
     Weights are frozen at the initial time t, which must lie in [0, T); the
     value of the optimally controlled problem at (t, x) is <Phat(t) x, x>.
     The pair is one stacked (2, n, n) state under one RK4 march on
-    `PairField`, with one feedback gain on the stacked factors R(t)+D'PD and
-    Rhat(t)+Dhat'PDhat, so an ill-posed factor is named by whichever loses
-    definiteness first in backward time.  The march and output grids are
-    `march_grids`': an explicit h marches and returns at h; by default the
-    march runs at `default_step` and P, Phat come back at step T/2000 by
-    Hermite dense output, with the gains recomputed there.
+    `PairField` (`_pair_march`, which every game interval runs too), with one
+    feedback gain on the stacked factors R(t)+D'PD and Rhat(t)+Dhat'PDhat, so
+    an ill-posed factor is named by whichever loses definiteness first in
+    backward time.  The march and output grids are `march_grids`': an
+    explicit h marches and returns at h; by default the march runs at
+    `default_step` and P, Phat come back at step T/2000 by Hermite dense
+    output, with the gains recomputed there.
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"initial time t={t:g} outside [0, T) with T={problem.T:g}")
-    times, out = march_grids(problem, t, problem.T, h, (t,))
-    Z = _pair_march(problem, t, times, out)
-    B, C, D, R = pair_coefficients(problem, out, t, "BCDR")
-    th = gain_path(Z, Z[:, :1], B, C, D, R, problem.delta, _PAIR_FACTORS, out[:, None])
-    return PrecommitSolution(t=t, times=out, P=Z[:, 0], Phat=Z[:, 1],
-                             Theta=th[:, 0], Theta_hat=th[:, 1])
+    return _pair_march(problem, t, *march_grids(problem, t, problem.T, h, (t,)))[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrators import rk4_march, stage_times
+from .integrators import rk4_march, rk4_step, stage_times
 from .types import ProblemData, hat
 
 
@@ -167,14 +167,9 @@ def stack_rows(blocks):
 
 def rk4_propagator(F0, Fm, F1, dts):
     """Transition matrices of one classic RK4 step of y' = F(s) y, given F at
-    each step's start, midpoint and end."""
-    h = dts[:, None, None]
-    eye = np.eye(F0.shape[-1])
-    K1 = F0
-    K2 = Fm @ (eye + 0.5 * h * K1)
-    K3 = Fm @ (eye + 0.5 * h * K2)
-    K4 = F1 @ (eye + h * K3)
-    return eye + h / 6.0 * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    each step's start, midpoint and end: `rk4_step` on the identity."""
+    F = (F0, Fm, Fm, F1)
+    return rk4_step(lambda j, Y: F[j] @ Y, np.eye(F0.shape[-1]), dts[:, None, None])[0]
 
 
 @dataclass(frozen=True)
@@ -213,6 +208,30 @@ class _ConstantGain:
                 np.broadcast_to(self._thh, shape + self._thh.shape))
 
 
+def mean_field_system(problem: ProblemData, ss: np.ndarray, u: np.ndarray):
+    """The linear system of y = [X; E_rho X] at the times ss under the
+    controls c = [u; E_rho u], in `variant_costs`' form.
+
+    u (len(ss), ..., m, k) maps [y; ...] to u: its first 2n columns act on y,
+    any others on further inputs such as a constant 1.  Returns (F, G) and
+    (Nx, Nc), dy = (F y + G c) ds + (Nx y + Nc c) dW on the X rows, E_rho X
+    following its mean ODE, and the map of c: u over the map of E_rho u,
+    which is u's with its X columns moved onto E_rho X.
+    """
+    hp = hat(problem)
+    n = problem.n
+    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(ss) for f in (
+        problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
+        problem.D, problem.Dbar, hp.A, hp.B))
+    drift = (np.block([[A, Ab], [np.zeros_like(A), Ah]]),
+             np.block([[B, Bb], [np.zeros_like(B), Bh]]))
+    noise = (np.concatenate([C, Cb], axis=-1), np.concatenate([D, Db], axis=-1))
+    w = np.zeros_like(u)
+    w[..., n:] = u[..., n:]
+    w[..., n:2 * n] += u[..., :n]
+    return drift, noise, np.concatenate([u, w], axis=-2)
+
+
 @dataclass(frozen=True)
 class _ClosedLoopSystem:
     """The [X; E_rho X] system of the feedback on an aligned Euler grid."""
@@ -241,23 +260,17 @@ def _closed_loop_system(problem: ProblemData, gains, t: float,
     dts = np.diff(times)
     ss = np.concatenate([times, times[:-1] + 0.5 * dts, times[:-1] + dts])
     th, thh = gains.at_many(ss)
-    hp = hat(problem)
-    A, Ab, B, Bb, C, Cb, D, Db, Ah, Bh = (f.at_many(ss) for f in (
-        problem.A, problem.Abar, problem.B, problem.Bbar, problem.C, problem.Cbar,
-        problem.D, problem.Dbar, hp.A, hp.B))
-    dth = th - thh
-    gen = np.zeros((len(ss), 2 * n, 2 * n))
-    gen[:, :n, :n] = A - B @ th
-    gen[:, :n, n:] = Ab + B @ dth - Bb @ thh
-    gen[:, n:, n:] = Ah - Bh @ thh
+    u = np.concatenate([-th, th - thh], axis=-1)   # on [X; E_rho X]
+    (F, G), (Nx, Nc), c = mean_field_system(problem, ss, u)
+    gen = F + G @ c
     stages = gen[:L - 1], gen[L:2 * L - 1], gen[2 * L - 1:]   # start, middle, end
     mean_drift = rk4_propagator(*stages, dts)
     drift = euler_transition(stages[0], dts)
     drift[:, n:] = mean_drift[:, n:]
-    noise = np.concatenate([C - D @ th, Cb + D @ dth - Db @ thh], axis=-1)[:L - 1]
+    noise = Nx[:L - 1] + Nc[:L - 1] @ c[:L - 1]
     # records: the state and the control u = [-Theta, Theta - Theta_hat] [X; E_rho X]
     observe = np.concatenate([np.broadcast_to(np.eye(n, 2 * n), (L, n, 2 * n)),
-                              np.concatenate([-th, dth], axis=-1)[:L]], axis=-2)
+                              u[:L]], axis=-2)
     reset = (reset_mask(times, [v for v in nodes if t < v < problem.T]),
              slice(n, 2 * n), slice(0, n))
     return _ClosedLoopSystem(times, drift, mean_drift, noise, observe, reset)
@@ -407,34 +420,24 @@ def semigroup_failure_demo(s: float, tau: float, t: float, x: float,
     form [(e^{s-tau}-1)^2 + int_tau^s e^{2(r-tau)} dr] * Var(X(tau)) with
     Var(X(tau)) = x^2 int_t^tau e^{2(r-t)} dr: the gap is driven by the random
     re-anchoring offset X(tau) - E_t[X(tau)], amplified through drift and noise.
+    Both processes march on `euler_maruyama` with the same increments.
     """
     if not t <= tau <= s:
         raise ConfigurationError(f"the demo needs t <= tau <= s, got t = {t}, "
                                  f"tau = {tau}, s = {s}")
-    steps = mc.steps
-    grid = aligned_time_grid(t, s, steps, (tau,)) if t < tau < s else \
-        np.linspace(t, s, steps + 1)
+    grid = aligned_time_grid(t, s, mc.steps, (tau,)) if t < tau < s else \
+        np.linspace(t, s, mc.steps + 1)
     dts = np.diff(grid)
-    dW = brownian_increments(mc, dts)
-    P = mc.paths
-
-    XA = np.full(P, float(x))
-    XB = np.full(P, float(x))
-    mA = float(x)                    # E_t anchor, scalar (deterministic)
-    mB = np.full(P, float(x))        # re-anchored at tau, per path
-    restarted = tau == t
-    if restarted:
-        mB = XB.copy()
-    for j in range(len(dts)):
-        dt = dts[j]
-        XA = XA + mA * dt + mA * dW[:, j]
-        XB = XB + mB * dt + mB * dW[:, j]
-        mA = mA * math.exp(dt)
-        mB = mB * math.exp(dt)
-        if not restarted and round(float(grid[j + 1]), 12) >= round(tau, 12):
-            mB = XB.copy()
-            restarted = True
-
+    # rows [XA, XB, mA, mB]: each state is driven by its anchor, mA = E_t X
+    # and mB restarted from XB at tau (a no-op at tau = t, where both are x)
+    drift = np.zeros((len(dts), 4, 4))
+    drift[:, [0, 1], [0, 1]] = 1.0
+    drift[:, [0, 1], [2, 3]] = dts[:, None]
+    drift[:, [2, 3], [2, 3]] = np.exp(dts)[:, None]
+    noise = np.broadcast_to(np.eye(2, 4, 2), (len(dts), 2, 4))
+    XA, XB = euler_maruyama(np.full((4, mc.paths), float(x)), drift, noise,
+                            brownian_increments(mc, dts),
+                            reset=(reset_mask(grid, (tau,)), 3, 1))[0][:2]
     simulated, stderr = paired_mean_stderr((XB - XA) ** 2, mc.antithetic)
     closed = ((math.exp(s - tau) - 1.0) ** 2
               + 0.5 * (math.exp(2 * (s - tau)) - 1.0)) \

@@ -61,10 +61,10 @@ class TimeGrid:
     def num_intervals(self) -> int:
         return len(self.nodes) - 1
 
-    def index_of(self, t: float, atol: float = 1e-9) -> int:
-        """Index of the node nearest to t; the snap distance must be below atol*(1+T)."""
+    def index_of(self, t: float) -> int:
+        """Index of the node nearest to t; the snap distance must be below 1e-9 (1 + T)."""
         i = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[i] - t) > atol * (1.0 + self.T):
+        if abs(self.nodes[i] - t) > 1e-9 * (1.0 + self.T):
             raise ValidationError(f"time {t} is not a grid node (nearest {self.nodes[i]})")
         return i
 
@@ -374,15 +374,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(problem: ProblemData, sample_density: int = 13) -> ValidationReport:
-    """Sample the positivity hypotheses on a triangular (s,t) grid.
+def validate(problem: ProblemData) -> ValidationReport:
+    """Sample the positivity hypotheses on a triangular (s,t) grid of 13 times.
 
     Reports every violation found; continuity is a heuristic modulus estimate
     recorded in the report, not asserted.
     """
     viol: list[str] = []
     d = problem.delta
-    times = np.linspace(0.0, problem.T, sample_density)
+    times = np.linspace(0.0, problem.T, 13)
 
     def check_psd(M, label, floor=0.0):
         lo = min_eig(M)
@@ -413,7 +413,7 @@ def validate(problem: ProblemData, sample_density: int = 13) -> ValidationReport
                               f"{lbl} not monotone at (s,t,tau)=({s:g},{t:g},{tau:g})")
 
     # continuity heuristic: largest normalized increment over a refined diagonal sample
-    fine = np.linspace(0.0, problem.T, 4 * sample_density)
+    fine = np.linspace(0.0, problem.T, 4 * len(times))
     mod = 0.0
     for f in (problem.A, problem.B, problem.C, problem.D, problem.G):
         vals = np.array([np.abs(f(s)).max() for s in fine])

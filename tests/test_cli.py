@@ -42,11 +42,18 @@ class TestPrecommit:
         assert len(meta["problem_hash"]) == 64
 
     def test_sweep_writes_values(self, tmp_path):
-        out = tmp_path / "pre"
-        assert run(["precommit", "ex12", "--h", "0.02", "--sweep", "4",
-                    "--out", out]) == 0
-        lines = (out / "values.csv").read_text().splitlines()
-        assert len(lines) == 5  # header + 4 initial times
+        for sweep in (4, 1):
+            out = tmp_path / f"pre{sweep}"
+            assert run(["precommit", "ex12", "--h", "0.02", "--sweep", sweep,
+                        "--out", out]) == 0
+            lines = (out / "values.csv").read_text().splitlines()
+            assert len(lines) == 1 + sweep  # header + the initial times k T/sweep
+            assert float(lines[1].split(",")[0]) == 0.0
+
+    def test_negative_sweep_exit_code(self, tmp_path, capsys):
+        assert run(["precommit", "ex12", "--sweep", "-3", "--out", tmp_path / "x"]) == 2
+        assert "--sweep must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("t, solves", [(0.0, 4), (0.1, 5)])
     def test_sweep_reuses_the_solve_at_t(self, tmp_path, monkeypatch, t, solves):
@@ -187,7 +194,10 @@ class TestSimulate:
 
 @pytest.mark.parametrize("argv", [["precommit", "ex12"], ["open-loop", "classical"],
                                   ["game", "meanfield", "--N0", "4"],
-                                  ["closed-loop", "discounting"]])
+                                  ["closed-loop", "discounting"],
+                                  ["converge", "discounting"],
+                                  ["simulate", "classical", "--paths", "200", "--steps", "50"],
+                                  ["verify", "classical", "--paths", "200"]])
 def test_metadata_records_the_march_step(tmp_path, argv):
     """By default march_step is the pilot's step, in [T/2000, T/64] (T = 1
     for every bundled problem), with its error estimate; an explicit --h is

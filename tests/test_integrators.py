@@ -59,6 +59,43 @@ class TestRK4Backward:
         assert np.abs(vals - np.swapaxes(vals, -1, -2)).max() < 1e-14
 
 
+class TestRK4Step:
+    LAM = -1.3
+
+    def _march(self, h, steps):
+        """y' = LAM y from y = 1 over `steps` steps of h (backward if h < 0)."""
+        y = np.ones(1)
+        for _ in range(steps):
+            y = integrators.rk4_step(lambda j, Y: self.LAM * Y, y, h)[0]
+        return float(y[0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_step_is_the_taylor_polynomial(self, sign):
+        z = self.LAM * sign * 0.1
+        assert self._march(sign * 0.1, 1) == pytest.approx(
+            1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24, rel=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fourth_order(self, sign):
+        """Over one unit of time forward or backward, the error falls about
+        16-fold per halving of the step."""
+        exact = np.exp(self.LAM * sign)
+        errs = [abs(self._march(sign / k, k) - exact) for k in (8, 16, 32)]
+        assert all(14.0 < a / b < 18.0 for a, b in zip(errs, errs[1:])), errs
+
+    def test_propagator_is_the_step_of_a_linear_field(self):
+        """rk4_propagator's transition matrices map any start to what
+        rk4_step gives from it, under the start, midpoint and end matrices."""
+        from mflq.simulate import rk4_propagator
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(3, 5, 4, 4))
+        dts = rng.uniform(0.01, 0.2, size=5)
+        y0 = rng.normal(size=(5, 4, 2))
+        stages = (F[0], F[1], F[1], F[2])
+        want = integrators.rk4_step(lambda j, Y: stages[j] @ Y, y0, dts[:, None, None])[0]
+        np.testing.assert_allclose(rk4_propagator(*F, dts) @ y0, want, rtol=0, atol=1e-14)
+
+
 class TestLyapunov:
     def test_scalar_closed_form(self):
         # p' + 2 a p + q = 0, p(T) = g  =>  p(s) = g e^{2a(T-s)} + q (e^{2a(T-s)} - 1)/(2a)

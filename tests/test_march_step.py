@@ -178,6 +178,27 @@ class TestDenseOutput:
         assert marches == [(steps, True)] and len(sol.times) == 1201
 
 
+def test_every_pair_solve_runs_the_one_pair_march(monkeypatch):
+    """The pilot, solve_precommitment and every game interval march the pair
+    through `precommit._pair_march`, the one caller of dense_march in
+    precommit: two pilot marches, one per solve, one per game interval."""
+    marches = []
+    march = precommit.dense_march
+
+    def spy(rhs, times, out, terminal, symmetric=False):
+        marches.append(len(times) - 1)
+        return march(rhs, times, out, terminal, symmetric)
+
+    monkeypatch.setattr(precommit, "dense_march", spy)
+    problem = bundled_problem("meanfield")
+    precommit.step_choice(problem)
+    assert marches == [64, 128]
+    solve_precommitment(problem, 0.4, 0.01)
+    assert marches[2:] == [60]
+    build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4), 0.01)
+    assert marches[3:] == [25] * 4
+
+
 def _at(ref_times, times):
     """Indices of `times` in the finer grid `ref_times`."""
     i = np.searchsorted(ref_times, times - 1e-12)
