@@ -33,6 +33,10 @@ class MCConfig:
             raise ConfigurationError("MCConfig.steps must be >= 1")
         if self.antithetic and self.paths % 2 != 0:
             raise ConfigurationError("antithetic sampling needs an even path count")
+        if self.antithetic and self.paths < 4:
+            raise ConfigurationError(
+                f"antithetic sampling needs at least 4 paths, got {self.paths}: its "
+                f"stderr is taken over the averaged pairs, so it needs 2 of them")
 
 
 #: paths per block of brownian_increments' draw: the only temporary it holds is
@@ -174,12 +178,19 @@ def rk4_propagator(F0, Fm, F1, dts):
 
 @dataclass(frozen=True)
 class PathEnsemble:
+    """Closed-loop paths from t: the states on the grid, each path's cost and
+    the deterministic conditional means.
+
+    cost[p] is path p's Q and R running cost, trapezoidal on `times`, plus its
+    G terminal cost, with the weights frozen at t; `estimate_cost` adds the
+    E_t part, Qbar, Rbar and Gbar on cond_mean and cond_mean_u.
+    """
+
     times: np.ndarray          # (L,)
     states: np.ndarray         # (paths, L, n)
-    controls: np.ndarray       # (paths, L, m)
+    cost: np.ndarray           # (paths,)
     cond_mean: np.ndarray      # (L, n), E_t[X(s)] (deterministic)
     cond_mean_u: np.ndarray    # (L, m), E_t[u(s)]
-    brownian_increments: np.ndarray  # (paths, L-1), stored step-major
     t: float
     antithetic: bool
 
@@ -291,20 +302,27 @@ def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
     the corresponding deterministic pair.  Both march on euler_maruyama: the
     columns [X; E_rho X] per path (Euler in X, an RK4 step in E_rho X) and the
     deterministic [E_t X; E_t E_rho X] (RK4), with the step matrices of
-    _closed_loop_system.
+    _closed_loop_system.  The path march records only the states and adds up
+    each path's cost as it goes: the weight at node j is w_j (Q + u' R u) on
+    [X; E_rho X], w the trapezoid weights, with G added at T, all frozen at t.
+    The increments are dropped when the march returns.
     """
     cl = _closed_loop_system(problem, gains, t, mc.steps)
     n = problem.n
-    dW = brownian_increments(mc, np.diff(cl.times))
+    X, u = cl.observe[:, :n], cl.observe[:, n:]
+    Q, R = (f.at_many(cl.times, t) for f in (problem.Q, problem.R))
+    weight = trapezoid_weights(cl.times)[:, None, None] * (sandwich(X, Q) + sandwich(u, R))
+    weight[-1] += sandwich(X[-1], problem.G(t))
     start = _start(x0)
-    paths = euler_maruyama(np.repeat(start, mc.paths, axis=1), cl.drift, cl.noise, dW,
-                           observe=cl.observe, reset=cl.reset)[2]
+    _, cost, states = euler_maruyama(
+        np.repeat(start, mc.paths, axis=1), cl.drift, cl.noise,
+        brownian_increments(mc, np.diff(cl.times)), weight=weight, observe=X,
+        reset=cl.reset)
     mean = euler_maruyama(start, cl.mean_drift, observe=cl.observe, reset=cl.reset)[2]
-    # the path records are (L, n + m, paths): states and controls are views
-    return PathEnsemble(times=cl.times, states=paths[:, :n].transpose(2, 0, 1),
-                        controls=paths[:, n:].transpose(2, 0, 1),
+    # the state records are (L, n, paths): states is a view
+    return PathEnsemble(times=cl.times, states=states.transpose(2, 0, 1), cost=cost,
                         cond_mean=mean[:, :n, 0], cond_mean_u=mean[:, n:, 0],
-                        brownian_increments=dW, t=t, antithetic=mc.antithetic)
+                        t=t, antithetic=mc.antithetic)
 
 
 def closed_loop_states_at(problem: ProblemData, gains, t: float, x0, mc: MCConfig,
@@ -379,36 +397,25 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
     return cost + np.einsum("ip,vij,jp->vp", Z, M, Z)
 
 
-#: time columns per block of estimate_cost's running integral: its temporaries
-#: hold paths x _COST_BLOCK values, whatever the number of steps
-_COST_BLOCK = 16
-
-
 def estimate_cost(problem: ProblemData, ens: PathEnsemble, t: float
                   ) -> tuple[float, float]:
-    """Trapezoidal cost estimate (mean, stderr) with E_t factors from cond_mean.
+    """(mean, stderr) of J(t, x0; u) on an ensemble started at t.
 
-    The weights are sampled once on the grid and the per-path integral is
-    accumulated over blocks of time columns, so no (paths, L) integrand is built.
+    The random part is the paths' own cost from the march, ens.cost; the E_t
+    part is deterministic: Qbar and Rbar on cond_mean and cond_mean_u,
+    trapezoidal on the grid, and Gbar at T, all frozen at t.  J(t, .) is a cost
+    of the state process started at t, so t must be the ensemble's start.
     """
-    times = ens.times
-    w = trapezoid_weights(times)
-    Q, R, Qb, Rb = (f.at_many(times, t) for f in (problem.Q, problem.R,
-                                                   problem.Qbar, problem.Rbar))
-    rand_total = np.zeros(ens.states.shape[0])
-    for j in range(0, len(times), _COST_BLOCK):
-        b = slice(j, j + _COST_BLOCK)
-        X, U = ens.states[:, b], ens.controls[:, b]
-        running = np.einsum("pbi,bij,pbj->pb", X, Q[b], X) \
-            + np.einsum("pbi,bij,pbj->pb", U, R[b], U)
-        rand_total += (running * w[b]).sum(axis=1)
-    XT = ens.states[:, -1]
-    rand_total += np.einsum("pi,ij,pj->p", XT, problem.G(t), XT)
+    if t != ens.t:
+        raise ConfigurationError(
+            f"estimate_cost at t = {t} of an ensemble started at t = {ens.t}: "
+            f"J(t, .) is a cost of the state process started at t")
+    Qb, Rb = (f.at_many(ens.times, t) for f in (problem.Qbar, problem.Rbar))
     m, u = ens.cond_mean, ens.cond_mean_u
     det = np.einsum("li,lij,lj->l", m, Qb, m) + np.einsum("li,lij,lj->l", u, Rb, u)
-    det_total = float(w @ det) + float(m[-1] @ problem.Gbar(t) @ m[-1])
-
-    mean, stderr = paired_mean_stderr(rand_total, ens.antithetic)
+    det_total = float(trapezoid_weights(ens.times) @ det) \
+        + float(m[-1] @ problem.Gbar(t) @ m[-1])
+    mean, stderr = paired_mean_stderr(ens.cost, ens.antithetic)
     return mean + det_total, stderr
 
 

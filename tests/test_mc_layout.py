@@ -1,5 +1,6 @@
-"""Monte Carlo layout: step-major increments, one draw and one head march per
-spike-test check time, and a deviation-check head that marches only to t_k.
+"""Monte Carlo layout: step-major increments that the ensemble does not keep,
+one draw and one head march per spike-test check time, and a deviation-check
+head that marches only to t_k.
 
 Every test here pins the layout or the amount of work; the values themselves
 are pinned by test_mc_parity.py and test_simulate.py.
@@ -13,7 +14,8 @@ import mflq.simulate
 from mflq import (MCConfig, TimeGrid, brownian_increments, build_delta_equilibrium,
                   delta_local_optimality_check, simulate_closed_loop, solve_open_loop,
                   verify_open_loop_equilibrium)
-from mflq.simulate import _DRAW_BLOCK, closed_loop_states_at
+from mflq.simulate import (_DRAW_BLOCK, _closed_loop_system, _start, closed_loop_states_at,
+                           euler_maruyama)
 
 
 def _row_major(mc, dts):
@@ -39,12 +41,22 @@ def test_increments_match_row_major_across_blocks(rows, antithetic):
     assert all(dW[:, j].flags.c_contiguous for j in range(len(dts)))
 
 
-def test_ensemble_keeps_step_major_increments(ex12):
-    mc = MCConfig(paths=6, steps=5, seed=2)
-    ens = simulate_closed_loop(ex12, (np.ones((1, 1)), np.ones((1, 1))), 0.0, [1.0], mc)
-    assert ens.brownian_increments.T.flags.c_contiguous
-    np.testing.assert_array_equal(ens.brownian_increments,
-                                  _row_major(mc, np.diff(ens.times)))
+def test_ensemble_states_are_the_march_on_the_draw(meanfield):
+    """The ensemble keeps no increments: its states are the march of the
+    closed-loop system, re-anchoring included, on the draw brownian_increments
+    makes for its grid."""
+    eq = build_delta_equilibrium(meanfield, TimeGrid.uniform(meanfield.T, 4))
+    mc = MCConfig(paths=6, steps=20, seed=2)
+    x0 = [1.0, -0.5]
+    ens = simulate_closed_loop(meanfield, eq.gains, 0.0, x0, mc)
+    cl = _closed_loop_system(meanfield, eq.gains, 0.0, mc.steps)
+    np.testing.assert_array_equal(cl.times, ens.times)
+    Z = np.repeat(_start(x0), mc.paths, axis=1)
+    records = euler_maruyama(Z, cl.drift, cl.noise,
+                             brownian_increments(mc, np.diff(ens.times)),
+                             observe=cl.observe, reset=cl.reset)[2]
+    np.testing.assert_allclose(ens.states, records[:, :meanfield.n].transpose(2, 0, 1),
+                               rtol=1e-14, atol=1e-14)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -15,6 +15,7 @@ from mflq import (GainSegment, MCConfig, PiecewiseGain, TimeGrid,
                   build_delta_equilibrium, delta_local_optimality_check,
                   estimate_cost, simulate_closed_loop, solve_open_loop,
                   verify_open_loop_equilibrium)
+from mflq.errors import ConfigurationError
 
 RTOL = 1e-10
 
@@ -70,7 +71,6 @@ MF_COND_MEAN = np.array([[1.0, -0.5],
                         [1.0695266125465066, -0.27247520885413373],
                         [1.079732867553685, -0.24920075430296199]])
 MF_COST = (3.0708802789306615, 0.21188326100692723)          # estimate_cost at t = 0
-MF_COST_T = (3.0708802789306615, 0.21188326100692723)        # estimate_cost at t = 0.25
 
 # discounting, N = 3 game gains (h = 1/200), from t = 0.2, x0 = 1, 4 paths, 10 steps, seed 6;
 # re-pinned when the game's grids began to hold the lag knots k/8 of Qbar
@@ -179,7 +179,9 @@ def test_closed_loop_ensemble_and_cost(meanfield, discounting):
     _close(ens.states, MF_STATES)
     _close(ens.cond_mean, MF_COND_MEAN)
     _close(estimate_cost(meanfield, ens, 0.0), MF_COST)
-    _close(estimate_cost(meanfield, ens, 0.25), MF_COST_T)
+    # J(0.25, .) belongs to a state process started at 0.25, not to this one
+    with pytest.raises(ConfigurationError, match="t = 0.25 .* t = 0.0"):
+        estimate_cost(meanfield, ens, 0.25)
 
     eq = build_delta_equilibrium(discounting, TimeGrid.uniform(discounting.T, 3),
                                  h=discounting.T / 200)

@@ -46,6 +46,15 @@ class TestNoise:
         assert dW.var() == pytest.approx(0.25, rel=0.02)
 
 
+class TestMCConfig:
+    def test_antithetic_needs_two_pairs(self):
+        """Two antithetic paths are one pair: the paired stderr would be NaN."""
+        with pytest.raises(ConfigurationError, match="at least 4 paths, got 2"):
+            MCConfig(paths=2)
+        MCConfig(paths=4)
+        MCConfig(paths=2, antithetic=False)
+
+
 class TestAlignedGrid:
     def test_contains_requested_nodes(self):
         grid = aligned_time_grid(0.0, 1.0, 100, (0.3, 0.7))
@@ -75,7 +84,7 @@ class TestSemigroupDemo:
     def test_rejects_times_out_of_order(self, s, tau, t):
         """t <= tau <= s is checked whatever the interpreter's -O flag."""
         with pytest.raises(ConfigurationError, match="t <= tau <= s"):
-            semigroup_failure_demo(s, tau, t, 1.0, MCConfig(paths=2, steps=4))
+            semigroup_failure_demo(s, tau, t, 1.0, MCConfig(paths=4, steps=4))
 
 
 class TestOracles:
@@ -139,6 +148,16 @@ class TestSimulation:
         # conditional mean, so the R-cost layer has zero path variance here
         assert a[1] == 0.0
         assert a[0] == pytest.approx(0.5, abs=5e-3)
+
+    def test_estimate_cost_needs_the_ensemble_start(self, ex12):
+        """J(t, .) is a cost of the state process started at t."""
+        mc = MCConfig(paths=8, steps=10, seed=2)
+        gains = (np.ones((1, 1)), np.ones((1, 1)))
+        ens = simulate_closed_loop(ex12, gains, 0.5, [1.0], mc)
+        assert np.all(np.isfinite(estimate_cost(ex12, ens, 0.5)))
+        for t in (0.0, 0.25):
+            with pytest.raises(ConfigurationError, match=f"t = {t} .* t = 0.5"):
+                estimate_cost(ex12, ens, t)
 
 
 class TestStateDump:
