@@ -22,17 +22,31 @@ from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
 from .game import (build_delta_equilibrium, delta_local_optimality_check,
                    jump_magnitudes, ordering_report)
 from .openloop import solve_open_loop, verify_open_loop_equilibrium
-from .precommit import solve_precommitment, step_choice
+from .precommit import default_step, solve_precommitment, step_choice
 from .problem_io import apply_overrides, parse_problem, problem_hash, resolve_document
 from .simulate import MCConfig, estimate_cost, semigroup_failure_demo, simulate_closed_loop
 from .types import TimeGrid, validate
 
 
+#: rows formatted by one `%` operation in `write_csv`: a whole table at once
+#: would hold its text and a tuple of every value, raising the peak memory
+_CSV_BLOCK = 256
+
+
 def write_csv(path: str, header: list[str], table) -> None:
-    """The columns of `table` (one row per line, e.g. from `np.column_stack`)
-    under `header`, every value to 17 significant digits."""
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header),
-               comments="")
+    """The columns of `table` (one row per line, e.g. from `np.column_stack`;
+    a 1-D table is one column) under `header`, every value to 17 significant
+    digits: the bytes of np.savetxt(path, table, fmt="%.17g", delimiter=",",
+    header=",".join(header), comments=""), written block by block of rows."""
+    table = np.asarray(table)
+    if table.ndim == 1:
+        table = table[:, None]
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo:lo + _CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -109,8 +123,11 @@ def cmd_precommit(args) -> int:
 
     if args.sweep >= 1:
         ts = np.linspace(0.0, problem.T, args.sweep + 1)[:-1]
-        # the solve at --t is already done when the sweep passes through it
-        values = np.array([(sol if t == args.t else solve_precommitment(problem, float(t), h))
+        # Phat(t) is the march's value at its first node, the same at the
+        # default step given explicitly, which skips the dense output and
+        # gains; the solve at --t is already done when the sweep passes it
+        step = default_step(problem) if h is None else h
+        values = np.array([(sol if t == args.t else solve_precommitment(problem, float(t), step))
                            .Phat[0] for t in ts])
         write_csv(os.path.join(out, "values.csv"),
                   ["t"] + _matrix_header("Phat", problem.n, problem.n),

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
 from .integrators import check_step, march_triples, stage_times
-from .precommit import (PrecommitSolution, _pair_march, lyapunov_pair, march_grids,
-                        pair_coefficients)
+from .precommit import (PrecommitSolution, _pair_march, _pair_solution, lyapunov_pair,
+                        march_grids, pair_coefficients)
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        closed_loop_states_at, mean_field_system, paired_mean_stderr,
                        probe_map, reset_mask, trapezoid_weights, variant_costs)
@@ -86,7 +86,10 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     The march and output grids of every interval are `march_grids`': an
     explicit h marches and returns at h; by default the march runs at
     `default_step` and each `IntervalSolution` comes back at step T/2000 by
-    Hermite dense output, its gains recomputed there.
+    Hermite dense output, its gains recomputed there (`_pair_solution`, one
+    gain path per interval).  All grids are laid out first, and the pair's
+    coefficients are sampled in two calls for the whole partition: at every
+    interval's stages and at every output grid, each frozen at its t_k.
     """
     if h is not None:
         check_step(h)
@@ -104,33 +107,35 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     node_triples = np.full((N + 1, N, 3, n, n), np.nan)
     node_triples[N] = Tri
 
+    grids = [march_grids(problem, float(nodes[k]), float(nodes[k + 1]), h, nodes[:k + 1])
+             for k in range(N)]
+    stages = [stage_times(times) for times, _ in grids]
+    stage_coeffs = _by_interval(problem, nodes, stages)
+    out_coeffs = _by_interval(problem, nodes, [out for _, out in grids], "BCDR")
+
     pair = None     # the last player's own (G, Ghat), `_pair_march`'s default
     intervals: list[IntervalSolution | None] = [None] * N
     values = np.empty((N, n, n))
 
     for k in range(N - 1, -1, -1):
-        a, b = float(nodes[k]), float(nodes[k + 1])
-        tk = a
-        times_k, out_k = march_grids(problem, a, b, h, nodes[:k + 1])
+        tk = float(nodes[k])
+        (times_k, out_k), ss, coeffs = grids[k], stages[k], stage_coeffs[k]
 
         # Entering this interval the tilde components restart from the plain
         # ones (both players' views agree at the boundary).
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
 
-        # Coefficients at the stage times, sampled once for the pair march and
-        # the triple maps; the tracked players' frozen weights are batched
-        # over the anchor axis l, player k's own anchor last.
-        ss = stage_times(times_k)
-        coeffs = pair_coefficients(problem, ss, tk)
+        # The stage coefficients serve the pair march and the triple maps; the
+        # tracked players' frozen weights are batched over the anchor axis l,
+        # player k's own anchor last.
         (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in coeffs[:4])
         ta = ss[:, None], nodes[:k + 1]
         Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
         Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
-        intervals[k], record = _pair_march(
-            problem, tk, times_k, out_k, pair, what,
-            lambda lo, hi: tuple(x[lo:hi] for x in coeffs))
+        Z, record = _pair_march(problem, tk, times_k, out_k, pair, what, coeffs)
+        intervals[k] = _pair_solution(problem, tk, out_k, Z, what, out_coeffs[k])
         values[k] = intervals[k].Phat[0]
         # row r: the four stages of the step from node r+1 down to node r
         steps = len(times_k) - 1
@@ -165,6 +170,18 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     return DeltaEquilibrium(problem=problem, partition=partition,
                             intervals=intervals, gains=gains,
                             node_triples=node_triples, values=values)
+
+
+def _by_interval(problem: ProblemData, nodes: np.ndarray, grids: list,
+                 names: str = "ABCDQR") -> list[tuple]:
+    """`pair_coefficients` on the times of every interval's grid in one call,
+    the weights at interval k read at its anchor t_k = nodes[k]; split back
+    into one tuple of views per interval."""
+    sizes = [len(g) for g in grids]
+    anchors = np.repeat(nodes[:len(grids)], sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(*(np.split(x, cuts) for x in pair_coefficients(
+        problem, np.concatenate(grids), anchors, names))))
 
 
 def ordering_report(eq: DeltaEquilibrium) -> dict:

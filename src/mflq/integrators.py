@@ -13,6 +13,7 @@ coefficients); and `triple_field`, the Lyapunov cost triples.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, IllPosedError, ValidationError
-from .types import MatrixFn, ProblemData, hat, min_eig, symmetrize, tau_psd
+from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair, symmetrize, tau_psd
 
 
 def check_step(h: float) -> float:
@@ -219,14 +220,16 @@ class LevelField:
         K = Rd + D'dD,  L = B'dh + D'dC,  Th = K^{-1} L,  M = A - B Th,  N = C - D Th.
 
     [L, K] is one product Y Gw: Y = [D'P_i, B'Phat_i, I] over the last two
-    slices i, and Gw stacks their interpolation weights times [C D] and [I 0]
-    over [0 Rd].  The solvers read A, C and the sampled `weights` for the rest.
+    slices i, and Gw stacks their interpolation weights w times [C D] and
+    [I 0] over [0 Rd].  The constructor builds these over the stages of every
+    level at once; `level` hands one level its slice, with that level's
+    sampled two-time `weights`.  The solvers read A, C and the weights for
+    the rest.
     """
 
-    def __init__(self, A, B, C, D, Rd, weights, w, delta: float, ss):
+    def __init__(self, A, B, C, D, Rd, w, delta: float):
         n, m = B.shape[-2:]
-        self.n, self.A, self.C, self.weights = n, A, C, weights
-        self.delta, self.ss = delta, ss.tolist()
+        self.n, self.A, self.C, self.delta = n, A, C, delta
         w = w[:, None, None]
         CD, E = np.concatenate([C, D], axis=-1), np.eye(n, n + m)
         self.Gw = np.concatenate([(1.0 - w) * CD, w * CD, (1.0 - w) * E, w * E,
@@ -235,6 +238,15 @@ class LevelField:
         self.Y = np.hstack([np.zeros((m, 4 * n)), np.eye(m)])
         self.Yv = self.Y[:, :4 * n].reshape(m, 2, 2 * n).swapaxes(0, 1)
         self.AC, self.BD = np.concatenate([A, C], axis=-2), np.concatenate([B, D], axis=-2)
+
+    def level(self, rows: slice, weights, ss) -> "LevelField":
+        """The field on the stages `rows` of one level, at the times ss, with
+        that level's sampled weights; views of this one's arrays."""
+        f = copy.copy(self)
+        f.A, f.C, f.Gw, f.F, f.AC, f.BD = (x[rows] for x in (
+            self.A, self.C, self.Gw, self.F, self.AC, self.BD))
+        f.weights, f.ss = weights, ss.tolist()
+        return f
 
     def __call__(self, q, Z):
         n = self.n
@@ -255,11 +267,14 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     0..lev: slice j is read at s >= tg[j], and slice lev stays for the
     diagonal, which interpolates between slices lev-1 and lev; the sub-steps
     put every breakpoint of the coefficients on a node, the weights' lags
-    shifted by every live anchor (`ProblemData.breakpoints`).  Per level the
-    MatrixFns `dynamics` (A, B, C, D) and hat R(s, s) are sampled at the
-    stages, and each pair (plain, hat) of two-time `weights` at (stage, tg[j])
-    for the live slices, into a `LevelField` f; rhs(f, q, Z) is the field.
-    `symmetric` projects every slice onto symmetric matrices every step.
+    shifted by every live anchor (`ProblemData.breakpoints`).  Every level's
+    grid is laid out first: the MatrixFns `dynamics` (A, B, C, D) and hat
+    R(s, s) are sampled once at the stages of all levels, into one
+    `LevelField`, and per level each pair (plain, hat) of two-time `weights`
+    at (stage, tg[j]) for the live slices (`stack_pair`, so constant weights
+    stay views); `LevelField.level` gives the level's field f, and
+    rhs(f, q, Z) is the field.  `symmetric` projects every slice onto
+    symmetric matrices every step.
 
     Returns tg and levels (2, J, J, n, n): levels[:, i, j] is the pair at
     (s, t) = (tg[i], tg[j]) for j <= i, NaN above the diagonal.
@@ -270,18 +285,24 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     hp = hat(problem)
     tg = np.linspace(0.0, problem.T, t_nodes + 1)
     J = t_nodes + 1
+    # grids[lev - 1] and stages[lev - 1] belong to level lev, over [tg[lev-1], tg[lev]]
+    grids = [march_times(tg[lev - 1], tg[lev], h, problem.breakpoints(tg[:lev + 1]))
+             for lev in range(1, J)]
+    stages = [stage_times(times) for times in grids]
+    cuts = np.cumsum([0] + [len(ss) for ss in stages])
+    ss = np.concatenate(stages)
+    w = np.concatenate([(x - a) / (b - a) for x, a, b in zip(stages, tg[:-1], tg[1:])])
+    field = LevelField(*(g.at_many(ss) for g in dynamics), hp.R.at_many(ss, ss), w,
+                       problem.delta)
     levels = np.full((2, J, J, problem.n, problem.n), np.nan)
     levels[:, -1] = problem.G.at_many(tg), hp.G.at_many(tg)
     Z = levels[:, -1].transpose(0, 2, 1, 3)
     for lev in range(J - 1, 0, -1):
-        a, b = tg[lev - 1], tg[lev]
-        times = march_times(a, b, h, problem.breakpoints(tg[:lev + 1]))
-        ss = stage_times(times)
-        W = [np.stack([f.at_many(ss[:, None], tg[:lev + 1]).transpose(0, 2, 1, 3)
-                       for f in pair], axis=1) for pair in weights]
-        f = LevelField(*(g.at_many(ss) for g in dynamics), hp.R.at_many(ss, ss), W,
-                       (ss - a) / (b - a), problem.delta, ss)
-        Z = rk4_march(partial(rhs, f), times, Z[:, :, :lev + 1],
+        ss = stages[lev - 1]
+        W = [stack_pair(*(f.at_many(ss[:, None], tg[:lev + 1]).transpose(0, 2, 1, 3)
+                          for f in pair)) for pair in weights]
+        f = field.level(slice(cuts[lev - 1], cuts[lev]), W, ss)
+        Z = rk4_march(partial(rhs, f), grids[lev - 1], Z[:, :, :lev + 1],
                       symmetric=symmetric and (0, 3, 2, 1))[0]   # slice transpose
         levels[:, lev - 1, :lev] = Z[:, :, :lev].transpose(0, 2, 1, 3)
     return tg, levels
@@ -327,24 +348,25 @@ _PAIR_BLOCK = 128
 
 class PairField:
     """The Riccati/Lyapunov field of a stack of k equations on the stage grid
-    of a backward RK4 march, its coefficients sampled and regrouped
-    (`pair_blocks`) block by block as the march reaches them.
+    of a backward RK4 march.
 
-    sample(lo, hi) returns the coefficients (A, B, C, D, Q, R) at stages
-    lo:hi, stacked over the equations, m = 0 for `without_control` ones.
-    Called at stage q on the state Z (k, n, n), the field gives the linear
-    part, L and K as views of one buffer, which the next call overwrites;
-    every equation sandwiches P = Z[0].  The march must visit the stages in
-    non-increasing order, as `rk4_march` does.
+    `coefficients` are (A, B, C, D, Q, R) at every stage of the march,
+    stacked over the equations, (stages, k, ., .), with m = 0 for
+    `without_control` ones; they are regrouped (`pair_blocks`) block by block
+    as the march reaches them.  Called at stage q on the state Z (k, n, n),
+    the field gives the linear part, L and K as views of one buffer, which
+    the next call overwrites; every equation sandwiches P = Z[0].  The march
+    must visit the stages in non-increasing order, as `rk4_march` does.
     """
 
-    def __init__(self, sample, stages: int, n: int, m: int):
-        self.sample, self.lo, self.n, self.m = sample, stages, n, m
+    def __init__(self, coefficients):
+        self.coefficients, self.lo = coefficients, len(coefficients[0])
+        self.n, self.m = coefficients[1].shape[-2:]
 
     def __call__(self, q, Z):
         if q < self.lo:
             n, m, self.lo = self.n, self.m, max(0, q + 1 - _PAIR_BLOCK)
-            self.U = pair_blocks(*self.sample(self.lo, q + 1))
+            self.U = pair_blocks(*(x[self.lo:q + 1] for x in self.coefficients))
             self.M, self.N = (self.U[..., k * n:(k + 1) * n].swapaxes(-1, -2) for k in (1, 2))
             r = self.right = np.zeros((self.U.shape[1], 4 * n + m, n + m))  # [ZM; ZE; PN; I]
             r[:, 3 * n:] = np.eye(n + m)
@@ -473,16 +495,12 @@ def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,
     times = march_times(*interval, h)
     ss = stage_times(times)
     G = np.atleast_2d(np.asarray(G, dtype=float))
-
-    def sample(lo, hi):
-        As, F = A.at_many(ss[lo:hi]), forcing.at_many(ss[lo:hi])
-        Cs = np.zeros_like(As) if C is None else C.at_many(ss[lo:hi])
-        if sandwich is not None:
-            S = np.array([sandwich(s) for s in ss[lo:hi]])
-            F, Cs = F + Cs.swapaxes(-1, -2) @ S @ Cs, np.zeros_like(As)
-        return without_control(As[:, None], Cs[:, None], F[:, None])
-
-    field = PairField(sample, len(ss), len(G), 0)
+    As, F = A.at_many(ss), forcing.at_many(ss)
+    Cs = np.zeros_like(As) if C is None else C.at_many(ss)
+    if sandwich is not None:
+        S = np.array([sandwich(s) for s in ss])
+        F, Cs = F + Cs.swapaxes(-1, -2) @ S @ Cs, np.zeros_like(As)
+    field = PairField(without_control(As[:, None], Cs[:, None], F[:, None]))
     return times, rk4_march(lambda q, Z: -field(q, Z)[0], times, G[None], symmetric=True)[:, 0]
 
 
@@ -546,7 +564,7 @@ def solve_riccati(coeffs: RiccatiCoefficients, interval: tuple[float, float],
     folded = A - B @ RS, B, C - D @ RS, D, Q - S.swapaxes(-1, -2) @ RS, R
 
     def field_rhs():
-        field = PairField(lambda lo, hi: tuple(x[lo:hi] for x in folded), len(ss), *B.shape[-2:])
+        field = PairField(folded)
 
         def rhs(q, P):
             lin, L, K = field(q, P)

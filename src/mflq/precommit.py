@@ -19,7 +19,7 @@ from .errors import MFLQError, ValidationError
 from .integrators import (PairField, dense_march, feedback_gain, gain_path,
                           march_times, march_triples, rk4_march, stage_times,
                           without_control)
-from .types import MatrixFn, ProblemData, _interp, hat, min_eig
+from .types import MatrixFn, ProblemData, _interp, hat, min_eig, stack_pair
 
 #: default solves return their paths on a grid of step T/OUTPUT_STEPS, the
 #: finest step the pilot of `default_step` may choose
@@ -44,19 +44,19 @@ def step_choice(problem: ProblemData) -> StepChoice:
     """The measured default step, computed once per problem object.
 
     A pilot marches the pre-commitment pair at t = 0 with H = T/64 and again
-    with every step halved.  |Z_H - Z_{H/2}|/15, the largest over the coarse
-    nodes, estimates the error of the finer march; RK4's h^4 law then gives
-    the step that brings it to 1e-12 (1 + max|Z|), clamped to
-    [T/2000, T/64].  If the pilot raises, the step falls back to T/2000, at
-    which the solvers raise what they raise there.
+    with every step halved, the pair alone without its output gains.
+    |Z_H - Z_{H/2}|/15, the largest over the coarse nodes, estimates the
+    error of the finer march; RK4's h^4 law then gives the step that brings
+    it to 1e-12 (1 + max|Z|), clamped to [T/2000, T/64].  If the pilot
+    raises, the step falls back to T/2000, at which the solvers raise what
+    they raise there.
     """
     if "step" not in problem.memo:
         T = problem.T
         try:
             coarse = march_times(0.0, T, T / PILOT_STEPS, problem.breakpoints((0.0,)))
             fine = stage_times(coarse)
-            sols = [_pair_march(problem, 0.0, x, x)[0] for x in (coarse, fine)]
-            Zc, Zf = (np.stack([sol.P, sol.Phat], axis=1) for sol in sols)
+            Zc, Zf = (_pair_march(problem, 0.0, x, x)[0] for x in (coarse, fine))
         except MFLQError:
             choice = StepChoice(T / OUTPUT_STEPS, None)
         else:
@@ -119,17 +119,18 @@ class PrecommitSolution:
         return _interp(s, self.times, self.Theta_hat)
 
 
-def pair_coefficients(problem: ProblemData, ss: np.ndarray, t: float,
-                      names: str = "ABCDQR"):
-    """The coefficients `names`, of A, B, C, D, Q and R, at the stage times ss,
-    the weights frozen at t, each stacked plain over hat along axis 1:
-    (len(ss), 2, ., .)."""
+def pair_coefficients(problem: ProblemData, ss: np.ndarray, t, names: str = "ABCDQR"):
+    """The coefficients `names`, of A, B, C, D, Q and R, at the times ss, each
+    stacked plain over hat along axis 1 (`stack_pair`, a broadcast view for a
+    constant): (len(ss), 2, ., .).  The weights are read at (ss, t), t one
+    anchor for every time or an array of one anchor per time, so that the
+    stages of several intervals, each frozen at its own t_k, are one call."""
     def at(p, x):
         f = getattr(p, x)
-        return (f.frozen(t) if x in "QR" else f).at_many(ss)
+        return f.at_many(ss, t) if x in "QR" else f.at_many(ss)
 
     hp = hat(problem)
-    return tuple(np.stack([at(problem, x), at(hp, x)], axis=1) for x in names)
+    return tuple(stack_pair(at(problem, x), at(hp, x)) for x in names)
 
 
 def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
@@ -138,34 +139,31 @@ def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
     frozen at t: each Riccati equation without its quadratic gain term, i.e.
     the pair field without control, the hat one sandwiching Pi.  One stacked
     (2, n, n) state from `terminal`; returns (len(times), 2, n, n)."""
-    ss = stage_times(times)
-    field = PairField(lambda lo, hi: without_control(
-        *pair_coefficients(problem, ss[lo:hi], t, "ACQ")), len(ss), problem.n, 0)
+    field = PairField(without_control(*pair_coefficients(problem, stage_times(times), t,
+                                                         "ACQ")))
     return rk4_march(lambda q, Z: -field(q, Z)[0], times, terminal, symmetric=True)
 
 
 def _pair_march(problem: ProblemData, t: float, times: np.ndarray, out: np.ndarray,
                 terminal: np.ndarray | None = None, what=_PAIR_FACTORS,
-                sample=None) -> tuple[PrecommitSolution, list]:
+                coefficients=None) -> tuple[np.ndarray, list]:
     """The stacked pair (P, Phat), weights frozen at t, marched over `times`
-    from `terminal` (default (G(t), Ghat(t))) on `PairField`: the solution at
-    the times `out` (`dense_march`), its gains recomputed there, and the list
-    of the (2, m, n) gains of every RK4 stage in call order, four per step
-    from the top (and one at times[0] if dense output asked for it).
+    from `terminal` (default (G(t), Ghat(t))) on `PairField`: its values
+    (len(out), 2, n, n) at the times `out` (`dense_march`), and the list of
+    the (2, m, n) gains of every RK4 stage in call order, four per step from
+    the top (and one at times[0] if dense output asked for it).
 
-    A loss of definiteness names the failing factor of `what`.  sample(lo, hi)
-    gives the pair's coefficients at stages lo:hi of the march (default
-    `pair_coefficients`, block by block); a caller that samples every stage
-    anyway passes its sample.
+    A loss of definiteness names the failing factor of `what`.  The pair's
+    coefficients at every stage of the march are `pair_coefficients`,
+    sampled in one call unless a caller that samples them anyway gives them.
     """
     ss = stage_times(times)
     if terminal is None:
         terminal = np.stack([np.atleast_2d(problem.G(t)), np.atleast_2d(hat(problem).G(t))])
-    if sample is None:
-        def sample(lo, hi):
-            return pair_coefficients(problem, ss[lo:hi], t)
+    if coefficients is None:
+        coefficients = pair_coefficients(problem, ss, t)
     delta = problem.delta
-    field = PairField(sample, len(ss), problem.n, problem.m)
+    field = PairField(coefficients)
     record = []
 
     def rhs(q, Z):
@@ -174,11 +172,19 @@ def _pair_march(problem: ProblemData, t: float, times: np.ndarray, out: np.ndarr
         record.append(Th)
         return L.swapaxes(-1, -2) @ Th - lin
 
-    Z = dense_march(rhs, times, out, terminal, symmetric=True)
-    th = gain_path(Z, Z[:, :1], *pair_coefficients(problem, out, t, "BCDR"),
-                   delta, what, out[:, None])
+    return dense_march(rhs, times, out, terminal, symmetric=True), record
+
+
+def _pair_solution(problem: ProblemData, t: float, out: np.ndarray, Z: np.ndarray,
+                   what=_PAIR_FACTORS, coefficients=None) -> PrecommitSolution:
+    """The solution whose pair Z (`_pair_march`) is given at the times `out`,
+    its gains recomputed there from the coefficients B, C, D and R at `out`
+    (`pair_coefficients` frozen at t, sampled unless given)."""
+    if coefficients is None:
+        coefficients = pair_coefficients(problem, out, t, "BCDR")
+    th = gain_path(Z, Z[:, :1], *coefficients, problem.delta, what, out[:, None])
     return PrecommitSolution(t=t, times=out, P=Z[:, 0], Phat=Z[:, 1],
-                             Theta=th[:, 0], Theta_hat=th[:, 1]), record
+                             Theta=th[:, 0], Theta_hat=th[:, 1])
 
 
 def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
@@ -194,11 +200,12 @@ def solve_precommitment(problem: ProblemData, t: float, h: float | None = None
     backward time.  The march and output grids are `march_grids`': an
     explicit h marches and returns at h; by default the march runs at
     `default_step` and P, Phat come back at step T/2000 by Hermite dense
-    output, with the gains recomputed there.
+    output, with the gains recomputed there (`_pair_solution`).
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"initial time t={t:g} outside [0, T) with T={problem.T:g}")
-    return _pair_march(problem, t, *march_grids(problem, t, problem.T, h, (t,)))[0]
+    times, out = march_grids(problem, t, problem.T, h, (t,))
+    return _pair_solution(problem, t, out, _pair_march(problem, t, times, out)[0])
 
 
 @dataclass(frozen=True)

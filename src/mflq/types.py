@@ -93,6 +93,15 @@ def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x + y
 
 
+def stack_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.stack([a, b], axis=1) of two equally shaped stacks; a read-only
+    broadcast view when neither varies along its stage axis 0, as constant
+    samples from `at_many` do not."""
+    if len(a) and not a.strides[0] and not b.strides[0]:
+        return np.broadcast_to(np.stack([a[0], b[0]]), (len(a), 2) + a.shape[1:])
+    return np.stack([a, b], axis=1)
+
+
 def _union(*groups) -> tuple[float, ...]:
     """The sorted distinct times of several breakpoint tuples."""
     return tuple(sorted({float(x) for g in groups for x in g}))
@@ -311,7 +320,7 @@ class ProblemData:
     delta: float
     monotone: bool = False
     #: quantities derived from this problem object and kept with it (the
-    #: measured default step); `dataclasses.replace` starts a new one
+    #: measured default step, `hat`); `dataclasses.replace` starts a new one
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -349,16 +358,19 @@ class ProblemData:
 
 
 def hat(problem: ProblemData) -> HatCoefficients:
-    """Pointwise sums A+Abar, ..., G+Gbar."""
-    return HatCoefficients(
-        A=problem.A + problem.Abar,
-        B=problem.B + problem.Bbar,
-        C=problem.C + problem.Cbar,
-        D=problem.D + problem.Dbar,
-        Q=problem.Q + problem.Qbar,
-        R=problem.R + problem.Rbar,
-        G=problem.G + problem.Gbar,
-    )
+    """Pointwise sums A+Abar, ..., G+Gbar, built once per problem object and
+    kept in its memo."""
+    if "hat" not in problem.memo:
+        problem.memo["hat"] = HatCoefficients(
+            A=problem.A + problem.Abar,
+            B=problem.B + problem.Bbar,
+            C=problem.C + problem.Cbar,
+            D=problem.D + problem.Dbar,
+            Q=problem.Q + problem.Qbar,
+            R=problem.R + problem.Rbar,
+            G=problem.G + problem.Gbar,
+        )
+    return problem.memo["hat"]
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,9 @@ def _explicit_field(coeffs, q, Z, delta, what):
 class FlippedSandwich(precommit.PairField):
     """The pair field with its C'PC term entering with the wrong sign."""
 
-    def __init__(self, sample, stages, n, m):
-        super().__init__(sample, stages, n, m)
-        self.C = sample(0, stages)[2]
+    def __init__(self, coefficients):
+        super().__init__(coefficients)
+        self.C = coefficients[2]
 
     def __call__(self, q, Z):
         lin, L, K = super().__call__(q, Z)
@@ -84,9 +84,8 @@ def _mismatch(n, m, seed, field_type=precommit.PairField):
     rng = np.random.default_rng(seed)
     coeffs = _coefficients(rng, n, m, STAGES)
     A, _, C, _, Q, _ = coeffs
-    field = field_type(lambda lo, hi: tuple(x[lo:hi] for x in coeffs), STAGES, n, m)
-    linear = field_type(lambda lo, hi: precommit.without_control(A[lo:hi], C[lo:hi], Q[lo:hi]),
-                        STAGES, n, 0)
+    field = field_type(coeffs)
+    linear = field_type(precommit.without_control(A, C, Q))
     what = np.array(["K", "Khat"])
     worst = 0.0
     for q in range(STAGES - 1, -1, -1):
