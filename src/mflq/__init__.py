@@ -13,8 +13,7 @@ from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
 from .game import (DeltaEquilibrium, IntervalSolution, build_delta_equilibrium,
                    delta_local_optimality_check, jump_magnitudes,
                    ordering_report)
-from .integrators import (RiccatiCoefficients, RiccatiSolution, rk4_backward,
-                          rk4_march, solve_lyapunov, solve_riccati, stage_times)
+from .integrators import rk4_backward, rk4_march, stage_times
 from .openloop import (OpenLoopSolution, bsde_residual_check, solve_open_loop,
                        verify_open_loop_equilibrium)
 from .precommit import (PrecommitSolution, cost_via_lyapunov, precommit_bounds,
@@ -44,8 +43,6 @@ __all__ = [
     "apply_overrides", "BUNDLED",
     # integrators
     "rk4_backward", "rk4_march", "stage_times",
-    "solve_lyapunov", "solve_riccati", "RiccatiCoefficients",
-    "RiccatiSolution",
     # solvers
     "solve_precommitment", "PrecommitSolution", "precommit_bounds",
     "cost_via_lyapunov",

@@ -5,24 +5,21 @@ coefficients sampled once on the march's stage grid) with its node grids
 (`march_times`, breakpoints on nodes) and dense output, the feedback gain
 K^{-1} L with its definiteness check, and the three fields the solvers march:
 `LevelField`, the products the level systems (open-loop and closed-loop
-limit) share; `PairField`, the Riccati/Lyapunov field of a stack of equations
-(the pre-commitment pair, every game interval, the Lyapunov majorants,
-`solve_lyapunov`, and `solve_riccati` with its cross term folded into the
-coefficients); and `triple_field`, the Lyapunov cost triples.
+limit) share; `PairField`, the Riccati/Lyapunov field of the stacked pair
+(the pre-commitment pair, every game interval and the Lyapunov majorants); and
+`triple_field`, the Lyapunov cost triples.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowUpError, IllPosedError, ValidationError
-from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair, symmetrize, tau_psd
+from .types import ProblemData, hat, stack_pair, symmetrize
 
 
 def check_step(h: float) -> float:
@@ -348,7 +345,9 @@ _PAIR_BLOCK = 128
 
 class PairField:
     """The Riccati/Lyapunov field of a stack of k equations on the stage grid
-    of a backward RK4 march.
+    of a backward RK4 march: the pre-commitment pair of every solve and game
+    interval (`precommit._pair_march`, k = 2, plain over hat) and, without
+    control, its Lyapunov majorants (`precommit.lyapunov_pair`).
 
     `coefficients` are (A, B, C, D, Q, R) at every stage of the march,
     stacked over the equations, (stages, k, ., .), with m = 0 for
@@ -480,123 +479,3 @@ def march_triples(times: np.ndarray, terminal: np.ndarray, coefficients) -> np.n
     out[..., iu[1], iu[0]] = v
     return out
 
-
-def solve_lyapunov(A: MatrixFn, C: Optional[MatrixFn], forcing: MatrixFn,
-                   G: np.ndarray, interval: tuple[float, float], h: float,
-                   sandwich: Optional[Callable[[float], np.ndarray]] = None):
-    """Solve P' + P A + A' P + C' S C + forcing = 0 backward from P(b) = G, as
-    a stack of one on `PairField` without control.
-
-    The sandwiched matrix S is P itself by default; passing `sandwich` substitutes
-    an externally supplied path s -> S(s) (needed when a previously computed field
-    enters the quadratic term), which joins the forcing. With C absent the
-    sandwich term is dropped. Returns (times, path), every matrix symmetric.
-    """
-    times = march_times(*interval, h)
-    ss = stage_times(times)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    As, F = A.at_many(ss), forcing.at_many(ss)
-    Cs = np.zeros_like(As) if C is None else C.at_many(ss)
-    if sandwich is not None:
-        S = np.array([sandwich(s) for s in ss])
-        F, Cs = F + Cs.swapaxes(-1, -2) @ S @ Cs, np.zeros_like(As)
-    field = PairField(without_control(As[:, None], Cs[:, None], F[:, None]))
-    return times, rk4_march(lambda q, Z: -field(q, Z)[0], times, G[None], symmetric=True)[:, 0]
-
-
-@dataclass(frozen=True)
-class RiccatiCoefficients:
-    """Coefficients of the symmetric Riccati equation with cross term S."""
-
-    A: MatrixFn
-    B: MatrixFn
-    C: MatrixFn
-    D: MatrixFn
-    S: MatrixFn
-    Q: MatrixFn
-    R: MatrixFn
-    G: np.ndarray
-    delta: float = 1e-8
-
-    def check_definiteness(self, interval):
-        """Check of R >= delta I, Q - S' R^{-1} S >= 0 at 9 times of the
-        interval, and of G >= 0."""
-        a, b = interval
-        for s in np.linspace(a, b, 9):
-            Rs = self.R(s)
-            if min_eig(Rs) < self.delta - tau_psd(Rs):
-                raise ValidationError(f"R(s) not >= delta I at s={s:g}")
-            Ss = self.S(s)
-            M = self.Q(s) - Ss.T @ np.linalg.solve(Rs, Ss)
-            if min_eig(M) < -tau_psd(M):
-                raise ValidationError(f"Q - S'R^-1 S not PSD at s={s:g}")
-        Gm = np.atleast_2d(np.asarray(self.G, float))
-        if min_eig(Gm) < -tau_psd(Gm):
-            raise ValidationError("terminal matrix G not PSD")
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    times: np.ndarray
-    P: np.ndarray      # (len(times), n, n)
-    Theta: np.ndarray  # (len(times), m, n)
-
-
-
-
-
-def solve_riccati(coeffs: RiccatiCoefficients, interval: tuple[float, float],
-                  h: float) -> RiccatiSolution:
-    """Backward RK4 solve of the Riccati equation; returns P and the gain path.
-
-    The cross term is folded into the coefficients: with u = v - R^{-1}S x the
-    equation is the one for A - BR^{-1}S, C - DR^{-1}S and Q - S'R^{-1}S
-    without it, marched as a stack of one on `PairField`, and
-    Theta = Theta' + R^{-1}S.  Asserts positive semidefiniteness of P at every
-    node and a small midpoint residual of the integrated equation.
-    """
-    coeffs.check_definiteness(interval)
-    times = march_times(*interval, h)
-    ss = stage_times(times)
-    A, B, C, D, S, Q, R = (f.at_many(ss)[:, None] for f in (
-        coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.S, coeffs.Q, coeffs.R))
-    RS = feedback_gain(R, S, coeffs.delta, "R", ss[:, None])
-    folded = A - B @ RS, B, C - D @ RS, D, Q - S.swapaxes(-1, -2) @ RS, R
-
-    def field_rhs():
-        field = PairField(folded)
-
-        def rhs(q, P):
-            lin, L, K = field(q, P)
-            return L.swapaxes(-1, -2) @ feedback_gain(K, L, coeffs.delta, "R + D'PD", ss[q]) - lin
-        return rhs
-
-    P = rk4_march(field_rhs(), times, np.atleast_2d(coeffs.G)[None], symmetric=True)
-    Theta = gain_path(P, P, *(x[::2] for x in folded[1:4]), R[::2], coeffs.delta,
-                      "R + D'PD", times[:, None]) + RS[::2]
-    lo = np.linalg.eigvalsh(symmetrize(P[:, 0])).min(axis=-1)
-    for i, s in enumerate(times):
-        if lo[i] < -tau_psd(P[i, 0]):
-            raise IllPosedError(f"Riccati solution lost PSD at s={s:g}")
-
-    _check_midpoint_residual(field_rhs(), times, P)
-    return RiccatiSolution(times=times, P=P[:, 0], Theta=Theta[:, 0])
-
-
-def _check_midpoint_residual(rhs, times, P):
-    # The midpoint-rule residual of the exact solution is itself
-    # h^2 (P'''/24 - J P''/8) to leading order, J the field's Jacobian, so the
-    # tolerance scales with the solution's curvature, estimated from its
-    # second differences at the nodes, as well as with its size.
-    h_max = float(np.diff(times).max())
-    curvature = float(np.abs(np.diff(P, 2, axis=0)).max()) / h_max ** 2 if len(P) > 2 else 0.0
-    tau_res = max(1e-6, 0.5 * h_max ** 2) * (1.0 + float(np.abs(P).max()) + curvature)
-    worst = 0.0
-    for i in range(len(times) - 2, -1, -1):    # downwards, as a PairField is visited
-        dt = times[i + 1] - times[i]
-        dP = (P[i + 1] - P[i]) / dt
-        res = dP - rhs(2 * i + 1, 0.5 * (P[i] + P[i + 1]))
-        worst = max(worst, float(np.abs(res).max()))
-    if worst > tau_res:
-        raise IllPosedError(
-            f"Riccati midpoint residual {worst:.3g} exceeds tolerance {tau_res:.3g}")

@@ -8,15 +8,16 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from mflq import (MatrixFn, MCConfig, RiccatiCoefficients, TimeGrid,
+from mflq import (MatrixFn, MCConfig, TimeGrid,
                   TwoTimeMatrixFn, bsde_residual_check,
                   build_delta_equilibrium, cost_via_lyapunov,
                   delta_local_optimality_check, direct_diagonal_solve,
                   estimate_cost, example_oracles, jump_magnitudes,
                   ordering_report, semigroup_failure_demo,
                   simulate_closed_loop, solve_closed_loop, solve_open_loop,
-                  solve_precommitment, solve_riccati)
+                  solve_precommitment)
 from mflq.cli import converge_study
 from mflq.types import PiecewiseGain, ProblemData
 
@@ -218,20 +219,22 @@ def test_criterion_09_open_loop_special_cases(classical):
     budget.check()
 
 
-def test_criterion_10_integrator_order(classical):
-    """Halving the Riccati step divides the error against an h/8 reference by
-    a factor in [8, 32]."""
+@pytest.mark.parametrize("name", ["classical", "meanfield", "discounting", "ex12"])
+def test_criterion_10_integrator_order(name, request):
+    """Halving the step of the pair march (`solve_precommitment` at an explicit
+    h) divides the error of the stacked (P, Phat) at t = 0 against an h/8
+    reference by a factor in [8, 32].  h = T/16 keeps the grids nested on
+    every problem: discounting's lag knots sit at multiples of T/8."""
     budget = _Budget(10)
-    coeffs = RiccatiCoefficients(
-        A=classical.A, B=classical.B, C=classical.C, D=classical.D,
-        S=MatrixFn.constant(np.zeros((1, 2)), classical.T),
-        Q=MatrixFn(lambda s: classical.Q(s, 0.0), (2, 2), classical.T),
-        R=MatrixFn(lambda s: classical.R(s, 0.0), (1, 1), classical.T),
-        G=classical.G(0.0), delta=classical.delta)
-    h = 0.05
-    ref = solve_riccati(coeffs, (0.0, 1.0), h / 8).P[0]
-    err = [float(np.abs(solve_riccati(coeffs, (0.0, 1.0), hh).P[0] - ref).max())
-           for hh in (h, h / 2)]
+    problem = request.getfixturevalue(name)
+    h = problem.T / 16
+
+    def pair(hh):
+        sol = solve_precommitment(problem, 0.0, hh)
+        return np.stack([sol.P[0], sol.Phat[0]])
+
+    ref = pair(h / 8)
+    err = [float(np.abs(pair(hh) - ref).max()) for hh in (h, h / 2)]
     ratio = err[0] / err[1]
     assert 8.0 <= ratio <= 32.0, ratio
     budget.check()

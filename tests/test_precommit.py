@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from mflq import (MatrixFn, MCConfig, cost_via_lyapunov, estimate_cost,
-                  example_oracles, precommit_bounds, rk4_march, simulate_closed_loop,
-                  solve_precommitment, stage_times)
+from mflq import (IllPosedError, MatrixFn, MCConfig, ProblemData, TwoTimeMatrixFn,
+                  cost_via_lyapunov, estimate_cost, example_oracles, precommit_bounds,
+                  rk4_march, simulate_closed_loop, solve_precommitment, stage_times)
 from mflq.precommit import MeanFieldGenerator, QuadraticWeights
 
 
@@ -64,6 +66,84 @@ def test_bounds_hold(classical, meanfield, discounting):
     for p in (classical, meanfield, discounting):
         rep = precommit_bounds(p, 0.0, h=p.T / 500)
         assert rep.bounds_hold, (rep.min_gap_P, rep.min_gap_Phat)
+
+
+def _time_varying(D=None, R=None):
+    """n = 3, m = 2: A, B, C and D vary in time, Abar, Bbar and Cbar are
+    nonzero, and Q, Qbar and R are weights of (s, t)."""
+    rng = np.random.default_rng(7)
+    A0, A1, B0, C0, D0, Ab, Bb, Cb = (rng.normal(scale=0.5, size=s) for s in
+                                      [(3, 3), (3, 3), (3, 2), (3, 3), (3, 2),
+                                       (3, 3), (3, 2), (3, 3)])
+    T = 1.0
+
+    def fn(f, shape):
+        return MatrixFn(f, shape, T)
+
+    def fn2(f, shape):
+        return TwoTimeMatrixFn(f, shape, T)
+
+    return ProblemData(
+        n=3, m=2, T=T,
+        A=fn(lambda s: A0 + np.sin(2 * s) * A1, (3, 3)), Abar=MatrixFn.constant(Ab, T),
+        B=fn(lambda s: (1 + s) * B0, (3, 2)), Bbar=MatrixFn.constant(Bb, T),
+        C=fn(lambda s: np.cos(s) * C0, (3, 3)), Cbar=MatrixFn.constant(Cb, T),
+        D=D or fn(lambda s: D0 + 0.1 * s, (3, 2)), Dbar=MatrixFn.constant(np.zeros((3, 2)), T),
+        Q=fn2(lambda s, t: (4 + s) * np.eye(3) + np.exp(t - s) * np.ones((3, 3)), (3, 3)),
+        Qbar=fn2(lambda s, t: (s - t) * np.eye(3), (3, 3)),
+        R=R or fn2(lambda s, t: np.array([[1.5 + s - t, 0.2], [0.2, 1.0 + t]]), (2, 2)),
+        Rbar=TwoTimeMatrixFn.constant(np.diag([0.3, 0.1]), T),
+        G=MatrixFn.constant(np.eye(3), T), Gbar=MatrixFn.constant(0.5 * np.eye(3), T),
+        delta=1e-3)
+
+
+class TestTimeVaryingPair:
+    """The pair march against an outside reference, at n = 3 and m = 2."""
+
+    def test_matches_scipy_reference(self):
+        from scipy.integrate import solve_ivp
+        p, t = _time_varying(), 0.2
+        sol = solve_precommitment(p, t)
+
+        def factors(s, P, Ph):
+            A, B, C, D = p.A(s), p.B(s), p.C(s), p.D(s)
+            Ah, Bh, Ch, Dh = A + p.Abar(s), B + p.Bbar(s), C + p.Cbar(s), D + p.Dbar(s)
+            R = p.R(s, t)
+            return ((A, C, p.Q(s, t), R + D.T @ P @ D, B.T @ P + D.T @ P @ C),
+                    (Ah, Ch, p.Q(s, t) + p.Qbar(s, t), R + p.Rbar(s, t) + Dh.T @ P @ Dh,
+                     Bh.T @ Ph + Dh.T @ P @ Ch))
+
+        def rhs(s, y):
+            P, Ph = y.reshape(2, 3, 3)
+            # both equations sandwich P
+            return -np.stack([Z @ A + A.T @ Z + C.T @ P @ C + Q - L.T @ np.linalg.solve(K, L)
+                              for Z, (A, C, Q, K, L) in zip((P, Ph), factors(s, P, Ph))]
+                             ).reshape(-1)
+
+        G = p.G(t)
+        ref = solve_ivp(rhs, (p.T, t), np.stack([G, G + p.Gbar(t)]).reshape(-1),
+                        rtol=1e-12, atol=1e-13)
+        P, Ph = ref.y[:, -1].reshape(2, 3, 3)
+        assert sol.times[0] == t
+        np.testing.assert_allclose(sol.P[0], P, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sol.Phat[0], Ph, rtol=0, atol=1e-9)
+        (*_, K, L), (*_, Kh, Lh) = factors(t, P, Ph)
+        np.testing.assert_allclose(sol.Theta[0], np.linalg.solve(K, L), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sol.Theta_hat[0], np.linalg.solve(Kh, Lh), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("h", [None, 1e-3])
+    def test_indefinite_R_between_samples_is_ill_posed(self, h):
+        """R dips below delta/2 only on a stretch of width 0.008 around
+        s = 0.0625, between the times `validate` samples (it passes); the march
+        checks the factor at every stage and names it."""
+        def R(s, t):
+            return np.diag([1.0, 1.0 - 2.0 * np.exp(-((s - 0.0625) / 0.005) ** 2)])
+
+        p = _time_varying(MatrixFn.constant(np.zeros((3, 2)), 1.0),
+                          TwoTimeMatrixFn(R, (2, 2), 1.0))
+        with pytest.raises(IllPosedError,
+                           match=re.escape("R(t)+D'PD lost definiteness at s=0.06")):
+            solve_precommitment(p, 0.0, h)
 
 
 class TestCostRepresentation:
