@@ -5,9 +5,13 @@ Runs the spike-perturbation check for the open-loop equilibrium (dynamics
 without mean-field terms), the interval-deviation check for the partition
 equilibrium, and the Monte Carlo cost-vs-value comparison for the closed-loop
 limit.
+
+Exits 1 when a spike or interval-deviation check fails, 0 otherwise; the
+closed-loop cost line is informational and never fails the run.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -23,12 +27,15 @@ def main():
     ap.add_argument("--paths", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
+    failed = []
 
     classical = bundled_problem("classical")
     sol = solve_open_loop(classical, t_nodes=32)
     rep = verify_open_loop_equilibrium(
         classical, sol, np.ones(2),
         mc=MCConfig(paths=args.paths, steps=400, seed=args.seed))
+    if not rep["passed"]:
+        failed.append("open-loop spike check")
     print(f"open-loop spike check (classical): "
           f"{'pass' if rep['passed'] else 'FAIL'} "
           f"min margin {rep['min_margin']:.3e}")
@@ -42,6 +49,8 @@ def main():
         rep = delta_local_optimality_check(
             ex12, eq, k, [1.0],
             mc=MCConfig(paths=args.paths, steps=400, seed=13))
+        if not rep["passed"]:
+            failed.append(f"interval-deviation check, player {k}")
         print(f"interval-deviation check, player {k}: "
               f"{'pass' if rep['passed'] else 'FAIL'} "
               f"min margin {rep['min_margin']:.3e}")
@@ -57,7 +66,10 @@ def main():
     print(f"closed-loop (meanfield): simulated cost {mean:.6g} "
           f"+- {stderr:.2g} under the N={cl.game.N} game's gains, "
           f"equilibrium value {value:.6g} at N={cl.grid.num_intervals}")
+    if failed:
+        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

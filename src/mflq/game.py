@@ -22,8 +22,9 @@ from .integrators import check_step, march_triples, stage_times
 from .precommit import (PrecommitSolution, _pair_march, _pair_solution, lyapunov_pair,
                         march_grids, pair_coefficients)
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
-                       closed_loop_states_at, mean_field_system, paired_mean_stderr,
-                       probe_map, reset_mask, trapezoid_weights, variant_costs)
+                       closed_loop_states_at, initial_state, mean_field_system,
+                       paired_mean_stderr, probe_map, reset_mask, trapezoid_weights,
+                       variant_costs)
 from .types import (GainSegment, PiecewiseGain, ProblemData, TimeGrid, min_eig,
                     symmetrize, tau_psd)
 
@@ -286,16 +287,21 @@ def delta_local_optimality_check(problem: ProblemData, eq: DeltaEquilibrium,
     the equilibrium continuation against `n_probes` alternative controls on
     [t_k, t_{k+1}) (constants, shifted feedbacks, random constants), all under
     common random numbers.  Passes when every probe's cost exceeds the
-    equilibrium cost within three standard errors.
+    equilibrium cost within three standard errors.  The variants march only
+    up to t_{k+1}; after it they share one march of the tail (`_tail_cost`),
+    except for the last player, who has no shared tail.  n_probes must be at
+    least 1 and x0 must hold n entries: ConfigurationError otherwise.
     """
     if mc is None:
         mc = MCConfig(paths=20000, steps=400, seed=13)
     nodes = eq.partition.nodes
     if not 0 <= k < eq.N:
         raise ConfigurationError(f"player index {k} outside 0..{eq.N - 1}")
+    if n_probes < 1:
+        raise ConfigurationError(f"n_probes must be at least 1, got {n_probes}")
     tk = float(nodes[k])
     T = problem.T
-    x0 = np.asarray(x0, float).reshape(-1)
+    x0 = initial_state(problem, x0)
 
     if k == 0:
         Xk = np.repeat(x0[:, None], mc.paths, axis=1)
@@ -353,7 +359,10 @@ def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
 
     The variants run on `variant_costs` with y = [X; E_rho X] and the controls
     [u; E_rho u] (`mean_field_system`); E_rho X is re-anchored to X at every
-    later partition node.
+    later partition node.  Before the last player the re-anchoring at t_{k+1}
+    leaves every variant at [X; X; 1], and all variants follow the equilibrium
+    from there, so the tail from t_{k+1} is shared: `variant_costs` marches it
+    once per path, on the basis [I; I; 0].
     """
     n, m = problem.n, problem.m
     nodes = eq.partition.nodes
@@ -366,5 +375,9 @@ def _tail_cost(problem, eq, k, grid, dW, Xk, probes):
         u[window, v] = probe
     drift, noise, controls = mean_field_system(problem, grid, u)
     reset = (reset_mask(grid, nodes[k + 1:-1]), slice(n, 2 * n), slice(0, n))
+    tail = None
+    if k < eq.N - 1:
+        tail = (int(np.count_nonzero(window)),
+                np.concatenate([np.eye(n), np.eye(n), np.zeros((1, n))]))
     return variant_costs(problem, grid, dW, np.tile(Xk, (2, 1)), drift, noise,
-                         controls, reset)
+                         controls, reset, tail=tail)

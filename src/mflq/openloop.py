@@ -17,7 +17,7 @@ from .errors import ConfigurationError, ValidationError
 from .integrators import gain_path, left, march_levels
 from .precommit import default_step
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments, euler_maruyama,
-                       euler_transition, paired_mean_stderr, probe_map,
+                       euler_transition, initial_state, paired_mean_stderr, probe_map,
                        variant_costs)
 from .types import ProblemData, TimeGrid, TwoParamMatrixField, _interp, hat
 
@@ -145,9 +145,12 @@ def _default_probes(problem, sol, t):
 
 
 def _check_spikes(T, check_times, eps_list):
-    """Every spike [t, t + eps] must lie in [0, T] with eps > 0."""
+    """Every spike [t, t + eps] must lie in [0, T] with eps > 0, and there
+    must be at least one of each."""
     if len(eps_list) == 0:
         raise ConfigurationError("eps_list is empty")
+    if len(check_times) == 0:
+        raise ConfigurationError("check_times is empty")
     tol = 1e-12 * max(1.0, abs(T))
     for t in check_times:
         if not 0.0 <= t < T:
@@ -177,7 +180,7 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
     if check_times is None:
         check_times = [0.2 * T, 0.5 * T]
     _check_spikes(T, check_times, eps_list)
-    x0 = np.asarray(x0, float).reshape(-1)
+    x0 = initial_state(problem, x0)
 
     # every grid draws the same normals when it has the same step count: draw
     # them once at unit steps (sqrt(1) = 1 is exact) and scale a copy per grid

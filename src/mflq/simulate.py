@@ -287,6 +287,15 @@ def _closed_loop_system(problem: ProblemData, gains, t: float,
     return _ClosedLoopSystem(times, drift, mean_drift, noise, observe, reset)
 
 
+def initial_state(problem: ProblemData, x0) -> np.ndarray:
+    """x0 as a flat float vector, which must hold the problem's n entries."""
+    x0 = np.asarray(x0, float).reshape(-1)
+    if x0.shape != (problem.n,):
+        raise ConfigurationError(
+            f"x0 has {x0.size} entries, the state has n = {problem.n}")
+    return x0
+
+
 def _start(x0) -> np.ndarray:
     """The (2n, 1) column [x0; x0]: E_rho X starts at the state."""
     x0 = np.asarray(x0, float).reshape(-1)
@@ -307,13 +316,13 @@ def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
     [X; E_rho X], w the trapezoid weights, with G added at T, all frozen at t.
     The increments are dropped when the march returns.
     """
+    start = _start(initial_state(problem, x0))
     cl = _closed_loop_system(problem, gains, t, mc.steps)
     n = problem.n
     X, u = cl.observe[:, :n], cl.observe[:, n:]
     Q, R = (f.at_many(cl.times, t) for f in (problem.Q, problem.R))
     weight = trapezoid_weights(cl.times)[:, None, None] * (sandwich(X, Q) + sandwich(u, R))
     weight[-1] += sandwich(X[-1], problem.G(t))
-    start = _start(x0)
     _, cost, states = euler_maruyama(
         np.repeat(start, mc.paths, axis=1), cl.drift, cl.noise,
         brownian_increments(mc, np.diff(cl.times)), weight=weight, observe=X,
@@ -330,11 +339,12 @@ def closed_loop_states_at(problem: ProblemData, gains, t: float, x0, mc: MCConfi
     """(n, paths) states at the grid node nearest s of the ensemble that
     simulate_closed_loop(problem, gains, t, x0, mc) draws, marched only that
     far: no records, no deterministic mean."""
+    start = _start(initial_state(problem, x0))
     cl = _closed_loop_system(problem, gains, t, mc.steps)
     it = int(np.argmin(np.abs(cl.times - s)))
     dW = brownian_increments(mc, np.diff(cl.times))
     mask, dst, src = cl.reset
-    Z = euler_maruyama(np.repeat(_start(x0), mc.paths, axis=1), cl.drift[:it],
+    Z = euler_maruyama(np.repeat(start, mc.paths, axis=1), cl.drift[:it],
                        cl.noise[:it], dW[:, :it], reset=(mask[:it], dst, src))[0]
     return Z[:problem.n]
 
@@ -349,7 +359,7 @@ def probe_map(m: int, n: int, const=0.0, gain=0.0) -> np.ndarray:
 
 
 def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
-                  reset=None) -> np.ndarray:
+                  reset=None, tail=None) -> np.ndarray:
     """Per-path costs from t = grid[0], weights frozen at t, of control variants
     of one linear system, marched as one batch from the states y0 (one column
     per path) on the increments dW.
@@ -369,6 +379,11 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
     The E_t part of the cost is then the quadratic form [y0; 1]' M [y0; 1],
     M = sum_j Phi_j' Wbar_j Phi_j, Wbar the Qbar, Rbar and Gbar weights on
     [y; 1].  Returns the (variants, paths) costs.
+
+    tail = (w, basis) splits the path march at node w when the variants share
+    everything from there on: the variants march steps 0..w-1 only, and one
+    march of the shared tail gives each path's quadratic form of its cost
+    from node w to T (`_shared_tail_cost`).
     """
     n, m = problem.n, problem.m
     ny = y0.shape[0]
@@ -392,9 +407,54 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
                          observe=np.broadcast_to(basis, (len(grid), 1) + basis.shape))[2]
     M = sandwich(Phi, mean_weight).sum(axis=0)
     Z = np.concatenate([y0, np.ones((1, y0.shape[1]))])
-    cost = euler_maruyama(Z, step, (Nx @ Y + Nc @ controls)[:-1], dW, weight=weight,
-                          reset=reset)[1]
+    path_noise = (Nx @ Y + Nc @ controls)[:-1]
+    if tail is None:
+        cost = euler_maruyama(Z, step, path_noise, dW, weight=weight, reset=reset)[1]
+    else:
+        cost = _shared_tail_cost(Z, step, path_noise, dW, weight, reset, controls, *tail)
     return cost + np.einsum("ip,vij,jp->vp", Z, M, Z)
+
+
+def _shared_tail_cost(Z, step, noise, dW, weight, reset, controls, w, basis):
+    """The per-path part of `variant_costs`, its march split at node w.
+
+    Window: the variants march [y; 1] over steps 0..w-1 and pay the weights
+    of nodes 0..w-1.  Tail: from node w on every variant has the same control
+    maps, without a constant term, so each path's cost from node w is a
+    quadratic form a' G_p a in the coordinates a of its state at w on
+    basis (ny + 1, r), Z_w = basis @ a + the constant 1, a the first r rows
+    of Z_w.  G_p comes from one march of the r(r + 1)/2 polarization
+    columns basis @ b, b = e_i and e_i + e_j (i < j), on y alone, with the
+    shared step matrices broadcast over the columns and the same increments.
+    Both conditions are checked, not assumed: ConfigurationError otherwise.
+    """
+    ny = Z.shape[0] - 1
+    shared = controls[w:]
+    if np.any(shared != shared[:, :1]) or np.any(shared[..., ny]):
+        raise ConfigurationError(
+            f"the tail from node {w} needs one control map for every variant, "
+            f"without a constant term")
+    mask, dst, src = reset if reset is not None else (np.zeros(len(step), bool), None, None)
+    window_weight = weight[:w + 1].copy()
+    window_weight[w] = 0.0     # node w's cost is the tail's
+    Zw, cost, _ = euler_maruyama(Z, step[:w], noise[:w], dW[:, :w], weight=window_weight,
+                                 reset=(mask[:w], dst, src))
+    r = basis.shape[1]
+    a = Zw[..., :r, :]
+    start = basis @ a
+    start[..., ny, :] += 1.0
+    if not np.array_equal(start, Zw):
+        raise ConfigurationError(f"the states at node {w} are off the tail's basis")
+    i, j = np.triu_indices(r)
+    b = np.eye(r)[:, i] + np.eye(r)[:, j] * (i < j)
+    cols = (basis[:ny] @ b).T[:, :, None]
+    q = euler_maruyama(np.broadcast_to(cols, cols.shape[:2] + (Z.shape[-1],)),
+                       step[w:, 0, :ny, :ny], noise[w:, 0, :, :ny], dW[:, w:],
+                       weight=weight[w:, 0, :ny, :ny], reset=(mask[w:], dst, src))[1]
+    diag = q[i == j]          # q(e_i) = G_ii, in the order of i
+    G = np.empty((r, r, Z.shape[-1]))
+    G[i, j] = G[j, i] = np.where((i == j)[:, None], q, 0.5 * (q - diag[i] - diag[j]))
+    return cost + np.einsum("vip,ijp,vjp->vp", a, G, a)
 
 
 def estimate_cost(problem: ProblemData, ens: PathEnsemble, t: float

@@ -1,6 +1,6 @@
 """Monte Carlo layout: step-major increments that the ensemble does not keep,
 one draw and one head march per spike-test check time, and a deviation-check
-head that marches only to t_k.
+head that marches only to t_k, its variants only to t_{k+1}.
 
 Every test here pins the layout or the amount of work; the values themselves
 are pinned by test_mc_parity.py and test_simulate.py.
@@ -120,8 +120,10 @@ def test_spike_test_new_draw_marches_new_head(classical, monkeypatch):
 
 def test_deviation_head_stops_at_tk(ex12, monkeypatch):
     """The head marches the it steps up to t_k, with no deterministic mean;
-    the tail marches the rest.  Only the per-path marches count: the tail's
-    one march of its mean propagator has a basis, not the paths, as columns."""
+    the variants march only the window [t_k, t_{k+1}), and one march of
+    n(n + 1)/2 polarization columns on y = [X; E_rho X] carries the shared
+    tail from t_{k+1} to T.  Only the per-path marches count: the tail's one
+    march of its mean propagator has a basis, not the paths, as columns."""
     eq = build_delta_equilibrium(ex12, TimeGrid.uniform(ex12.T, 4))
     mc = MCConfig(paths=20, steps=40, seed=5)
     marched = []
@@ -129,14 +131,17 @@ def test_deviation_head_stops_at_tk(ex12, monkeypatch):
 
     def spy(Z, drift, *args, **kwargs):
         if Z.shape[-1] == mc.paths:
-            marched.append(len(drift))
+            marched.append((len(drift), Z.shape))
         return real(Z, drift, *args, **kwargs)
 
     monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)
     rep = delta_local_optimality_check(ex12, eq, 1, [1.0], mc=mc)
     assert np.isfinite(rep["min_margin"])
-    # t_1 = 0.25: 10 head steps, 30 tail steps
-    assert marched == [10, 30]
+    n = ex12.n
+    # t_1 = 0.25, t_2 = 0.5: 10 head steps on [X; E_rho X], 10 window steps
+    # on [y; 1] for the 11 variants, 20 tail steps on n(n + 1)/2 columns of y
+    assert marched == [(10, (2 * n, mc.paths)), (10, (2 * n + 1, mc.paths)),
+                       (20, (n * (n + 1) // 2, 2 * n, mc.paths))]
 
 
 def test_head_states_match_the_full_ensemble(meanfield):

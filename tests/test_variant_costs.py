@@ -6,7 +6,11 @@ its excess cost is zero on every path; a shifted map must not be.
 
 The kernel marches [y; 1] per path and the mean propagator Phi once per tail.
 It must give the costs of the mirrored formulation, which marches
-[y, E_t y, 1] on every path, on the systems both checks build.
+[y, E_t y, 1] on every path, on the systems both checks build.  Before the
+last player the deviation check splits the path march at t_{k+1}: the
+variants march the window, and one march of polarization columns carries
+the shared tail; that split must give the same costs, and must refuse a tail
+that is not shared.
 """
 
 from dataclasses import replace
@@ -20,6 +24,7 @@ import mflq.simulate
 from mflq import (GainSegment, MCConfig, PiecewiseGain, TimeGrid, build_delta_equilibrium,
                   delta_local_optimality_check, solve_open_loop,
                   verify_open_loop_equilibrium)
+from mflq.errors import ConfigurationError
 from mflq.simulate import (euler_maruyama, euler_transition, sandwich, stack_rows,
                            trapezoid_weights, variant_costs)
 
@@ -91,10 +96,12 @@ def test_spike_probe_equal_to_equilibrium_map(classical, monkeypatch):
 
 
 
-def _mirrored_variant_costs(problem, grid, dW, y0, drift, noise, controls, reset=None):
+def _mirrored_variant_costs(problem, grid, dW, y0, drift, noise, controls, reset=None,
+                            tail=None):
     """Reference: every variant carries [y, E_t y, 1] on every path, the E_t
     rows mirroring the Euler recursion and the re-anchoring, and every cost
-    term is read along the march."""
+    term is read along the march.  It marches every variant to T, so it
+    ignores `tail`."""
     n, m = problem.n, problem.m
     ny = y0.shape[0]
     Y, EY = np.split(np.eye(2 * ny, 2 * ny + 1), 2)
@@ -135,11 +142,12 @@ def _kernel_calls(monkeypatch, module, run):
     return calls
 
 
-def _game_calls(monkeypatch, problem, k):
-    eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4))
+def _game_calls(monkeypatch, problem, k, eq=None, antithetic=True):
+    if eq is None:
+        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4))
     return _kernel_calls(monkeypatch, mflq.game, lambda: delta_local_optimality_check(
         problem, eq, k, np.linspace(1.0, -0.5, problem.n),
-        mc=MCConfig(paths=60, steps=40, seed=8)))
+        mc=MCConfig(paths=60, steps=40, seed=8, antithetic=antithetic)))
 
 
 def _spike_calls(monkeypatch, problem):
@@ -186,17 +194,124 @@ def test_reanchored_mean_from_a_partner_off_the_state(meanfield, monkeypatch, rn
 
 
 def test_per_path_march_carries_only_y_and_one(meanfield, monkeypatch):
-    """Per variant, each path marches ny + 1 rows; the mean propagator is one
-    march on the (ny + 1)-column identity."""
+    """Per variant, each path marches ny + 1 rows over the window [t_1, t_2);
+    the shared tail is one march of n(n + 1)/2 columns of y alone; the mean
+    propagator is one march on the (ny + 1)-column identity over the whole
+    grid."""
     (args, kwargs), = _game_calls(monkeypatch, meanfield, 1)
     ny, paths = args[3].shape
-    shapes = []
+    n, steps = meanfield.n, len(args[1]) - 1
+    w = kwargs["tail"][0]
+    marched = []
     real = mflq.simulate.euler_maruyama
 
-    def spy(Z, *rest, **kw):
-        shapes.append(Z.shape)
-        return real(Z, *rest, **kw)
+    def spy(Z, drift, *rest, **kw):
+        marched.append((Z.shape, len(drift)))
+        return real(Z, drift, *rest, **kw)
 
     monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)
     variant_costs(*args, **kwargs)
-    assert sorted(shapes, key=lambda s: s[-1]) == [(ny + 1, ny + 1), (ny + 1, paths)]
+    assert 0 < w < steps
+    assert marched == [((ny + 1, ny + 1), steps), ((ny + 1, paths), w),
+                       ((n * (n + 1) // 2, ny, paths), steps - w)]
+
+
+def test_last_player_marches_every_variant_to_T(meanfield, monkeypatch):
+    """The last player has no re-anchoring before T, so no shared tail: the
+    variants march [y; 1] over the whole grid in one batch, the march the
+    kernel made before the split, and the split never runs."""
+    (args, kwargs), = _game_calls(monkeypatch, meanfield, 3)
+    assert kwargs["tail"] is None
+    ny, paths = args[3].shape
+    steps = len(args[1]) - 1
+    marched = []
+    real = mflq.simulate.euler_maruyama
+
+    def spy(Z, drift, *rest, **kw):
+        marched.append((Z.shape, len(drift)))
+        return real(Z, drift, *rest, **kw)
+
+    def refuse(*args):
+        raise AssertionError("the last player's march was split")
+
+    monkeypatch.setattr(mflq.simulate, "euler_maruyama", spy)
+    monkeypatch.setattr(mflq.simulate, "_shared_tail_cost", refuse)
+    variant_costs(*args, **kwargs)
+    assert marched == [((ny + 1, ny + 1), steps), ((ny + 1, paths), steps)]
+
+
+@pytest.mark.parametrize("name", ["ex12", "meanfield", "discounting"])
+def test_split_tail_matches_mirrored_rows_for_every_player(name, monkeypatch, request):
+    """Every player of an N = 4 game, with and without antithetic sampling:
+    the split march gives the mirrored costs, and it splits exactly at
+    t_{k+1} for every player but the last, who has no shared tail."""
+    problem = request.getfixturevalue(name)
+    eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4))
+    n = problem.n
+    for antithetic in (True, False):
+        for k in range(eq.N):
+            (args, kwargs), = _game_calls(monkeypatch, problem, k, eq, antithetic)
+            if k == eq.N - 1:
+                assert kwargs["tail"] is None
+            else:
+                w, basis = kwargs["tail"]
+                assert args[1][w] == pytest.approx(eq.partition.nodes[k + 1], abs=1e-12)
+                np.testing.assert_array_equal(
+                    basis, np.concatenate([np.eye(n), np.eye(n), np.zeros((1, n))]))
+            _assert_matches_mirrored(args, kwargs)
+
+
+def test_game_probe_equal_to_equilibrium_map_before_each_split(meanfield, monkeypatch):
+    """Players 0 and 2 as player 1 above: the probe that applies the
+    equilibrium's own map has excess cost exactly 0 through the split."""
+    eq = build_delta_equilibrium(meanfield, TimeGrid.uniform(meanfield.T, 4))
+    frozen = PiecewiseGain(eq.partition, tuple(
+        GainSegment(s.times, np.repeat(s.theta[:1], len(s.times), axis=0),
+                    np.repeat(s.theta_hat[:1], len(s.times), axis=0))
+        for s in eq.gains.segments))
+    eq = replace(eq, gains=frozen)
+    costs = _spy_costs(monkeypatch, mflq.game)
+    for k in (0, 2):
+        th, thh = (g[0] for g in frozen.at_many(eq.partition.nodes[k:k + 1]))
+        own = np.concatenate([-th, th - thh, np.zeros((1, 1))], axis=1)
+        shifted = own + np.array([[0.0, 0.0, 0.1, 0.0, 0.0]])
+        monkeypatch.setattr(mflq.game, "_deviation_probes",
+                            lambda *args: [("own", own), ("shifted", shifted)])
+        for antithetic in (True, False):
+            costs.clear()
+            rep = delta_local_optimality_check(
+                meanfield, eq, k, [1.0, -0.5],
+                mc=MCConfig(paths=40, steps=40, seed=8, antithetic=antithetic))
+            _assert_own_zero_shifted_not(costs[0], rep["records"])
+            assert rep["records"][0]["excess_cost"] == 0.0
+
+
+def _split_call(monkeypatch, problem):
+    """Player 1's kernel call of an N = 4 game, its tail split at t_2."""
+    (args, kwargs), = _game_calls(monkeypatch, problem, 1)
+    return list(args), kwargs, kwargs["tail"][0]
+
+
+@pytest.mark.parametrize("name", ["ex12", "meanfield"])
+def test_split_refuses_a_tail_control_that_differs(name, monkeypatch, request):
+    """One variant's map one node past t_{k+1}, or a constant term in every
+    variant's tail map, breaks the shared tail."""
+    args, kwargs, w = _split_call(monkeypatch, request.getfixturevalue(name))
+    controls = args[6]
+    for variants, col in ((1, 0), (slice(None), -1)):
+        bad = controls.copy()
+        bad[w + 1, variants, 0, col] += 1e-9
+        with pytest.raises(ConfigurationError, match="one control map"):
+            variant_costs(*args[:6], bad, *args[7:], **kwargs)
+
+
+def test_split_refuses_states_off_the_basis(meanfield, monkeypatch):
+    """Without the re-anchoring at t_{k+1} the partner rows E_rho X are not
+    X there, so the states at the split are off [I; I; 0]."""
+    args, kwargs, w = _split_call(monkeypatch, meanfield)
+    mask, dst, src = args[7]
+    assert mask[w - 1]
+    mask = mask.copy()
+    mask[w - 1] = False
+    with pytest.raises(ConfigurationError, match="off the tail's basis"):
+        variant_costs(*args[:7], (mask, dst, src), **kwargs)
