@@ -6,8 +6,8 @@ Monte Carlo verification utilities.
 
 __version__ = "0.1.0"
 
-from .closedloop import (ClosedLoopSolution, direct_diagonal_solve,
-                         equilibrium_value, residual, solve_closed_loop)
+from .closedloop import (ClosedLoopSolution, direct_diagonal_solve, residual,
+                         solve_closed_loop)
 from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
                      DimensionError, IllPosedError, MFLQError, ValidationError)
 from .game import (DeltaEquilibrium, IntervalSolution, build_delta_equilibrium,
@@ -51,7 +51,7 @@ __all__ = [
     "build_delta_equilibrium", "DeltaEquilibrium", "IntervalSolution",
     "ordering_report", "jump_magnitudes", "delta_local_optimality_check",
     "solve_closed_loop", "direct_diagonal_solve", "ClosedLoopSolution",
-    "equilibrium_value", "residual",
+    "residual",
     # simulation
     "MCConfig", "PathEnsemble", "brownian_increments", "simulate_closed_loop",
     "estimate_cost", "semigroup_failure_demo", "example_oracles",

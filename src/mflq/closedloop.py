@@ -65,10 +65,6 @@ class ClosedLoopSolution:
         return float(x @ self.Gamma_hat[j, j] @ x)
 
 
-def equilibrium_value(sol: ClosedLoopSolution, t: float, x) -> float:
-    return sol.value(t, x)
-
-
 def _field_solution(problem: ProblemData, grid: TimeGrid, Gm: np.ndarray,
                     Gh: np.ndarray, game: DeltaEquilibrium | None = None
                     ) -> ClosedLoopSolution:

@@ -105,25 +105,30 @@ def _equilibrium_run(problem, sol, grid, dW, x0, it):
                           C - D @ th, dW[:, :it])[0]
 
 
-def _spiked_run(problem, sol, grid, dW, Xt, it, ie, probes):
+def _spiked_run(problem, sol, grid, dW, Xt, it, spikes):
     """Per-path costs from t = grid[it] on, weights frozen at t: row 0 for the
-    equilibrium, row 1 + i for the control map `probes[i]` on [t, grid[ie])
-    followed by the equilibrium path's own control.
+    equilibrium, row 1 + i for spikes[i] = (ie, probe), the control map
+    `probe` on [t, grid[ie]) followed by the equilibrium path's own control.
 
     The variants run on `variant_costs` from the states Xt (n, paths) with
     y = [X; X_eq]: the equilibrium state rides along to supply the tail
-    control -Theta X_eq, which is also its partner control.
+    control -Theta X_eq, which is also its partner control.  After the last
+    spike's end every variant plays -Theta X_eq, its partner rows are row
+    0's, and its X differs from row 0's X_eq: the tail is split there,
+    anchored on row 0's state, with the fixed columns [e_i; 0].
     """
-    m = problem.m
+    n, m = problem.n, problem.m
     tail = grid[it:]
     th = sol.theta_open_at(tail)
     eq = np.concatenate([np.zeros_like(th), -th, np.zeros((len(tail), m, 1))], axis=-1)
-    c = np.repeat(np.concatenate([eq, eq], axis=-2)[:, None], 1 + len(probes), axis=1)
-    for v, probe in enumerate(probes, start=1):
+    c = np.repeat(np.concatenate([eq, eq], axis=-2)[:, None], 1 + len(spikes), axis=1)
+    for v, (ie, probe) in enumerate(spikes, start=1):
         c[:ie - it, v, :m] = probe
     A, B, C, D = (_twice(f.at_many(tail)) for f in (problem.A, problem.B, problem.C,
                                                      problem.D))
-    return variant_costs(problem, tail, dW[:, it:], np.tile(Xt, (2, 1)), (A, B), (C, D), c)
+    w = max(ie for ie, _ in spikes) - it
+    return variant_costs(problem, tail, dW[:, it:], np.tile(Xt, (2, 1)), (A, B), (C, D), c,
+                         tail=(w, np.eye(2 * n + 1, n), True))
 
 
 def _twice(M):
@@ -163,6 +168,24 @@ def _check_spikes(T, check_times, eps_list):
                     f"spike [{t}, {t} + {eps}] runs past the horizon T = {T}")
 
 
+def _spike_groups(T, steps, t, eps_sorted):
+    """The spikes of one check time, grouped by aligned grid: [(grid,
+    [(k, ie), ...])], spike k = eps_sorted[k] ending at grid[ie].  Grids
+    join a group when they have its step count and agree with its grid to
+    1e-12 T at every node; the group keeps its first, largest-eps grid."""
+    groups = []
+    for k, eps in enumerate(eps_sorted):
+        grid = aligned_time_grid(0.0, T, steps, (t, t + eps))
+        ie = int(np.argmin(np.abs(grid - (t + eps))))
+        for g, spikes in groups:
+            if len(g) == len(grid) and np.abs(g - grid).max() <= 1e-12 * T:
+                spikes.append((k, ie))
+                break
+        else:
+            groups.append((grid, [(k, ie)]))
+    return groups
+
+
 def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
                                  x0, eps_list=None, mc: MCConfig | None = None,
                                  check_times=None) -> dict:
@@ -187,27 +210,30 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
     normals = {}
     heads = {}
     records = []
+    eps_sorted = sorted(eps_list, reverse=True)
     for t in check_times:
-        for eps in sorted(eps_list, reverse=True):
-            grid = aligned_time_grid(0.0, T, mc.steps, (t, t + eps))
+        probes = _default_probes(problem, sol, t)
+        found = []
+        for grid, spikes in _spike_groups(T, mc.steps, t, eps_sorted):
             dts = np.diff(grid)
             if len(dts) not in normals:
                 normals[len(dts)] = brownian_increments(mc, np.ones(len(dts)))
             dW = normals[len(dts)] * np.sqrt(dts)
             it = int(np.argmin(np.abs(grid - t)))
-            ie = int(np.argmin(np.abs(grid - (t + eps))))
             # the same normals on the same nodes up to t march the same head
             head = (len(dts), grid[:it + 1].tobytes())
             if head not in heads:
                 heads[head] = _equilibrium_run(problem, sol, grid, dW, x0, it)
-            Xt = heads[head]
-            probes = _default_probes(problem, sol, t)
-            costs = _spiked_run(problem, sol, grid, dW, Xt, it, ie,
-                                [probe for _, probe in probes])
-            for (name, _), Jp in zip(probes, costs[1:]):
-                mean, stderr = paired_mean_stderr(Jp - costs[0], mc.antithetic)
-                records.append({"t": float(t), "probe": name, "epsilon": float(eps),
-                                "ratio": mean / eps, "stderr": stderr / eps})
+            costs = _spiked_run(problem, sol, grid, dW, heads[head], it,
+                                [(ie, probe) for _, ie in spikes for _, probe in probes])
+            variants = [(k, name) for k, _ in spikes for name, _ in probes]
+            for (k, name), dJ in zip(variants, costs[1:] - costs[0]):
+                eps = eps_sorted[k]
+                mean, stderr = paired_mean_stderr(dJ, mc.antithetic)
+                found.append((k, {"t": float(t), "probe": name, "epsilon": float(eps),
+                                  "ratio": mean / eps, "stderr": stderr / eps}))
+        # groups need not come in eps order; the sort is stable within a spike
+        records += [rec for _, rec in sorted(found, key=lambda f: f[0])]
 
     smallest = min(eps_list)
     margins = [r["ratio"] + 3.0 * r["stderr"] for r in records

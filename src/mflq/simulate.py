@@ -380,10 +380,11 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
     M = sum_j Phi_j' Wbar_j Phi_j, Wbar the Qbar, Rbar and Gbar weights on
     [y; 1].  Returns the (variants, paths) costs.
 
-    tail = (w, basis) splits the path march at node w when the variants share
-    everything from there on: the variants march steps 0..w-1 only, and one
-    march of the shared tail gives each path's quadratic form of its cost
-    from node w to T (`_shared_tail_cost`).
+    tail = (w, basis) or (w, basis, True) splits the path march at node w
+    when the variants share everything from there on: the variants march
+    steps 0..w-1 only, and one march of the shared tail gives each path's
+    quadratic form of its cost from node w to T (`_shared_tail_cost`).  With
+    True the form is anchored on variant 0's state at w.
     """
     n, m = problem.n, problem.m
     ny = y0.shape[0]
@@ -415,18 +416,29 @@ def variant_costs(problem: ProblemData, grid, dW, y0, drift, noise, controls,
     return cost + np.einsum("ip,vij,jp->vp", Z, M, Z)
 
 
-def _shared_tail_cost(Z, step, noise, dW, weight, reset, controls, w, basis):
+def _shared_tail_cost(Z, step, noise, dW, weight, reset, controls, w, basis,
+                      anchored=False):
     """The per-path part of `variant_costs`, its march split at node w.
 
     Window: the variants march [y; 1] over steps 0..w-1 and pay the weights
     of nodes 0..w-1.  Tail: from node w on every variant has the same control
     maps, without a constant term, so each path's cost from node w is a
-    quadratic form a' G_p a in the coordinates a of its state at w on
-    basis (ny + 1, r), Z_w = basis @ a + the constant 1, a the first r rows
-    of Z_w.  G_p comes from one march of the r(r + 1)/2 polarization
-    columns basis @ b, b = e_i and e_i + e_j (i < j), on y alone, with the
-    shared step matrices broadcast over the columns and the same increments.
-    Both conditions are checked, not assumed: ConfigurationError otherwise.
+    quadratic form a' G_p a in the coordinates a of its state at w.  The
+    fixed columns basis (ny + 1, r) have the identity in their first r rows,
+    and those rows of the state are the coordinates:
+
+    - unanchored, Z_w = basis @ a + the constant 1, a the first r rows of Z_w;
+    - anchored, Z_w = Z_w(0) + basis @ d, d the first r rows of
+      Z_w - Z_w(0), and a = [1; d]: variant 0's state at w is one more column,
+      a different one on every path.
+
+    G_p comes from one march of the polarization columns b = e_i and
+    e_i + e_j (i < j) of the coordinates, mapped onto y, with the shared
+    step matrices broadcast over the columns and the same increments.
+    Both conditions are checked, not assumed: the rows of Z_w past the
+    coordinates must be what the columns give, bit for bit, and the tail's
+    control maps shared and without a constant.  ConfigurationError
+    otherwise.
     """
     ny = Z.shape[0] - 1
     shared = controls[w:]
@@ -440,19 +452,28 @@ def _shared_tail_cost(Z, step, noise, dW, weight, reset, controls, w, basis):
     Zw, cost, _ = euler_maruyama(Z, step[:w], noise[:w], dW[:, :w], weight=window_weight,
                                  reset=(mask[:w], dst, src))
     r = basis.shape[1]
-    a = Zw[..., :r, :]
-    start = basis @ a
-    start[..., ny, :] += 1.0
-    if not np.array_equal(start, Zw):
+    if anchored:
+        anchor = Zw[:1]
+        a = Zw[..., :r, :] - anchor[..., :r, :]
+    else:
+        anchor = np.eye(ny + 1)[:, ny:]       # the constant 1
+        a = Zw[..., :r, :]
+    if not np.array_equal((anchor + basis @ a)[..., r:, :], Zw[..., r:, :]):
         raise ConfigurationError(f"the states at node {w} are off the tail's basis")
-    i, j = np.triu_indices(r)
-    b = np.eye(r)[:, i] + np.eye(r)[:, j] * (i < j)
-    cols = (basis[:ny] @ b).T[:, :, None]
+    cols = basis[:ny, :, None]                # y of each coordinate's column
+    if anchored:                              # the anchor: coordinate 0, 1 in every variant
+        a = np.concatenate([np.ones_like(a[:, :1]), a], axis=1)
+        cols = np.concatenate([anchor[0, :ny, None], np.broadcast_to(
+            cols, (ny, r, Z.shape[-1]))], axis=1)
+    k = a.shape[1]
+    i, j = np.triu_indices(k)
+    b = np.eye(k)[:, i] + np.eye(k)[:, j] * (i < j)
+    cols = np.einsum("yka,kc->cya", cols, b)
     q = euler_maruyama(np.broadcast_to(cols, cols.shape[:2] + (Z.shape[-1],)),
                        step[w:, 0, :ny, :ny], noise[w:, 0, :, :ny], dW[:, w:],
                        weight=weight[w:, 0, :ny, :ny], reset=(mask[w:], dst, src))[1]
     diag = q[i == j]          # q(e_i) = G_ii, in the order of i
-    G = np.empty((r, r, Z.shape[-1]))
+    G = np.empty((k, k, Z.shape[-1]))
     G[i, j] = G[j, i] = np.where((i == j)[:, None], q, 0.5 * (q - diag[i] - diag[j]))
     return cost + np.einsum("vip,ijp,vjp->vp", a, G, a)
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mflq import (ConvergenceError, MatrixFn, TwoTimeMatrixFn, ValidationError,
-                  direct_diagonal_solve, equilibrium_value, residual,
-                  solve_closed_loop, solve_precommitment)
+                  direct_diagonal_solve, residual, solve_closed_loop, solve_precommitment)
 from mflq.cli import converge_study
 from mflq.closedloop import _assemble, _diagonal_gains
 
@@ -34,9 +33,9 @@ class TestScalarTerminalOracle:
         assert sol.Gamma[0, 0, 0, 0] == pytest.approx(G0, abs=2e-4)
         assert sol.Gamma_hat[0, 0, 0, 0] == pytest.approx(Gh0, abs=2e-4)
 
-    def test_equilibrium_value_wrapper(self, ex12):
+    def test_equilibrium_value(self, ex12):
         sol = direct_diagonal_solve(ex12, t_nodes=64)
-        v = equilibrium_value(sol, 0.0, [2.0])
+        v = sol.value(0.0, [2.0])
         assert v == pytest.approx(4.0 * sol.Gamma_hat[0, 0, 0, 0], abs=1e-12)
 
 

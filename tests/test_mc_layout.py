@@ -1,6 +1,7 @@
 """Monte Carlo layout: step-major increments that the ensemble does not keep,
-one draw and one head march per spike-test check time, and a deviation-check
-head that marches only to t_k, its variants only to t_{k+1}.
+one draw, one head march and one spiked march per spike-test check time, and
+a deviation-check head that marches only to t_k, its variants only to
+t_{k+1}.
 
 Every test here pins the layout or the amount of work; the values themselves
 are pinned by test_mc_parity.py and test_simulate.py.
@@ -116,6 +117,78 @@ def test_spike_test_new_draw_marches_new_head(classical, monkeypatch):
     verify_open_loop_equilibrium(classical, sol, np.ones(2), check_times=[0.3],
                                  eps_list=[0.4, 0.05], mc=MCConfig(paths=20, steps=7, seed=4))
     assert len(heads) == 2
+
+
+def _per_path_marches(monkeypatch, paths):
+    """(steps, state shape, variants) of every march on the paths, from the
+    spike test's heads and from its variant kernel; the kernel's march of
+    the mean propagator has a basis, not the paths, as columns."""
+    marched = []
+
+    def spy_on(module):
+        real = module.euler_maruyama
+
+        def spy(Z, drift, *args, **kwargs):
+            if Z.shape[-1] == paths:
+                marched.append((len(drift), Z.shape, drift.shape[1:-2]))
+            return real(Z, drift, *args, **kwargs)
+
+        monkeypatch.setattr(module, "euler_maruyama", spy)
+
+    spy_on(mflq.openloop)
+    spy_on(mflq.simulate)
+    return marched
+
+
+def _record_keys(rep):
+    return [(r["t"], r["epsilon"], r["probe"]) for r in rep["records"]]
+
+
+def _expected_keys(check_times, eps_list):
+    names = ("const+1", "const-1", "feedback-shift")
+    return [(t, e, p) for t in check_times for e in sorted(eps_list, reverse=True)
+            for p in names]
+
+
+def test_spike_test_marches_once_per_check_time(classical, monkeypatch):
+    """The default 2 x 3 grids are one uniform grid per check time, so the
+    three spikes of a t are variants of one march: per t one head 0 -> t,
+    one window t -> t + 0.1 of 1 + 3 x 3 variants on [X; X_eq; 1], and one
+    tail t + 0.1 -> T of the 6 columns of the anchored form on [X; X_eq]:
+    6 marches on the paths, where each (t, eps) used to march its own 4."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    mc = MCConfig(paths=20, steps=400, seed=3)
+    marched = _per_path_marches(monkeypatch, mc.paths)
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), mc=mc)
+    n = classical.n
+    pairs = (n + 1) * (n + 2) // 2
+    assert marched == [(80, (n, 20), ()), (40, (2 * n + 1, 20), (10,)),
+                       (280, (pairs, 2 * n, 20), ()),
+                       (200, (n, 20), ()), (40, (2 * n + 1, 20), (10,)),
+                       (160, (pairs, 2 * n, 20), ())]
+    assert _record_keys(rep) == _expected_keys([0.2, 0.5], [0.1, 0.05, 0.025])
+
+
+@pytest.mark.parametrize("steps, eps_list, heads, windows", [
+    (7, [0.05, 0.4], 2, [4, 4]), (10, [0.2, 0.22], 1, [4, 4]),
+    (10, [0.1, 0.12, 0.2], 1, [7, 4])])
+def test_spike_test_marches_apart_when_grids_differ(classical, monkeypatch, steps,
+                                                   eps_list, heads, windows):
+    """Grids that do not coincide march apart, each group its own window of
+    1 + 3k variants and its own anchored tail.  At 7 steps the two grids
+    have different step counts; at 10 steps 0.22 and 0.12 keep the step
+    count but move a node after t (0.52, 0.42), while 0.1 and 0.2 share the
+    uniform grid; all 10-step grids share the head up to t.  The records
+    keep their order, t, then eps descending, then probe, also when a
+    group's spikes are not adjacent in it (0.2 and 0.1 around 0.12)."""
+    sol = solve_open_loop(classical, t_nodes=8)
+    mc = MCConfig(paths=20, steps=steps, seed=4)
+    marched = _per_path_marches(monkeypatch, mc.paths)
+    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), check_times=[0.3],
+                                       eps_list=eps_list, mc=mc)
+    assert [m[2][0] for m in marched if m[2]] == windows
+    assert len(marched) == heads + 2 * len(windows)
+    assert _record_keys(rep) == _expected_keys([0.3], eps_list)
 
 
 def test_deviation_head_stops_at_tk(ex12, monkeypatch):

@@ -10,7 +10,8 @@ It must give the costs of the mirrored formulation, which marches
 last player the deviation check splits the path march at t_{k+1}: the
 variants march the window, and one march of polarization columns carries
 the shared tail; that split must give the same costs, and must refuse a tail
-that is not shared.
+that is not shared.  The spike test splits at its last spike's end, its
+form anchored on the equilibrium row's state, under the same conditions.
 """
 
 from dataclasses import replace
@@ -150,11 +151,12 @@ def _game_calls(monkeypatch, problem, k, eq=None, antithetic=True):
         mc=MCConfig(paths=60, steps=40, seed=8, antithetic=antithetic)))
 
 
-def _spike_calls(monkeypatch, problem):
+def _spike_calls(monkeypatch, problem, check_times=(0.3,), eps_list=(0.1,), antithetic=True):
     sol = solve_open_loop(problem, t_nodes=8)
     return _kernel_calls(monkeypatch, mflq.openloop, lambda: verify_open_loop_equilibrium(
-        problem, sol, np.ones(problem.n), check_times=[0.3], eps_list=[0.1],
-        mc=MCConfig(paths=60, steps=40, seed=9)))
+        problem, sol, np.ones(problem.n), check_times=list(check_times),
+        eps_list=list(eps_list), mc=MCConfig(paths=60, steps=40, seed=9,
+                                             antithetic=antithetic)))
 
 
 def _assert_matches_mirrored(args, kwargs):
@@ -175,10 +177,26 @@ def test_game_tail_matches_mirrored_rows(name, k, monkeypatch, request):
 
 @pytest.mark.parametrize("name", ["ex12", "discounting"])
 def test_spike_tail_matches_mirrored_rows(name, monkeypatch, request):
-    """Problems whose hat weights are not zero, so the E_t part of the cost counts."""
+    """Problems whose hat weights are not zero, so the E_t part of the cost
+    counts.  The three spikes at t = 0.3 share the uniform 40-step grid, so
+    they are the 1 + 3 x 3 variants of one call, split at the largest
+    spike's end; the spike [0.5, 1] ends at T, so its tail has no step.
+    Every split is anchored on the equilibrium row's state."""
     problem = request.getfixturevalue(name)
     assert problem.Gbar(0.3).any()
-    for args, kwargs in _spike_calls(monkeypatch, problem):
+    n = problem.n
+    for antithetic in (True, False):
+        (args, kwargs), = _spike_calls(monkeypatch, problem, eps_list=(0.025, 0.1, 0.05),
+                                       antithetic=antithetic)
+        grid, controls = args[1], args[6]
+        w, basis, anchored = kwargs["tail"]
+        assert controls.shape[1] == 1 + 3 * 3 and anchored
+        assert grid[w] == pytest.approx(0.4, abs=1e-12)
+        np.testing.assert_array_equal(basis, np.eye(2 * n + 1, n))
+        _assert_matches_mirrored(args, kwargs)
+        (args, kwargs), = _spike_calls(monkeypatch, problem, check_times=(0.5,),
+                                       eps_list=(0.5,), antithetic=antithetic)
+        assert kwargs["tail"][0] == len(args[1]) - 1
         _assert_matches_mirrored(args, kwargs)
 
 
@@ -303,6 +321,41 @@ def test_split_refuses_a_tail_control_that_differs(name, monkeypatch, request):
         bad[w + 1, variants, 0, col] += 1e-9
         with pytest.raises(ConfigurationError, match="one control map"):
             variant_costs(*args[:6], bad, *args[7:], **kwargs)
+
+
+def _anchored_call(monkeypatch, problem):
+    """The kernel call of the spike test's three spikes at t = 0.3, its tail
+    anchored at t + 0.1."""
+    (args, kwargs), = _spike_calls(monkeypatch, problem, eps_list=(0.1, 0.05, 0.025))
+    return list(args), kwargs, kwargs["tail"][0]
+
+
+@pytest.mark.parametrize("name", ["classical", "ex12"])
+def test_anchored_split_refuses_a_tail_control_that_differs(name, monkeypatch, request):
+    """One variant's u map at the split node, one variant's partner map one
+    node later, or a constant term in every variant's map at the split node,
+    breaks the shared tail."""
+    problem = request.getfixturevalue(name)
+    args, kwargs, w = _anchored_call(monkeypatch, problem)
+    m = problem.m
+    for node, variants, row, col in ((w, 1, 0, 0), (w + 1, 4, m, problem.n),
+                                     (w, slice(None), 0, -1)):
+        bad = args[6].copy()
+        bad[node, variants, row, col] += 1e-9
+        with pytest.raises(ConfigurationError, match="one control map"):
+            variant_costs(*args[:6], bad, *args[7:], **kwargs)
+
+
+@pytest.mark.parametrize("name", ["classical", "ex12"])
+def test_anchored_split_refuses_partner_rows_that_differ(name, monkeypatch, request):
+    """A spike that also moves one variant's partner control, on the window
+    only, leaves that variant's X_eq rows at the split off the anchor's."""
+    problem = request.getfixturevalue(name)
+    args, kwargs, w = _anchored_call(monkeypatch, problem)
+    bad = args[6].copy()
+    bad[w - 1, 2, problem.m, -1] += 1e-9
+    with pytest.raises(ConfigurationError, match="off the tail's basis"):
+        variant_costs(*args[:6], bad, *args[7:], **kwargs)
 
 
 def test_split_refuses_states_off_the_basis(meanfield, monkeypatch):
