@@ -22,8 +22,7 @@ from .problem_io import (BUNDLED, apply_overrides, bundled_document,
                          bundled_problem, load_document, load_problem,
                          parse_problem, problem_hash, resolve_document)
 from .simulate import (MCConfig, PathEnsemble, brownian_increments,
-                       dump_states, estimate_cost, example_oracles,
-                       load_states, semigroup_failure_demo,
+                       estimate_cost, semigroup_failure_demo,
                        simulate_closed_loop)
 from .types import (GainSegment, MatrixFn, PiecewiseGain, ProblemData,
                     TimeGrid, TwoParamMatrixField, TwoTimeMatrixFn,
@@ -54,8 +53,7 @@ __all__ = [
     "residual",
     # simulation
     "MCConfig", "PathEnsemble", "brownian_increments", "simulate_closed_loop",
-    "estimate_cost", "semigroup_failure_demo", "example_oracles",
-    "dump_states", "load_states",
+    "estimate_cost", "semigroup_failure_demo",
     # errors
     "MFLQError", "DimensionError", "ValidationError", "IllPosedError",
     "BlowUpError", "ConvergenceError", "ConfigurationError",

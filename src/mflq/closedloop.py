@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError, ConvergenceError, ValidationError
 from .game import DeltaEquilibrium, build_delta_equilibrium
 from .integrators import gain_path, left, march_levels, right
 from .precommit import default_step
@@ -55,12 +55,12 @@ class ClosedLoopSolution:
     def nodes(self) -> np.ndarray:
         return self.grid.nodes
 
-    def node_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.nodes - t)))
-
     def value(self, t: float, x) -> float:
-        """Equilibrium value <Gamma_hat(t,t) x, x> at the nearest node."""
-        j = self.node_index(t)
+        """Equilibrium value <Gamma_hat(t,t) x, x> at a grid node t, snapped to
+        the nearest node within 1e-9 (1 + T); ValidationError off the grid."""
+        j = int(np.argmin(np.abs(self.nodes - t)))
+        if abs(self.nodes[j] - t) > 1e-9 * (1.0 + self.grid.T):
+            raise ValidationError(f"time {t} is not a grid node (nearest {self.nodes[j]})")
         x = np.asarray(x, float).reshape(-1)
         return float(x @ self.Gamma_hat[j, j] @ x)
 

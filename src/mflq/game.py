@@ -58,19 +58,6 @@ class DeltaEquilibrium:
     def N(self) -> int:
         return self.partition.num_intervals
 
-    def gamma_at_node(self, player: int, j: int) -> np.ndarray:
-        """Gamma_player(t_j) for j >= player."""
-        if j < player:
-            raise ConfigurationError(
-                f"player {player}'s triple is undefined below t_{player}")
-        return self.node_triples[j, player, 1]
-
-    def gamma_hat_at_node(self, player: int, j: int) -> np.ndarray:
-        if j < player:
-            raise ConfigurationError(
-                f"player {player}'s triple is undefined below t_{player}")
-        return self.node_triples[j, player, 1] + self.node_triples[j, player, 2]
-
 
 def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
                             h: float | None = None) -> DeltaEquilibrium:
@@ -338,7 +325,7 @@ def _deviation_probes(problem, eq, k, n_probes):
     as control maps on [X; E_rho X; 1]."""
     m, n = problem.m, problem.n
     tk = float(eq.partition.nodes[k])
-    K0 = eq.gains.theta(tk)
+    K0 = eq.gains.at_many(tk)[0]
     probes = [
         ("const +0.5", probe_map(m, n, const=0.5)),
         ("const -0.5", probe_map(m, n, const=-0.5)),

@@ -77,8 +77,8 @@ def solve_open_loop(problem: ProblemData, h: float | None = None,
         problem, default_step(problem) if h is None else h, t_nodes,
         (problem.A, problem.B, problem.C, problem.D), [(problem.Q, hp.Q)], rhs)
     grid = TimeGrid(tg)
-    P_field = TwoParamMatrixField.from_triangle(grid, levels[0], symmetric=False)
-    Ph_field = TwoParamMatrixField.from_triangle(grid, levels[1], symmetric=False)
+    P_field = TwoParamMatrixField.from_triangle(grid, levels[0])
+    Ph_field = TwoParamMatrixField.from_triangle(grid, levels[1])
 
     idx = np.arange(len(tg))
     d, dh = levels[:, idx, idx]

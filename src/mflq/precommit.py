@@ -19,7 +19,7 @@ from .errors import MFLQError, ValidationError
 from .integrators import (PairField, dense_march, feedback_gain, gain_path,
                           march_times, march_triples, rk4_march, stage_times,
                           without_control)
-from .types import MatrixFn, ProblemData, _interp, hat, min_eig, stack_pair
+from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair
 
 #: default solves return their paths on a grid of step T/OUTPUT_STEPS, the
 #: finest step the pilot of `default_step` may choose
@@ -107,16 +107,6 @@ class PrecommitSolution:
     Phat: np.ndarray     # (len(times), n, n) symmetric
     Theta: np.ndarray    # (len(times), m, n)
     Theta_hat: np.ndarray
-
-    def value_at(self, x) -> float:
-        x = np.asarray(x, float).reshape(-1)
-        return float(x @ self.Phat[0] @ x)
-
-    def theta_at(self, s) -> np.ndarray:
-        return _interp(s, self.times, self.Theta)
-
-    def theta_hat_at(self, s) -> np.ndarray:
-        return _interp(s, self.times, self.Theta_hat)
 
 
 def pair_coefficients(problem: ProblemData, ss: np.ndarray, t, names: str = "ABCDQR"):

@@ -8,14 +8,12 @@ empirical mean, so the drift carries no sampling bias.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrators import rk4_march, rk4_step, stage_times
+from .integrators import rk4_step
 from .types import ProblemData, hat
 
 
@@ -204,21 +202,6 @@ def paired_mean_stderr(per_path: np.ndarray, antithetic: bool) -> tuple[float, f
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(len(per_path)))
 
 
-class _ConstantGain:
-    """A (theta, theta_hat) pair held constant over the whole horizon."""
-
-    partition = None
-
-    def __init__(self, theta, theta_hat):
-        self._th = np.atleast_2d(np.asarray(theta, float))
-        self._thh = np.atleast_2d(np.asarray(theta_hat, float))
-
-    def at_many(self, ss):
-        shape = np.shape(ss)
-        return (np.broadcast_to(self._th, shape + self._th.shape),
-                np.broadcast_to(self._thh, shape + self._thh.shape))
-
-
 def mean_field_system(problem: ProblemData, ss: np.ndarray, u: np.ndarray):
     """The linear system of y = [X; E_rho X] at the times ss under the
     controls c = [u; E_rho u], in `variant_costs`' form.
@@ -257,15 +240,20 @@ class _ClosedLoopSystem:
 
 def _closed_loop_system(problem: ProblemData, gains, t: float,
                         steps: int) -> _ClosedLoopSystem:
-    """Step matrices of u = -Theta X + (Theta - Theta_hat) E_rho[X] from t to T.
+    """Step matrices of u = -Theta X + (Theta - Theta_hat) E_rho[X] from t to T,
+    the gains a `PiecewiseGain`: E_rho X is re-anchored at its partition nodes
+    in (t, T), and the grid puts them on its nodes.
 
     Coefficients and gains are sampled once at each step's RK4 stages s,
-    s + dt/2 and s + dt; the gains are read right-continuously there, so a step
-    ending on a partition node reads the next interval's gain at its last stage.
+    s + dt/2 and s + dt by `gains.at_many`, which reads right-continuously, so
+    a step ending on a partition node reads the next interval's gain at its
+    last stage.
     """
-    if isinstance(gains, tuple):
-        gains = _ConstantGain(*gains)
-    nodes = () if gains.partition is None else gains.partition.nodes
+    if not (hasattr(gains, "partition") and hasattr(gains, "at_many")):
+        raise ConfigurationError(
+            f"gains must be a PiecewiseGain (a partition and at_many), "
+            f"got {type(gains).__name__}")
+    nodes = gains.partition.nodes
     times = aligned_time_grid(t, problem.T, steps, nodes)
     L, n = len(times), problem.n
     dts = np.diff(times)
@@ -304,11 +292,13 @@ def _start(x0) -> np.ndarray:
 
 def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
                          mc: MCConfig) -> PathEnsemble:
-    """Euler-Maruyama under the feedback u = -Theta X + (Theta - Theta_hat) E_rho[X].
+    """Euler-Maruyama under the feedback u = -Theta X + (Theta - Theta_hat) E_rho[X]
+    of the `PiecewiseGain` gains.
 
-    The per-path conditional mean E_rho[X] follows its linear ODE and is re-anchored
-    to the path state at every partition node; the ensemble-level E_t trajectory is
-    the corresponding deterministic pair.  Both march on euler_maruyama: the
+    The per-path conditional mean E_rho[X] follows its linear ODE and is
+    re-anchored to the path state at every partition node in (t, T); the
+    ensemble-level E_t trajectory is the corresponding deterministic pair.
+    Any other `gains` raise ConfigurationError.  Both march on euler_maruyama: the
     columns [X; E_rho X] per path (Euler in X, an RK4 step in E_rho X) and the
     deterministic [E_t X; E_t E_rho X] (RK4), with the step matrices of
     _closed_loop_system.  The path march records only the states and adds up
@@ -531,73 +521,3 @@ def semigroup_failure_demo(s: float, tau: float, t: float, x: float,
               + 0.5 * (math.exp(2 * (s - tau)) - 1.0)) \
         * (0.5 * (math.exp(2 * (tau - t)) - 1.0)) * x * x
     return {"simulated": simulated, "stderr": stderr, "closed_form": closed}
-
-
-@dataclass(frozen=True)
-class ExampleOracles:
-    """Closed-form fixtures for the two scalar motivating examples."""
-
-    T: float = 1.0
-
-    def phat(self, s: float) -> float:
-        return 1.0 / (self.T - s + 1.0)
-
-    def control(self, t: float, x: float) -> float:
-        return -x / (self.T - t + 1.0)
-
-    def mean(self, s: float, t: float, x: float) -> float:
-        return (self.T - s + 1.0) / (self.T - t + 1.0) * x
-
-    def value(self, t: float, x: float) -> float:
-        return x * x / (self.T - t + 1.0)
-
-    def discount_riccati(self, rho: Callable[[float, float], float],
-                         g: Callable[[float], float], t: float,
-                         h: float = 5e-4) -> tuple[np.ndarray, np.ndarray]:
-        """Backward solve of p_s + p - p^2 / rho(s,t) = 0, p(T,t) = g(t), by RK4
-        with rho(., t) sampled once on the stage grid."""
-        n = max(1, math.ceil((self.T - t) / h))
-        times = np.linspace(t, self.T, n + 1)
-        r = np.array([rho(s, t) for s in stage_times(times)], dtype=float)
-
-        def rhs(q, v):
-            return -(v - v * v / r[q])
-
-        return times, rk4_march(rhs, times, g(t))
-
-    def consistency_witness(self, rho, g, samples: int = 21) -> bool:
-        """True when t -> g(t)/rho(T,t) is constant (time-consistent memory)."""
-        ts = np.linspace(0.0, self.T, samples)
-        vals = np.array([g(t) / rho(self.T, t) for t in ts])
-        return float(vals.max() - vals.min()) <= 1e-10 * (1.0 + float(np.abs(vals).max()))
-
-
-def example_oracles(T: float = 1.0) -> ExampleOracles:
-    return ExampleOracles(T=T)
-
-
-_MAGIC = b"MFLQ"
-_VERSION = 1
-
-
-def dump_states(ens: PathEnsemble, path: str) -> None:
-    """Flat binary dump of the state array with a 16-byte header (magic, version, dims)."""
-    P, L, n = ens.states.shape
-    header = struct.pack("<4sHIIH", _MAGIC, _VERSION, P, L, n)
-    assert len(header) == 16
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
-
-
-def load_states(path: str) -> np.ndarray:
-    """The states of a `dump_states` file, its header and payload size checked."""
-    with open(path, "rb") as fh:
-        header, payload = fh.read(16), fh.read()
-    if len(header) < 16 or header[:6] != struct.pack("<4sH", _MAGIC, _VERSION):
-        raise ConfigurationError(f"unrecognized dump header in {path}")
-    P, L, n = struct.unpack("<IIH", header[6:])
-    if len(payload) != 8 * P * L * n:
-        raise ConfigurationError(f"dump {path} holds {len(payload)} payload bytes, "
-                                 f"expected {8 * P * L * n} for {P}x{L}x{n} states")
-    return np.frombuffer(payload, dtype="<f8").reshape(P, L, n)

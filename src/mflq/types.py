@@ -54,24 +54,8 @@ class TimeGrid:
         return float(self.nodes[-1])
 
     @property
-    def mesh(self) -> float:
-        return float(np.diff(self.nodes).max())
-
-    @property
     def num_intervals(self) -> int:
         return len(self.nodes) - 1
-
-    def index_of(self, t: float) -> int:
-        """Index of the node nearest to t; the snap distance must be below 1e-9 (1 + T)."""
-        i = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[i] - t) > 1e-9 * (1.0 + self.T):
-            raise ValidationError(f"time {t} is not a grid node (nearest {self.nodes[i]})")
-        return i
-
-    def interval_index(self, s: float) -> int:
-        """k with nodes[k] <= s < nodes[k+1], right-continuous; s=T maps to the last interval."""
-        k = int(np.searchsorted(self.nodes, s, side="right")) - 1
-        return min(max(k, 0), self.num_intervals - 1)
 
 
 def _interp(x, xs, vs):
@@ -439,40 +423,21 @@ def validate(problem: ProblemData) -> ValidationReport:
 class TwoParamMatrixField:
     """Grid-sampled field (s_i, t_j) -> n x n matrix on the triangle t <= s.
 
-    Entries below the diagonal (s < t) store the diagonal value at t, realizing the
-    constant extension used when the field is read at arguments out of order.
+    The entries [i, j] with i < j (s < t, above the diagonal of the node
+    indices) store the diagonal value at t, realizing the constant extension
+    used when the field is read at arguments out of order.
     """
 
     grid: TimeGrid
-    values: np.ndarray  # (S, S, n, n); [i, j] = value(s_i, t_j)
-    symmetric: bool = True
+    values: np.ndarray  # (S, S, n, n); [i, j] is the field at (s_i, t_j)
 
     @classmethod
-    def from_triangle(cls, grid: TimeGrid, values: np.ndarray,
-                      symmetric: bool = True) -> "TwoParamMatrixField":
+    def from_triangle(cls, grid: TimeGrid, values: np.ndarray) -> "TwoParamMatrixField":
         """Build a field from entries valid on s >= t, overwriting s < t by extension."""
         vals = np.array(values, dtype=float, copy=True)
         i, j = np.triu_indices(len(grid.nodes), k=1)
         vals[i, j] = vals[j, j]
-        if symmetric:
-            vals = symmetrize(vals)
-        return cls(grid, vals, symmetric)
-
-    def value(self, s: float, t: float) -> np.ndarray:
-        i = self.grid.index_of(s)
-        j = self.grid.index_of(t)
-        if i < j:
-            return self.values[j, j]
-        return self.values[i, j]
-
-    def diagonal(self) -> np.ndarray:
-        S = len(self.grid.nodes)
-        return self.values[np.arange(S), np.arange(S)]
-
-    def restrict(self, stride: int) -> "TwoParamMatrixField":
-        """Exact restriction to every stride-th node (for cross-mesh comparison)."""
-        return TwoParamMatrixField(TimeGrid(self.grid.nodes[::stride]),
-                                   self.values[::stride, ::stride], self.symmetric)
+        return cls(grid, vals)
 
     def max_asymmetry(self) -> float:
         d = self.values - np.swapaxes(self.values, -1, -2)
@@ -488,19 +453,13 @@ class GainSegment:
     theta: np.ndarray        # (len(times), m, n)
     theta_hat: np.ndarray    # (len(times), m, n)
 
-    def theta_at(self, s):
-        return _interp(s, self.times, self.theta)
-
-    def theta_hat_at(self, s):
-        return _interp(s, self.times, self.theta_hat)
-
 
 @dataclass(frozen=True)
 class PiecewiseGain:
     """Feedback pair (Theta, Theta_hat), piecewise continuous over a partition.
 
-    Evaluation is right-continuous at interval starts; the horizon T evaluates on
-    the last interval.
+    `at_many` reads it, right-continuously at interval starts; the horizon T
+    reads the last interval.
     """
 
     partition: TimeGrid
@@ -513,22 +472,9 @@ class PiecewiseGain:
                 f"{self.partition.num_intervals} intervals"
             )
 
-    def interval_index(self, s: float) -> int:
-        return self.partition.interval_index(s)
-
-    def theta(self, s: float) -> np.ndarray:
-        return self.segments[self.interval_index(s)].theta_at(s)
-
-    def theta_hat(self, s: float) -> np.ndarray:
-        return self.segments[self.interval_index(s)].theta_hat_at(s)
-
-    def anchor(self, s: float) -> float:
-        """rho(s): the partition node defining the conditional-expectation freeze."""
-        return float(self.partition.nodes[self.interval_index(s)])
-
     def at_many(self, ss) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, theta_hat) at an array of times, each ss.shape + (m, n); the
-        same values as theta(s) and theta_hat(s) at every entry."""
+        """(theta, theta_hat) at an array of times, each ss.shape + (m, n):
+        at s, the linear interpolant of the segment of the interval holding s."""
         ss = np.asarray(ss, float)
         k = np.clip(np.searchsorted(self.partition.nodes, ss, side="right") - 1,
                     0, self.partition.num_intervals - 1)

@@ -9,12 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import constant_gain, example_oracles
 
 from mflq import (MatrixFn, MCConfig, TimeGrid,
                   TwoTimeMatrixFn, bsde_residual_check,
                   build_delta_equilibrium, cost_via_lyapunov,
                   delta_local_optimality_check, direct_diagonal_solve,
-                  estimate_cost, example_oracles, jump_magnitudes,
+                  estimate_cost, jump_magnitudes,
                   ordering_report, semigroup_failure_demo,
                   simulate_closed_loop, solve_closed_loop, solve_open_loop,
                   solve_precommitment)
@@ -58,17 +59,18 @@ def test_criterion_02_classical_reduction_across_solvers(classical):
     ol = solve_open_loop(classical, t_nodes=32)
     game = build_delta_equilibrium(classical, TimeGrid.uniform(classical.T, 4))
     cl = solve_closed_loop(classical, N0=4, tol=1e-6)
+    pre_gain = PiecewiseGain.single(0.0, classical.T, pre.times, pre.Theta, pre.Theta_hat)
 
     worst = 0.0
     for j, t in enumerate(ol.tgrid.nodes[:-1]):
         worst = max(worst, float(np.abs(ol.Theta_open[j]
-                                        - pre.theta_at(t)).max()))
+                                        - pre_gain.at_many(t)[0]).max()))
     for t in np.linspace(0.0, classical.T, 17)[:-1]:
-        worst = max(worst, float(np.abs(game.gains.theta_hat(t)
-                                        - pre.theta_hat_at(t)).max()))
+        worst = max(worst, float(np.abs(game.gains.at_many(t)[1]
+                                        - pre_gain.at_many(t)[1]).max()))
     for j, t in enumerate(cl.nodes[:-1]):
         worst = max(worst, float(np.abs(cl.Theta_hat[j]
-                                        - pre.theta_hat_at(t)).max()))
+                                        - pre_gain.at_many(t)[1]).max()))
     assert worst <= 1e-8, worst
     budget.check()
 
@@ -161,7 +163,7 @@ def test_criterion_06_quadratic_cost_oracle_equivalence():
         # stderr of these nearly-deterministic costs below the Euler bias
         zero = np.zeros((1, n))
         mc = MCConfig(paths=500, steps=1000, seed=3000 + i, antithetic=False)
-        ens = simulate_closed_loop(prob, (zero, zero), 0.0, x0, mc)
+        ens = simulate_closed_loop(prob, constant_gain(prob.T, zero, zero), 0.0, x0, mc)
         mean, stderr = estimate_cost(prob, ens, 0.0)
         if abs(mean - exact) > 3 * stderr:
             failures.append((i, mean, exact, stderr))

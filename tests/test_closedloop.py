@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflq import (ConvergenceError, MatrixFn, TwoTimeMatrixFn, ValidationError,
-                  direct_diagonal_solve, residual, solve_closed_loop, solve_precommitment)
+from mflq import (ConvergenceError, MatrixFn, PiecewiseGain, TwoTimeMatrixFn,
+                  ValidationError, direct_diagonal_solve, residual, solve_closed_loop,
+                  solve_precommitment)
 from mflq.cli import converge_study
 from mflq.closedloop import _assemble, _diagonal_gains
 
@@ -39,6 +40,18 @@ class TestScalarTerminalOracle:
         assert v == pytest.approx(4.0 * sol.Gamma_hat[0, 0, 0, 0], abs=1e-12)
 
 
+def test_value_snaps_to_nodes(discounting):
+    """value reads Gamma_hat(t, t) at a grid node, snapping within
+    1e-9 (1 + T), and refuses any other time instead of reading the nearest
+    node: off the grid, past T and before 0."""
+    sol = direct_diagonal_solve(discounting, t_nodes=3)
+    assert sol.nodes[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert sol.value(1.0 / 3.0 + 1e-12, [1.0]) == sol.Gamma_hat[1, 1, 0, 0]
+    for off_grid in (0.2, 5.0, -1.0):
+        with pytest.raises(ValidationError, match=f"time {off_grid} is not a grid node"):
+            sol.value(off_grid, [1.0])
+
+
 class TestClassicalReduction:
     def test_refinement_is_immediately_cauchy(self, classical):
         sol = solve_closed_loop(classical, N0=4, tol=1e-6)
@@ -48,9 +61,10 @@ class TestClassicalReduction:
     def test_gains_match_riccati(self, classical):
         sol = solve_closed_loop(classical, N0=4, tol=1e-6)
         pre = solve_precommitment(classical, 0.0, h=classical.T / 2048)
-        for j, t in enumerate(sol.nodes[:-1]):
-            np.testing.assert_allclose(sol.Theta_hat[j], pre.theta_at(t),
-                                       atol=1e-8)
+        pre_gain = PiecewiseGain.single(0.0, classical.T, pre.times, pre.Theta,
+                                        pre.Theta_hat)
+        np.testing.assert_allclose(sol.Theta_hat[:-1], pre_gain.at_many(sol.nodes[:-1])[0],
+                                   atol=1e-8)
 
     def test_hat_field_equals_base_field(self, classical):
         sol = direct_diagonal_solve(classical, t_nodes=32)

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import constant_gain
 
 from mflq import (MCConfig, TimeGrid, brownian_increments, build_delta_equilibrium,
                   estimate_cost, simulate_closed_loop)
@@ -64,7 +65,7 @@ def test_peak_memory_is_the_states_and_the_increments(ex12):
     """No control rows: the march's peak is the state records and the draw,
     with 10% to spare for its step buffers."""
     mc = MCConfig(paths=20000, steps=200, seed=1)
-    gains = (np.ones((1, 1)), np.ones((1, 1)))
+    gains = constant_gain(ex12.T, [[1.0]], [[1.0]])
     tracemalloc.start()
     try:
         ens = simulate_closed_loop(ex12, gains, 0.0, [1.0], mc)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mflq import (MCConfig, TimeGrid, ValidationError, build_delta_equilibrium,
-                  delta_local_optimality_check, jump_magnitudes,
-                  ordering_report, solve_precommitment)
+from mflq import (MCConfig, PiecewiseGain, TimeGrid, ValidationError,
+                  build_delta_equilibrium, delta_local_optimality_check,
+                  jump_magnitudes, ordering_report, solve_precommitment)
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +40,10 @@ class TestSingleInterval:
         eq = build_delta_equilibrium(discounting, TimeGrid.uniform(1.0, 1))
         pre = solve_precommitment(discounting, 0.0)
         assert np.abs(eq.values[0] - pre.Phat[0]).max() < 1e-9
-        for s in (0.0, 0.31, 0.8):
-            np.testing.assert_allclose(eq.gains.theta_hat(s),
-                                       pre.theta_hat_at(s), atol=1e-8)
+        pre_gain = PiecewiseGain.single(0.0, 1.0, pre.times, pre.Theta, pre.Theta_hat)
+        ss = np.array([0.0, 0.31, 0.8])
+        np.testing.assert_allclose(eq.gains.at_many(ss)[1], pre_gain.at_many(ss)[1],
+                                   atol=1e-8)
 
     def test_scalar_terminal_value(self, ex12):
         eq = build_delta_equilibrium(ex12, TimeGrid.uniform(1.0, 1))
@@ -70,24 +71,30 @@ class TestRecursionStructure:
 
     def test_values_equal_hat_diagonal(self, disc_eq):
         for k in range(disc_eq.N):
-            np.testing.assert_allclose(disc_eq.gamma_hat_at_node(k, k),
+            np.testing.assert_allclose(disc_eq.node_triples[k, k, 1]
+                                       + disc_eq.node_triples[k, k, 2],
                                        disc_eq.values[k], atol=1e-9)
 
     def test_triples_nan_below_own_interval(self, disc_eq):
         # player 2's triple does not exist at node 1
         assert np.isnan(disc_eq.node_triples[1, 2]).all()
-        with pytest.raises(Exception):
-            disc_eq.gamma_at_node(2, 1)
 
     def test_values_psd(self, disc_eq):
         for V in disc_eq.values:
             assert np.linalg.eigvalsh(V).min() >= -1e-10
 
     def test_gain_anchor_tracks_partition(self, disc_eq):
+        """The gains' intervals are the game's: at s they read the segment of
+        the player whose interval [rho(s), .) holds s."""
         g = disc_eq.gains
-        assert g.anchor(0.1) == 0.0
-        assert g.anchor(0.3) == 0.25
-        assert g.anchor(0.99) == 0.75
+        np.testing.assert_array_equal(g.partition.nodes, disc_eq.partition.nodes)
+        th, thh = g.at_many(np.array([0.1, 0.3, 0.99]))
+        for s, k, a, b in zip((0.1, 0.3, 0.99), (0, 1, 3), th, thh):
+            iv = disc_eq.intervals[k]
+            assert a[0, 0] == pytest.approx(np.interp(s, iv.times, iv.Theta[:, 0, 0]),
+                                            rel=0, abs=1e-12)
+            assert b[0, 0] == pytest.approx(np.interp(s, iv.times, iv.Theta_hat[:, 0, 0]),
+                                            rel=0, abs=1e-12)
 
 
 class TestTimeConsistentCollapse:
@@ -95,9 +102,9 @@ class TestTimeConsistentCollapse:
         """A time-consistent problem gives the same gains for any partition."""
         eq2 = build_delta_equilibrium(classical, TimeGrid.uniform(1.0, 2))
         eq4 = build_delta_equilibrium(classical, TimeGrid.uniform(1.0, 4))
-        for s in (0.05, 0.4, 0.65, 0.95):
-            np.testing.assert_allclose(eq2.gains.theta_hat(s),
-                                       eq4.gains.theta_hat(s), atol=1e-9)
+        ss = np.array([0.05, 0.4, 0.65, 0.95])
+        np.testing.assert_allclose(eq2.gains.at_many(ss)[1], eq4.gains.at_many(ss)[1],
+                                   atol=1e-9)
         assert np.abs(eq2.values[0] - eq4.values[0]).max() < 1e-9
 
 

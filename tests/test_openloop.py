@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflq import (ConfigurationError, MCConfig, TwoTimeMatrixFn, ValidationError,
-                  MatrixFn, bsde_residual_check, solve_open_loop, solve_precommitment,
-                  verify_open_loop_equilibrium)
+from mflq import (ConfigurationError, MCConfig, PiecewiseGain, TwoTimeMatrixFn,
+                  ValidationError, MatrixFn, bsde_residual_check, solve_open_loop,
+                  solve_precommitment, verify_open_loop_equilibrium)
 
 
 def _with_bar_weights(classical):
@@ -53,9 +53,10 @@ class TestSpecialCaseCollapses:
     def test_classical_gain_matches_riccati(self, classical):
         sol = solve_open_loop(classical, t_nodes=32)
         pre = solve_precommitment(classical, 0.0, h=classical.T / 2048)
-        for j, t in enumerate(sol.tgrid.nodes[:-1]):
-            np.testing.assert_allclose(sol.Theta_open[j], pre.theta_at(t),
-                                       atol=1e-8)
+        pre_gain = PiecewiseGain.single(0.0, classical.T, pre.times, pre.Theta,
+                                        pre.Theta_hat)
+        np.testing.assert_allclose(sol.Theta_open[:-1],
+                                   pre_gain.at_many(sol.tgrid.nodes[:-1])[0], atol=1e-8)
 
 
 def test_scalar_pure_terminal_oracle(ex12):
@@ -63,16 +64,19 @@ def test_scalar_pure_terminal_oracle(ex12):
     p(t) = 1/(T - t + 1) while the base field stays zero."""
     sol = solve_open_loop(ex12, t_nodes=32)
     nodes = sol.tgrid.nodes
-    diag = sol.Phat.diagonal()[:, 0, 0]
+    idx = np.arange(len(nodes))
+    diag = sol.Phat.values[idx, idx, 0, 0]
     exact = 1.0 / (ex12.T - nodes + 1.0)
     np.testing.assert_allclose(diag, exact, atol=1e-6)
     assert np.abs(sol.P.values).max() < 1e-10
 
 
 def test_field_extension_below_diagonal(classical):
+    """An entry at s < t, [i, j] with i < j, holds the diagonal value at t."""
     sol = solve_open_loop(classical, t_nodes=8)
-    v = sol.P.value(0.0, 0.5)
-    np.testing.assert_array_equal(v, sol.P.value(0.5, 0.5))
+    j = int(np.argmin(np.abs(sol.tgrid.nodes - 0.5)))
+    assert sol.tgrid.nodes[j] == pytest.approx(0.5, abs=1e-9)
+    np.testing.assert_array_equal(sol.P.values[0, j], sol.P.values[j, j])
 
 
 def test_bsde_residual_vanishes(classical):

@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from oracles import example_oracles
 
-from mflq import (IllPosedError, MatrixFn, MCConfig, ProblemData, TwoTimeMatrixFn,
-                  cost_via_lyapunov, estimate_cost, example_oracles, precommit_bounds,
+from mflq import (IllPosedError, MatrixFn, MCConfig, PiecewiseGain, ProblemData,
+                  TwoTimeMatrixFn, cost_via_lyapunov, estimate_cost, precommit_bounds,
                   rk4_march, simulate_closed_loop, solve_precommitment, stage_times)
 from mflq.precommit import MeanFieldGenerator, QuadraticWeights
 
@@ -24,8 +25,10 @@ class TestScalarTerminalOracle:
         np.testing.assert_allclose(sol.Phat[:, 0, 0], exact, atol=1e-9)
 
     def test_value_at(self, ex12):
+        """The value <Phat(t) x, x> at the initial time."""
         sol = solve_precommitment(ex12, 0.0)
-        assert sol.value_at([2.0]) == pytest.approx(4.0 * 0.5, abs=1e-8)
+        x = np.array([2.0])
+        assert x @ sol.Phat[0] @ x == pytest.approx(4.0 * 0.5, abs=1e-8)
 
     def test_later_initial_time(self, ex12):
         oracle = example_oracles(ex12.T)
@@ -35,8 +38,8 @@ class TestScalarTerminalOracle:
     def test_gain_interpolation(self, ex12):
         oracle = example_oracles(ex12.T)
         sol = solve_precommitment(ex12, 0.0)
-        assert sol.theta_hat_at(0.3)[0, 0] == pytest.approx(oracle.phat(0.3),
-                                                            abs=1e-8)
+        gain = PiecewiseGain.single(0.0, ex12.T, sol.times, sol.Theta, sol.Theta_hat)
+        assert gain.at_many(0.3)[1][0, 0] == pytest.approx(oracle.phat(0.3), abs=1e-8)
 
 
 class TestClassicalReduction:
@@ -240,7 +243,6 @@ def test_precommit_control_reproduces_oracle_mean(ex12):
     mean trajectory E[X(s)] = (T - s + 1)/(T - t + 1) x."""
     oracle = example_oracles(ex12.T)
     sol = solve_precommitment(ex12, 0.0)
-    from mflq.types import PiecewiseGain
     pg = PiecewiseGain.single(0.0, ex12.T, sol.times, sol.Theta, sol.Theta_hat)
     mc = MCConfig(paths=20000, steps=200, seed=2)
     ens = simulate_closed_loop(ex12, pg, 0.0, [1.0], mc)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from oracles import constant_gain, example_oracles
 
-from mflq import (MCConfig, brownian_increments, dump_states, estimate_cost,
-                  example_oracles, load_states, semigroup_failure_demo,
+from mflq import (MCConfig, brownian_increments, estimate_cost, semigroup_failure_demo,
                   simulate_closed_loop, solve_precommitment)
 from mflq.errors import ConfigurationError
-from mflq.simulate import aligned_time_grid
+from mflq.simulate import aligned_time_grid, closed_loop_states_at
 from mflq.types import PiecewiseGain
 
 
@@ -129,13 +129,23 @@ class TestSimulation:
         stderr = ens.states[:, :, 0].std(axis=0) / np.sqrt(mc.paths)
         assert np.all(np.abs(emp - ens.cond_mean[:, 0]) <= 3 * stderr + 1e-3)
 
-    def test_constant_gain_tuple_accepted(self, ex12):
+    def test_constant_gain_accepted(self, ex12):
         mc = MCConfig(paths=50, steps=20, seed=1)
-        ens = simulate_closed_loop(ex12, (np.zeros((1, 1)), np.zeros((1, 1))),
+        ens = simulate_closed_loop(ex12, constant_gain(ex12.T, [[0.0]], [[0.0]]),
                                    0.0, [1.0], mc)
         assert ens.states.shape == (50, 21, 1)
         # zero gains: pure geometric dynamics, cond_mean constant (A = 0)
         np.testing.assert_allclose(ens.cond_mean[:, 0], 1.0, atol=1e-12)
+
+    def test_tuple_gains_refused_by_name(self, ex12):
+        """A (theta, theta_hat) tuple, a form once accepted, names the type
+        that replaced it instead of failing on a missing attribute."""
+        mc = MCConfig(paths=50, steps=20, seed=1)
+        zero = (np.zeros((1, 1)), np.zeros((1, 1)))
+        for run in (lambda: simulate_closed_loop(ex12, zero, 0.0, [1.0], mc),
+                    lambda: closed_loop_states_at(ex12, zero, 0.0, [1.0], mc, 0.5)):
+            with pytest.raises(ConfigurationError, match="PiecewiseGain.*got tuple"):
+                run()
 
     def test_estimate_cost_shape_and_determinism(self, ex12):
         sol = solve_precommitment(ex12, 0.0, ex12.T / 2000)
@@ -152,41 +162,10 @@ class TestSimulation:
     def test_estimate_cost_needs_the_ensemble_start(self, ex12):
         """J(t, .) is a cost of the state process started at t."""
         mc = MCConfig(paths=8, steps=10, seed=2)
-        gains = (np.ones((1, 1)), np.ones((1, 1)))
+        gains = constant_gain(ex12.T, [[1.0]], [[1.0]])
         ens = simulate_closed_loop(ex12, gains, 0.5, [1.0], mc)
         assert np.all(np.isfinite(estimate_cost(ex12, ens, 0.5)))
         for t in (0.0, 0.25):
             with pytest.raises(ConfigurationError, match=f"t = {t} .* t = 0.5"):
                 estimate_cost(ex12, ens, t)
 
-
-class TestStateDump:
-    def test_round_trip(self, tmp_path, ex12):
-        mc = MCConfig(paths=10, steps=5, seed=1)
-        ens = simulate_closed_loop(ex12, (np.zeros((1, 1)), np.zeros((1, 1))),
-                                   0.0, [1.0], mc)
-        path = tmp_path / "states.bin"
-        dump_states(ens, str(path))
-        loaded = load_states(str(path))
-        np.testing.assert_array_equal(loaded, ens.states)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ConfigurationError):
-            load_states(str(path))
-
-    def test_truncated_payload_rejected(self, tmp_path, ex12):
-        ens = simulate_closed_loop(ex12, (np.zeros((1, 1)), np.zeros((1, 1))),
-                                   0.0, [1.0], MCConfig(paths=10, steps=5, seed=1))
-        path = tmp_path / "states.bin"
-        dump_states(ens, str(path))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ConfigurationError, match="states.bin holds 472 payload bytes"):
-            load_states(str(path))
-
-    def test_short_file_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"MFLQ\x01\x00")
-        with pytest.raises(ConfigurationError, match="unrecognized dump header in .*short.bin"):
-            load_states(str(path))

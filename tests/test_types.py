@@ -16,7 +16,6 @@ class TestTimeGrid:
         g = TimeGrid.uniform(2.0, 4)
         assert g.T == 2.0
         assert g.num_intervals == 4
-        assert g.mesh == pytest.approx(0.5)
         np.testing.assert_allclose(g.nodes, [0, 0.5, 1.0, 1.5, 2.0])
 
     def test_must_start_at_zero(self):
@@ -26,20 +25,6 @@ class TestTimeGrid:
     def test_must_increase(self):
         with pytest.raises(ValidationError):
             TimeGrid(np.array([0.0, 1.0, 1.0]))
-
-    def test_index_of_snaps(self):
-        g = TimeGrid.uniform(1.0, 3)
-        assert g.index_of(1.0 / 3.0 + 1e-12) == 1
-        with pytest.raises(ValidationError):
-            g.index_of(0.2)
-
-    def test_interval_index_right_continuous(self):
-        g = TimeGrid.uniform(1.0, 4)
-        assert g.interval_index(0.0) == 0
-        assert g.interval_index(0.25) == 1
-        assert g.interval_index(0.999) == 3
-        # the horizon itself belongs to the last interval
-        assert g.interval_index(1.0) == 3
 
 
 class TestMatrixFn:
@@ -129,12 +114,11 @@ class TestTwoParamMatrixField:
         g = TimeGrid.uniform(1.0, 2)
         vals = np.arange(9.0).reshape(3, 3, 1, 1)
         f = TwoParamMatrixField.from_triangle(g, vals)
-        # entries with s < t are frozen at the diagonal value of t
-        assert f.value(0.0, 0.5)[0, 0] == f.value(0.5, 0.5)[0, 0]
-        assert f.value(1.0, 0.5)[0, 0] == 7.0
+        # entries with s < t, [i, j] with i < j, are frozen at the diagonal value of t
+        assert f.values[0, 1, 0, 0] == f.values[1, 1, 0, 0]
+        assert f.values[2, 1, 0, 0] == 7.0
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_from_triangle_matches_pairwise_loop(self, symmetric):
+    def test_from_triangle_matches_pairwise_loop(self):
         """The vectorized fill equals the loop over node pairs bit for bit."""
         g = TimeGrid.uniform(1.0, 6)
         vals = np.random.default_rng(3).normal(size=(7, 7, 2, 2))
@@ -142,44 +126,42 @@ class TestTwoParamMatrixField:
         for j in range(7):
             for i in range(j):
                 ref[i, j] = ref[j, j]
-        if symmetric:
-            ref = symmetrize(ref)
-        f = TwoParamMatrixField.from_triangle(g, vals, symmetric=symmetric)
-        np.testing.assert_array_equal(f.values, ref)
-        assert f.symmetric is symmetric
-
-    def test_restrict_is_exact(self):
-        g = TimeGrid.uniform(1.0, 4)
-        vals = np.random.default_rng(0).normal(size=(5, 5, 1, 1))
         f = TwoParamMatrixField.from_triangle(g, vals)
-        r = f.restrict(2)
-        np.testing.assert_array_equal(r.values, f.values[::2, ::2])
+        np.testing.assert_array_equal(f.values, ref)
 
     def test_max_asymmetry(self):
         g = TimeGrid.uniform(1.0, 1)
         vals = np.zeros((2, 2, 2, 2))
-        f = TwoParamMatrixField(g, vals, symmetric=False)
+        f = TwoParamMatrixField(g, vals)
         assert f.max_asymmetry() == 0.0
 
 
 class TestPiecewiseGain:
-    def _gain(self):
-        part = TimeGrid.uniform(1.0, 2)
+    def _gain(self, N=2):
+        """Interval k's gains are constant: k, and 10 + k."""
+        part = TimeGrid.uniform(1.0, N)
         segs = []
-        for k in range(2):
+        for k in range(N):
             ts = np.linspace(part.nodes[k], part.nodes[k + 1], 3)
             segs.append(GainSegment(ts, np.full((3, 1, 1), float(k)),
                                     np.full((3, 1, 1), float(10 + k))))
         return PiecewiseGain(part, tuple(segs))
 
     def test_right_continuous_and_anchor(self):
+        """at_many reads the segment of the interval [rho(s), .) holding s."""
         g = self._gain()
-        assert g.theta(0.5)[0, 0] == 1.0          # right-continuous at the node
-        assert g.theta(0.499999)[0, 0] == 0.0
-        assert g.anchor(0.25) == 0.0
-        assert g.anchor(0.75) == 0.5
-        assert g.anchor(1.0) == 0.5               # horizon maps to last interval
-        assert g.theta_hat(0.9)[0, 0] == 11.0
+        th, thh = g.at_many(np.array([0.5, 0.499999, 0.25, 0.75, 1.0, 0.9]))
+        assert th[0, 0, 0] == 1.0                 # right-continuous at the node
+        assert th[1, 0, 0] == 0.0
+        assert th[2, 0, 0] == 0.0                 # rho(0.25) = 0
+        assert th[3, 0, 0] == 1.0                 # rho(0.75) = 0.5
+        assert th[4, 0, 0] == 1.0                 # horizon maps to last interval
+        assert thh[5, 0, 0] == 11.0
+        # the same on four intervals, for times on and between their nodes
+        th4 = self._gain(4).at_many(np.array([0.0, 0.25, 0.999, 1.0]))[0]
+        np.testing.assert_array_equal(th4[:, 0, 0], [0.0, 1.0, 3.0, 3.0])
+        # a scalar time reads an (m, n) pair
+        assert g.at_many(0.5)[1].shape == (1, 1)
 
     def test_segment_count_checked(self):
         part = TimeGrid.uniform(1.0, 2)
