@@ -11,6 +11,17 @@ from mflq.errors import DimensionError
 from mflq.types import GainSegment
 
 
+def _index_gain(N: int) -> PiecewiseGain:
+    """A gain on N uniform intervals of [0, 1] whose interval k reads k, and 10 + k."""
+    part = TimeGrid.uniform(1.0, N)
+    segs = []
+    for k in range(N):
+        ts = np.linspace(part.nodes[k], part.nodes[k + 1], 3)
+        segs.append(GainSegment(ts, np.full((3, 1, 1), float(k)),
+                                np.full((3, 1, 1), float(10 + k))))
+    return PiecewiseGain(part, tuple(segs))
+
+
 class TestTimeGrid:
     def test_uniform(self):
         g = TimeGrid.uniform(2.0, 4)
@@ -25,6 +36,11 @@ class TestTimeGrid:
     def test_must_increase(self):
         with pytest.raises(ValidationError):
             TimeGrid(np.array([0.0, 1.0, 1.0]))
+
+    def test_interval_index_right_continuous(self):
+        """A time reads the interval it starts or lies in; the horizon reads the last."""
+        th = _index_gain(4).at_many(np.array([0.0, 0.25, 0.999, 1.0]))[0]
+        np.testing.assert_array_equal(th[:, 0, 0], [0.0, 1.0, 3.0, 3.0])
 
 
 class TestMatrixFn:
@@ -137,19 +153,9 @@ class TestTwoParamMatrixField:
 
 
 class TestPiecewiseGain:
-    def _gain(self, N=2):
-        """Interval k's gains are constant: k, and 10 + k."""
-        part = TimeGrid.uniform(1.0, N)
-        segs = []
-        for k in range(N):
-            ts = np.linspace(part.nodes[k], part.nodes[k + 1], 3)
-            segs.append(GainSegment(ts, np.full((3, 1, 1), float(k)),
-                                    np.full((3, 1, 1), float(10 + k))))
-        return PiecewiseGain(part, tuple(segs))
-
     def test_right_continuous_and_anchor(self):
         """at_many reads the segment of the interval [rho(s), .) holding s."""
-        g = self._gain()
+        g = _index_gain(2)
         th, thh = g.at_many(np.array([0.5, 0.499999, 0.25, 0.75, 1.0, 0.9]))
         assert th[0, 0, 0] == 1.0                 # right-continuous at the node
         assert th[1, 0, 0] == 0.0
@@ -157,9 +163,6 @@ class TestPiecewiseGain:
         assert th[3, 0, 0] == 1.0                 # rho(0.75) = 0.5
         assert th[4, 0, 0] == 1.0                 # horizon maps to last interval
         assert thh[5, 0, 0] == 11.0
-        # the same on four intervals, for times on and between their nodes
-        th4 = self._gain(4).at_many(np.array([0.0, 0.25, 0.999, 1.0]))[0]
-        np.testing.assert_array_equal(th4[:, 0, 0], [0.0, 1.0, 3.0, 3.0])
         # a scalar time reads an (m, n) pair
         assert g.at_many(0.5)[1].shape == (1, 1)
 
