@@ -13,10 +13,13 @@ per-layer metrics: the per-operation times (``op.*``), the layer times, the
 call counts, the check errors and the memory figures.
 
 ``BENCH_<pr>.json`` holds, per workload and end-to-end metric, both sides'
-samples, medians and quartiles, the pairs the change won, and whether the
+samples, medians and quartiles, the pairs the change won, whether the
 change's median beats the parent's by more than the parent's interquartile
-distance.  Nothing under ``bench/`` is written except its own ignored output
-directories.
+distance, and the two no-regression verdicts against the metric's ``bound``
+in ``BENCHMARK.json``: ``within_bound`` (the change's median is worse than
+the parent's by at most that fraction) and ``unresolved`` (the parent's own
+spread is wider than the bound and the change does not beat it outright).
+Nothing under ``bench/`` is written except its own ignored output directories.
 """
 
 from __future__ import annotations
@@ -79,17 +82,26 @@ def summary(samples: list[float]) -> dict:
     return {"samples": samples, "median": statistics.median(samples), "q1": q1, "q3": q3}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' summaries and the verdicts: `within_bound` when the change's
+    median is worse than the parent's by at most the fraction `bound`;
+    `unresolved` when the parent's own interquartile distance exceeds that
+    fraction of its median and not every change run beats every parent run."""
     sign = 1.0 if better == "lower" else -1.0
     p, c = summary(parent), summary(change)
     gap = sign * (p["median"] - c["median"])
+    iqr = p["q3"] - p["q1"]
     return {"parent": p, "change": c,
             "pairs_won": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
             "pairs": len(parent),
             "median_ratio": c["median"] / p["median"] if p["median"] else None,
             "median_gain": gap,
-            "parent_iqr": p["q3"] - p["q1"],
-            "gain_exceeds_parent_iqr": gap > p["q3"] - p["q1"]}
+            "parent_iqr": iqr,
+            "gain_exceeds_parent_iqr": gap > iqr,
+            "bound": bound,
+            "within_bound": -gap <= bound * abs(p["median"]),
+            "unresolved": iqr > bound * abs(p["median"])
+                          and not all(sign * (a - b) > 0 for a in parent for b in change)}
 
 
 def traced_subset(result: dict, units: dict[str, str]) -> dict:
@@ -136,7 +148,7 @@ def main(argv=None) -> int:
                 rec["end_to_end"][name] = {"unit": m["unit"], "better": m["better"],
                                            **compare(*([r["metrics"][name]["value"]
                                                         for r in runs[s]] for s in sides),
-                                                     m["better"])}
+                                                     m["better"], m["bound"])}
             rec["traced"] = {s: traced_subset(run_bench(sides[s], w, 1, args.seconds, 1),
                                               units) for s in sides}
             out["workloads"][w] = rec
@@ -147,7 +159,9 @@ def main(argv=None) -> int:
             print(f"{w}/{name}: parent {c['parent']['median']:.4g} "
                   f"[{c['parent']['q1']:.4g}-{c['parent']['q3']:.4g}] -> change "
                   f"{c['change']['median']:.4g} [{c['change']['q1']:.4g}-"
-                  f"{c['change']['q3']:.4g}], won {c['pairs_won']}/{c['pairs']}")
+                  f"{c['change']['q3']:.4g}], won {c['pairs_won']}/{c['pairs']}, "
+                  f"within_bound={c['within_bound']} (bound {c['bound']:g}), "
+                  f"unresolved={c['unresolved']}")
     return 0
 
 

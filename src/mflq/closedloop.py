@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, ValidationError
+from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
 from .integrators import gain_path, left, march_levels, right
 from .precommit import default_step
-from .types import ProblemData, TimeGrid, hat
+from .types import ProblemData, TimeGrid, _node_index, hat
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ class ClosedLoopSolution:
     def value(self, t: float, x) -> float:
         """Equilibrium value <Gamma_hat(t,t) x, x> at a grid node t, snapped to
         the nearest node within 1e-9 (1 + T); ValidationError off the grid."""
-        j = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[j] - t) > 1e-9 * (1.0 + self.grid.T):
-            raise ValidationError(f"time {t} is not a grid node (nearest {self.nodes[j]})")
+        j = _node_index(self.nodes, t)
         x = np.asarray(x, float).reshape(-1)
         return float(x @ self.Gamma_hat[j, j] @ x)
 

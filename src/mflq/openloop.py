@@ -150,8 +150,8 @@ def _default_probes(problem, sol, t):
 
 
 def _check_spikes(T, check_times, eps_list):
-    """Every spike [t, t + eps] must lie in [0, T] with eps > 0, and there
-    must be at least one of each."""
+    """Every spike [t, t + eps] must lie in [0, T] with eps longer than the
+    node tolerance 1e-12 max(1, T), and there must be at least one of each."""
     if len(eps_list) == 0:
         raise ConfigurationError("eps_list is empty")
     if len(check_times) == 0:
@@ -161,29 +161,12 @@ def _check_spikes(T, check_times, eps_list):
         if not 0.0 <= t < T:
             raise ConfigurationError(f"check time {t} outside [0, T) = [0, {T})")
         for eps in eps_list:
-            if not eps > 0.0:
-                raise ConfigurationError(f"spike length {eps} must be positive")
+            if not eps > tol:
+                raise ConfigurationError(f"spike length {eps} must exceed {tol:g}")
             if t + eps > T + tol:
                 raise ConfigurationError(
                     f"spike [{t}, {t} + {eps}] runs past the horizon T = {T}")
-
-
-def _spike_groups(T, steps, t, eps_sorted):
-    """The spikes of one check time, grouped by aligned grid: [(grid,
-    [(k, ie), ...])], spike k = eps_sorted[k] ending at grid[ie].  Grids
-    join a group when they have its step count and agree with its grid to
-    1e-12 T at every node; the group keeps its first, largest-eps grid."""
-    groups = []
-    for k, eps in enumerate(eps_sorted):
-        grid = aligned_time_grid(0.0, T, steps, (t, t + eps))
-        ie = int(np.argmin(np.abs(grid - (t + eps))))
-        for g, spikes in groups:
-            if len(g) == len(grid) and np.abs(g - grid).max() <= 1e-12 * T:
-                spikes.append((k, ie))
-                break
-        else:
-            groups.append((grid, [(k, ie)]))
-    return groups
+    return tol
 
 
 def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
@@ -191,8 +174,12 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
                                  check_times=None) -> dict:
     """Spike-perturbation test: [J(spiked) - J(equilibrium)] / eps with common noise.
 
-    Reports one record per (time, probe, eps) and a pass flag: at the smallest
-    eps the minimum ratio over probes must exceed -3 stderr.
+    Every spike runs on one Euler grid holding each t and t + eps as a node
+    (times within 1e-12 max(1, T) are one node), on one draw; per check time
+    one head marches to t and one march carries all its spikes.
+
+    Reports one record per (time, eps descending, probe) and a pass flag: at
+    the smallest eps the minimum ratio over probes must exceed -3 stderr.
     """
     _require_no_mean_field_dynamics(problem)
     T = problem.T
@@ -202,38 +189,30 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
         mc = MCConfig(paths=20000, steps=400, seed=7)
     if check_times is None:
         check_times = [0.2 * T, 0.5 * T]
-    _check_spikes(T, check_times, eps_list)
+    tol = _check_spikes(T, check_times, eps_list)
     x0 = initial_state(problem, x0)
 
-    # every grid draws the same normals when it has the same step count: draw
-    # them once at unit steps (sqrt(1) = 1 is exact) and scale a copy per grid
-    normals = {}
-    heads = {}
+    nodes = [0.0]
+    for v in sorted(t + eps for t in check_times for eps in (0.0, *eps_list)):
+        if nodes[-1] + tol < v < T - tol:
+            nodes.append(v)
+    grid = aligned_time_grid(0.0, T, mc.steps, nodes)
+    dW = brownian_increments(mc, np.diff(grid))
+
     records = []
     eps_sorted = sorted(eps_list, reverse=True)
     for t in check_times:
         probes = _default_probes(problem, sol, t)
-        found = []
-        for grid, spikes in _spike_groups(T, mc.steps, t, eps_sorted):
-            dts = np.diff(grid)
-            if len(dts) not in normals:
-                normals[len(dts)] = brownian_increments(mc, np.ones(len(dts)))
-            dW = normals[len(dts)] * np.sqrt(dts)
-            it = int(np.argmin(np.abs(grid - t)))
-            # the same normals on the same nodes up to t march the same head
-            head = (len(dts), grid[:it + 1].tobytes())
-            if head not in heads:
-                heads[head] = _equilibrium_run(problem, sol, grid, dW, x0, it)
-            costs = _spiked_run(problem, sol, grid, dW, heads[head], it,
-                                [(ie, probe) for _, ie in spikes for _, probe in probes])
-            variants = [(k, name) for k, _ in spikes for name, _ in probes]
-            for (k, name), dJ in zip(variants, costs[1:] - costs[0]):
-                eps = eps_sorted[k]
-                mean, stderr = paired_mean_stderr(dJ, mc.antithetic)
-                found.append((k, {"t": float(t), "probe": name, "epsilon": float(eps),
-                                  "ratio": mean / eps, "stderr": stderr / eps}))
-        # groups need not come in eps order; the sort is stable within a spike
-        records += [rec for _, rec in sorted(found, key=lambda f: f[0])]
+        it = int(np.argmin(np.abs(grid - t)))
+        ends = [int(np.argmin(np.abs(grid - (t + eps)))) for eps in eps_sorted]
+        costs = _spiked_run(problem, sol, grid, dW,
+                            _equilibrium_run(problem, sol, grid, dW, x0, it), it,
+                            [(ie, probe) for ie in ends for _, probe in probes])
+        variants = [(eps, name) for eps in eps_sorted for name, _ in probes]
+        for (eps, name), dJ in zip(variants, costs[1:] - costs[0]):
+            mean, stderr = paired_mean_stderr(dJ, mc.antithetic)
+            records.append({"t": float(t), "probe": name, "epsilon": float(eps),
+                            "ratio": mean / eps, "stderr": stderr / eps})
 
     smallest = min(eps_list)
     margins = [r["ratio"] + 3.0 * r["stderr"] for r in records

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrators import rk4_step
-from .types import ProblemData, hat
+from .types import ProblemData, _node_index, hat
 
 
 @dataclass(frozen=True)
@@ -326,12 +326,13 @@ def simulate_closed_loop(problem: ProblemData, gains, t: float, x0,
 
 def closed_loop_states_at(problem: ProblemData, gains, t: float, x0, mc: MCConfig,
                           s: float) -> np.ndarray:
-    """(n, paths) states at the grid node nearest s of the ensemble that
+    """(n, paths) states at the grid node s of the ensemble that
     simulate_closed_loop(problem, gains, t, x0, mc) draws, marched only that
-    far: no records, no deterministic mean."""
+    far: no records, no deterministic mean.  s snaps to a node within
+    1e-9 (1 + T); ValidationError off the grid."""
     start = _start(initial_state(problem, x0))
     cl = _closed_loop_system(problem, gains, t, mc.steps)
-    it = int(np.argmin(np.abs(cl.times - s)))
+    it = _node_index(cl.times, s)
     dW = brownian_increments(mc, np.diff(cl.times))
     mask, dst, src = cl.reset
     Z = euler_maruyama(np.repeat(start, mc.paths, axis=1), cl.drift[:it],

@@ -67,6 +67,15 @@ def _interp(x, xs, vs):
     return (1.0 - w) * vs[i] + w * vs[i + 1]
 
 
+def _node_index(nodes, t) -> int:
+    """Index of the node of the ascending nodes, ending at the horizon T, that
+    t snaps to within 1e-9 (1 + T); ValidationError off the grid."""
+    j = int(np.argmin(np.abs(nodes - t)))
+    if abs(nodes[j] - t) > 1e-9 * (1.0 + nodes[-1]):
+        raise ValidationError(f"time {t} is not a grid node (nearest {nodes[j]})")
+    return j
+
+
 def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sum of two equally shaped matrix stacks; stays a read-only broadcast view
     when neither operand varies along its leading axes."""
@@ -488,18 +497,12 @@ class PiecewiseGain:
 
     @classmethod
     def single(cls, t0: float, T: float, times, theta, theta_hat) -> "PiecewiseGain":
-        """One-interval gain on [t0, T] (pre-commitment style feedback)."""
+        """One-interval gain on [0, T] (pre-commitment style feedback); t0 must
+        be 0.0, and samples that start later are read clamped to the first."""
         if t0 != 0.0:
-            part = TimeGrid(np.array([0.0, t0, T]))
-            # leading interval never evaluated; reuse first sample
-            lead = GainSegment(np.array([0.0, t0]),
-                               np.repeat(theta[:1], 2, axis=0),
-                               np.repeat(theta_hat[:1], 2, axis=0))
-            seg = GainSegment(np.asarray(times, float), np.asarray(theta, float),
-                              np.asarray(theta_hat, float))
-            return cls(part, (lead, seg))
-        part = TimeGrid(np.array([0.0, T]))
+            raise ValidationError(f"PiecewiseGain.single takes t0 = 0.0, not {t0}: pass 0.0; "
+                                  "samples that start later read their first before it")
         seg = GainSegment(np.asarray(times, float), np.asarray(theta, float),
                           np.asarray(theta_hat, float))
-        return cls(part, (seg,))
+        return cls(TimeGrid(np.array([0.0, T])), (seg,))
 

@@ -1,7 +1,7 @@
 """Monte Carlo layout: step-major increments that the ensemble does not keep,
-one draw, one head march and one spiked march per spike-test check time, and
-a deviation-check head that marches only to t_k, its variants only to
-t_{k+1}.
+one grid and one draw per spike test with one head march and one spiked
+march per check time, and a deviation-check head that marches only to t_k,
+its variants only to t_{k+1}.
 
 Every test here pins the layout or the amount of work; the values themselves
 are pinned by test_mc_parity.py and test_simulate.py.
@@ -73,7 +73,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_spike_test_draws_once(classical, monkeypatch):
-    """The default 2 x 3 (t, eps) grids share one step count and one draw."""
+    """The default 2 x 3 (t, eps) spikes share one grid and one draw."""
     sol = solve_open_loop(classical, t_nodes=8)
     calls = _count_calls(monkeypatch, mflq.openloop, "brownian_increments")
     rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
@@ -83,40 +83,13 @@ def test_spike_test_draws_once(classical, monkeypatch):
 
 
 def test_spike_test_marches_one_head_per_check_time(classical, monkeypatch):
-    """The default 2 x 3 (t, eps) grids agree up to each t and share one draw:
-    one head march per check time serves all three spikes."""
+    """One head march per check time serves all three default spikes."""
     sol = solve_open_loop(classical, t_nodes=8)
     calls = _count_calls(monkeypatch, mflq.openloop, "_equilibrium_run")
     rep = verify_open_loop_equilibrium(classical, sol, np.ones(2),
                                        mc=MCConfig(paths=20, steps=400, seed=3))
     assert len(rep["records"]) == 2 * 3 * 3
     assert [call[-1] for call in calls] == [80, 200]
-
-
-def test_spike_test_redraws_per_step_count(classical, monkeypatch):
-    """Grids whose aligned step counts differ draw their own normals."""
-    sol = solve_open_loop(classical, t_nodes=8)
-    mc = MCConfig(paths=20, steps=7, seed=4)
-    kw = dict(mc=mc, check_times=[0.3], eps_list=[0.4, 0.05])
-    grids = [mflq.simulate.aligned_time_grid(0.0, 1.0, 7, (0.3, 0.3 + e)) for e in (0.4, 0.05)]
-    assert len(grids[0]) != len(grids[1])
-    calls = _count_calls(monkeypatch, mflq.openloop, "brownian_increments")
-    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), **kw)
-    assert len(calls) == 2
-    for rec in rep["records"]:
-        assert np.isfinite(rec["ratio"]) and np.isfinite(rec["stderr"])
-
-
-def test_spike_test_new_draw_marches_new_head(classical, monkeypatch):
-    """Grids that agree up to t but differ in step count read other normals
-    there, so each marches its own head."""
-    sol = solve_open_loop(classical, t_nodes=8)
-    grids = [mflq.simulate.aligned_time_grid(0.0, 1.0, 7, (0.3, 0.3 + e)) for e in (0.4, 0.05)]
-    np.testing.assert_array_equal(grids[0][:3], grids[1][:3])
-    heads = _count_calls(monkeypatch, mflq.openloop, "_equilibrium_run")
-    verify_open_loop_equilibrium(classical, sol, np.ones(2), check_times=[0.3],
-                                 eps_list=[0.4, 0.05], mc=MCConfig(paths=20, steps=7, seed=4))
-    assert len(heads) == 2
 
 
 def _per_path_marches(monkeypatch, paths):
@@ -150,45 +123,61 @@ def _expected_keys(check_times, eps_list):
             for p in names]
 
 
+def _one_grid_layout(problem, monkeypatch, mc, check_times, eps_list):
+    """Run the spike test and check its layout: one draw on one grid that
+    holds every t and t + eps as a node, with no step shorter than the node
+    tolerance; per t one head 0 -> t, one window t -> t + max eps of
+    1 + 3k variants on [X; X_eq; 1] and one anchored tail to T on [X; X_eq];
+    records in (t, eps descending, probe) order.  Returns the marches."""
+    sol = solve_open_loop(problem, t_nodes=8)
+    draws = _count_calls(monkeypatch, mflq.openloop, "brownian_increments")
+    heads = _count_calls(monkeypatch, mflq.openloop, "_equilibrium_run")
+    spiked = _count_calls(monkeypatch, mflq.openloop, "_spiked_run")
+    marched = _per_path_marches(monkeypatch, mc.paths)
+    rep = verify_open_loop_equilibrium(problem, sol, np.ones(2), mc=mc,
+                                       check_times=check_times, eps_list=eps_list)
+    grid = heads[0][2]
+    tol = 1e-12 * max(1.0, problem.T)
+    assert len(draws) == 1 and len(draws[0][1]) == len(grid) - 1
+    assert np.diff(grid).min() > tol
+    assert all(call[2] is grid for call in heads + spiked)
+    assert len(heads) == len(spiked) == len(check_times)
+    eps_desc = np.sort(eps_list)[::-1]
+    n, k = problem.n, len(eps_list)
+    expected = []
+    for t, head, (*_, it, spikes) in zip(check_times, heads, spiked):
+        assert head[-1] == it and abs(grid[it] - t) <= tol
+        ends = [ie for ie, _ in spikes[::3]]
+        np.testing.assert_allclose(grid[ends], t + eps_desc, rtol=0, atol=tol)
+        w = max(ends) - it
+        expected += [(it, (n, mc.paths), ()), (w, (2 * n + 1, mc.paths), (1 + 3 * k,)),
+                     (len(grid) - 1 - it - w, ((n + 1) * (n + 2) // 2, 2 * n, mc.paths), ())]
+    assert marched == expected
+    assert _record_keys(rep) == _expected_keys(check_times, eps_list)
+    return marched
+
+
 def test_spike_test_marches_once_per_check_time(classical, monkeypatch):
-    """The default 2 x 3 grids are one uniform grid per check time, so the
-    three spikes of a t are variants of one march: per t one head 0 -> t,
-    one window t -> t + 0.1 of 1 + 3 x 3 variants on [X; X_eq; 1], and one
-    tail t + 0.1 -> T of the 6 columns of the anchored form on [X; X_eq]:
-    6 marches on the paths, where each (t, eps) used to march its own 4."""
-    sol = solve_open_loop(classical, t_nodes=8)
+    """The default 2 x 3 spikes on the uniform 400-step grid: per t one head,
+    one window t -> t + 0.1 of 1 + 3 x 3 variants and one tail t + 0.1 -> T
+    of the 6 columns of the anchored form, 6 marches on the paths."""
     mc = MCConfig(paths=20, steps=400, seed=3)
-    marched = _per_path_marches(monkeypatch, mc.paths)
-    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), mc=mc)
-    n = classical.n
-    pairs = (n + 1) * (n + 2) // 2
-    assert marched == [(80, (n, 20), ()), (40, (2 * n + 1, 20), (10,)),
-                       (280, (pairs, 2 * n, 20), ()),
-                       (200, (n, 20), ()), (40, (2 * n + 1, 20), (10,)),
-                       (160, (pairs, 2 * n, 20), ())]
-    assert _record_keys(rep) == _expected_keys([0.2, 0.5], [0.1, 0.05, 0.025])
+    marched = _one_grid_layout(classical, monkeypatch, mc, [0.2, 0.5], [0.1, 0.05, 0.025])
+    assert [m[0] for m in marched] == [80, 40, 280, 200, 40, 160]
 
 
-@pytest.mark.parametrize("steps, eps_list, heads, windows", [
-    (7, [0.05, 0.4], 2, [4, 4]), (10, [0.2, 0.22], 1, [4, 4]),
-    (10, [0.1, 0.12, 0.2], 1, [7, 4])])
-def test_spike_test_marches_apart_when_grids_differ(classical, monkeypatch, steps,
-                                                   eps_list, heads, windows):
-    """Grids that do not coincide march apart, each group its own window of
-    1 + 3k variants and its own anchored tail.  At 7 steps the two grids
-    have different step counts; at 10 steps 0.22 and 0.12 keep the step
-    count but move a node after t (0.52, 0.42), while 0.1 and 0.2 share the
-    uniform grid; all 10-step grids share the head up to t.  The records
-    keep their order, t, then eps descending, then probe, also when a
-    group's spikes are not adjacent in it (0.2 and 0.1 around 0.12)."""
-    sol = solve_open_loop(classical, t_nodes=8)
-    mc = MCConfig(paths=20, steps=steps, seed=4)
-    marched = _per_path_marches(monkeypatch, mc.paths)
-    rep = verify_open_loop_equilibrium(classical, sol, np.ones(2), check_times=[0.3],
-                                       eps_list=eps_list, mc=mc)
-    assert [m[2][0] for m in marched if m[2]] == windows
-    assert len(marched) == heads + 2 * len(windows)
-    assert _record_keys(rep) == _expected_keys([0.3], eps_list)
+@pytest.mark.parametrize("steps, check_times, eps_list", [
+    (7, [0.3], [0.05, 0.4]), (10, [0.3], [0.2, 0.22]), (10, [0.3], [0.1, 0.12, 0.2]),
+    (40, [0.2, 0.3], [0.1])])
+def test_spike_test_marches_once_per_check_time_on_one_grid(classical, monkeypatch, steps,
+                                                            check_times, eps_list):
+    """Spike ends off the uniform grid (0.35 at 7 steps; 0.52 and 0.42 at 10)
+    become nodes of the one grid and still march once per check time, with
+    the records in order also when eps_list is not.  At 40 steps 0.2 + 0.1
+    is 0.30000000000000004, one node with the check time 0.3, not a 5.5e-17
+    step."""
+    _one_grid_layout(classical, monkeypatch, MCConfig(paths=20, steps=steps, seed=4),
+                     check_times, eps_list)
 
 
 def test_deviation_head_stops_at_tk(ex12, monkeypatch):

@@ -106,6 +106,7 @@ def test_spike_verification_passes(classical):
     ([0.5], [-0.05]),           # eps < 0
     ([0.5], [float("nan")]),
     ([0.5], []),                # no spike length
+    ([0.5], [1e-13]),           # shorter than the node tolerance
 ])
 def test_spike_verification_rejects_spikes_outside_horizon(classical, check_times,
                                                            eps_list):

@@ -4,7 +4,7 @@ from oracles import constant_gain, example_oracles
 
 from mflq import (MCConfig, brownian_increments, estimate_cost, semigroup_failure_demo,
                   simulate_closed_loop, solve_precommitment)
-from mflq.errors import ConfigurationError
+from mflq.errors import ConfigurationError, ValidationError
 from mflq.simulate import aligned_time_grid, closed_loop_states_at
 from mflq.types import PiecewiseGain
 
@@ -146,6 +146,18 @@ class TestSimulation:
                     lambda: closed_loop_states_at(ex12, zero, 0.0, [1.0], mc, 0.5)):
             with pytest.raises(ConfigurationError, match="PiecewiseGain.*got tuple"):
                 run()
+
+    def test_states_at_snaps_only_to_nodes(self, ex12):
+        """s snaps to an Euler node within 1e-9 (1 + T) and is refused off the
+        grid: at 8 steps 0.37 lies between nodes, 5.0 past T, -1.0 before 0."""
+        mc = MCConfig(paths=4, steps=8, seed=1)
+        zero = constant_gain(ex12.T, [[0.0]], [[0.0]])
+        np.testing.assert_array_equal(
+            closed_loop_states_at(ex12, zero, 0.0, [1.0], mc, 0.375 + 1e-12),
+            closed_loop_states_at(ex12, zero, 0.0, [1.0], mc, 0.375))
+        for s in (0.37, 5.0, -1.0):
+            with pytest.raises(ValidationError, match="not a grid node"):
+                closed_loop_states_at(ex12, zero, 0.0, [1.0], mc, s)
 
     def test_estimate_cost_shape_and_determinism(self, ex12):
         sol = solve_precommitment(ex12, 0.0, ex12.T / 2000)

@@ -166,6 +166,16 @@ class TestPiecewiseGain:
         # a scalar time reads an (m, n) pair
         assert g.at_many(0.5)[1].shape == (1, 1)
 
+    def test_single_starts_at_zero(self):
+        """single spans [0, T]: samples that start later read their first
+        before it, and a later t0 is refused, naming 0.0."""
+        th = np.array([[[2.0]], [[4.0]]])
+        g = PiecewiseGain.single(0.0, 1.0, [0.5, 1.0], th, -th)
+        assert g.partition.nodes.tolist() == [0.0, 1.0]
+        assert g.at_many(np.array([0.0, 0.25, 0.75]))[0][:, 0, 0].tolist() == [2.0, 2.0, 3.0]
+        with pytest.raises(ValidationError, match="pass 0.0"):
+            PiecewiseGain.single(0.5, 1.0, [0.5, 1.0], th, -th)
+
     def test_segment_count_checked(self):
         part = TimeGrid.uniform(1.0, 2)
         seg = GainSegment(np.array([0.0, 1.0]), np.zeros((2, 1, 1)),
