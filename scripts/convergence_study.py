@@ -3,8 +3,10 @@
 
 Prints, for each problem, the sup-norm deltas of the equilibrium fields and
 gains per mesh doubling, raw and Richardson-extrapolated, plus the gap of the
-limit `solve_closed_loop` would return against the direct solve.
-Writes CSVs under --out (default: out/convergence).
+limit `solve_closed_loop` would return against the direct solve.  Its games
+march at `solve_closed_loop`'s step for the default tolerance, so the deltas
+are those that `solve_closed_loop` sees (`mflq converge` marches at the
+default step).  Writes CSVs under --out (default: out/convergence).
 """
 
 import argparse
@@ -14,7 +16,7 @@ import time
 import numpy as np
 
 from mflq import BUNDLED, bundled_problem, direct_diagonal_solve
-from mflq.closedloop import refinements
+from mflq.closedloop import MARCH_SHARE, refinements
 from mflq.cli import write_csv
 
 TOL = 1e-4             # solve_closed_loop's default tolerance
@@ -34,9 +36,10 @@ def main():
         problem = bundled_problem(name)
         t0 = time.monotonic()
         # one refinement serves both the study up to N_max and the closed-loop
-        # limit: the first doubling that solve_closed_loop would accept
+        # limit: the first doubling that solve_closed_loop would accept, its
+        # games marched at solve_closed_loop's step for TOL
         records, limit = [], None
-        for j, item in enumerate(refinements(problem, N0=4)):
+        for j, item in enumerate(refinements(problem, N0=4, target=TOL * MARCH_SHARE)):
             rec = item.record
             N = rec["N"]
             if rec["delta"] is not None and N <= args.N_max:

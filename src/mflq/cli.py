@@ -16,13 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .closedloop import refinements, solve_closed_loop
+from .closedloop import MARCH_SHARE, refinements, solve_closed_loop
 from .errors import (BlowUpError, ConfigurationError, ConvergenceError,
                      DimensionError, IllPosedError, ValidationError)
 from .game import (build_delta_equilibrium, delta_local_optimality_check,
                    jump_magnitudes, ordering_report)
 from .openloop import solve_open_loop, verify_open_loop_equilibrium
-from .precommit import default_step, solve_precommitment, step_choice
+from .precommit import STEP_TOL, default_step, solve_precommitment, step_choice
 from .problem_io import apply_overrides, parse_problem, problem_hash, resolve_document
 from .simulate import MCConfig, estimate_cost, semigroup_failure_demo, simulate_closed_loop
 from .types import TimeGrid, validate
@@ -60,9 +60,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _metadata(args, doc: dict, problem, **params) -> dict:
+def _metadata(args, doc: dict, problem, target: float = STEP_TOL, **params) -> dict:
     """The record of a solving command: its problem and parameters, the
-    versions, and its `_march_record` at the step params["h"]."""
+    versions, and its `_march_record` at the step params["h"] or, without
+    one, at the step for the target error its solves aimed at."""
     return {
         "command": args.command,
         "problem_hash": problem_hash(doc),
@@ -72,15 +73,16 @@ def _metadata(args, doc: dict, problem, **params) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        **_march_record(problem, params["h"]),
+        **_march_record(problem, params["h"], target),
     }
 
 
-def _march_record(problem, h: float | None) -> dict:
+def _march_record(problem, h: float | None, target: float) -> dict:
     """march_step, the RK4 step the solves marched at (every step is at most
-    it), and pilot_error, the pilot's estimate behind a measured default
-    step (null at an explicit --h, or when the pilot fell back)."""
-    step, err = (h, None) if h is not None else step_choice(problem)
+    it), and pilot_error, the pilot's estimate behind a measured step for
+    the target error (null at an explicit --h, or when the pilot fell
+    back)."""
+    step, err = (h, None) if h is not None else step_choice(problem, target)
     return {"march_step": step, "pilot_error": err}
 
 
@@ -204,7 +206,8 @@ def cmd_closed_loop(args) -> int:
                 {"trace": list(sol.trace), "final_N": sol.grid.num_intervals,
                  "game_N": sol.game.N})
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, problem, N0=args.N0, tol=args.tol, h=args.h))
+                _metadata(args, doc, problem, target=args.tol * MARCH_SHARE, N0=args.N0,
+                          tol=args.tol, h=args.h))
     print(f"closed-loop equilibrium converged at N={sol.grid.num_intervals} "
           f"(finest game N={sol.game.N})")
     return 0
@@ -260,8 +263,9 @@ def cmd_simulate(args) -> int:
               np.column_stack([np.arange(len(ens.times)), ens.times, emp,
                                ens.cond_mean, std]))
     _write_json(os.path.join(out, "metadata.json"),
-                _metadata(args, doc, problem, paths=args.paths, steps=args.steps,
-                          seed=args.seed, N0=args.N0, tol=args.tol, h=args.h))
+                _metadata(args, doc, problem, target=args.tol * MARCH_SHARE,
+                          paths=args.paths, steps=args.steps, seed=args.seed,
+                          N0=args.N0, tol=args.tol, h=args.h))
     value = sol.value(0.0, x0)
     print(f"simulated cost {mean:.6g} +- {stderr:.2g} under the N={sol.game.N} "
           f"game's gains, {args.steps} Euler-Maruyama steps; equilibrium value "

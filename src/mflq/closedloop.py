@@ -21,8 +21,13 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
 from .integrators import gain_path, left, march_levels, right
-from .precommit import default_step
+from .precommit import STEP_TOL, default_step
 from .types import ProblemData, TimeGrid, _node_index, hat
+
+#: `solve_closed_loop(tol=...)` marches its games at the step whose RK4 error
+#: is tol * MARCH_SHARE: the refinement resolves no more, since the fields it
+#: accepts at tol are themselves about tol / 10 off the limit
+MARCH_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,14 @@ class Refinement(NamedTuple):
         return None
 
 
-def refinements(problem: ProblemData, N0: int = 4, h: float | None = None):
+def refinements(problem: ProblemData, N0: int = 4, h: float | None = None,
+                target: float = STEP_TOL):
     """The game refined by partition doubling: yields a `Refinement` for
     N = N0, 2 N0, 4 N0, ... without end.
+
+    Every game is `build_delta_equilibrium` at the step h or, without one,
+    at `default_step` for the target error (STEP_TOL by default;
+    `solve_closed_loop` passes tol * MARCH_SHARE).
 
     The raw fields converge to first order in the mesh, so their deltas
     halve per doubling; the extrapolants cancel that leading term (Richardson
@@ -159,7 +169,7 @@ def refinements(problem: ProblemData, N0: int = 4, h: float | None = None):
     prev_rec: dict = {}
     N = N0
     while True:
-        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h)
+        eq = build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, N), h, target)
         raw = _assemble(eq)
         ext = deltas = ext_delta = None
         if prev is not None:
@@ -193,11 +203,17 @@ def solve_closed_loop(problem: ProblemData, N0: int = 4, tol: float = 1e-4,
     extrapolant on the N/2-interval one, with `game` the N-interval game, the
     finest built.  Raises ConvergenceError (with the full refinement trace)
     after `max_doublings` doublings.
+
+    Unless h is given, every game marches at the step whose RK4 error is
+    tol * MARCH_SHARE (`precommit.step_choice`), T/64 on every bundled
+    problem at the default tol, not at the 1e-12 of the other solves: the
+    march error stays three orders below the tolerance.
     """
     if N0 < 2:
         raise ConfigurationError("N0 must be at least 2")
     trace: list[dict] = []
-    for item in itertools.islice(refinements(problem, N0, h), max_doublings + 1):
+    for item in itertools.islice(refinements(problem, N0, h, tol * MARCH_SHARE),
+                                 max_doublings + 1):
         trace.append(item.record)
         sol = item.accepted(tol)
         if sol is not None:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, IllPosedError
 from .integrators import check_step, march_triples, stage_times
-from .precommit import (PrecommitSolution, _pair_march, _pair_solution, lyapunov_pair,
-                        march_grids, pair_coefficients)
+from .precommit import (STEP_TOL, PrecommitSolution, _pair_march, _pair_solution,
+                        lyapunov_pair, march_grids, pair_coefficients)
 from .simulate import (MCConfig, aligned_time_grid, brownian_increments,
                        closed_loop_states_at, initial_state, mean_field_system,
                        paired_mean_stderr, probe_map, reset_mask, trapezoid_weights,
@@ -60,7 +60,8 @@ class DeltaEquilibrium:
 
 
 def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
-                            h: float | None = None) -> DeltaEquilibrium:
+                            h: float | None = None, target: float = STEP_TOL
+                            ) -> DeltaEquilibrium:
     """Backward interval recursion producing the piecewise equilibrium gains.
 
     Inside interval k the pre-commitment pair march (`precommit._pair_march`)
@@ -73,9 +74,11 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
 
     The march and output grids of every interval are `march_grids`': an
     explicit h marches and returns at h; by default the march runs at
-    `default_step` and each `IntervalSolution` comes back at step T/2000 by
-    Hermite dense output, its gains recomputed there (`_pair_solution`, one
-    gain path per interval).  All grids are laid out first, and the pair's
+    `default_step` for the target error (STEP_TOL by default;
+    `closedloop.solve_closed_loop` passes one tied to its tolerance) and
+    each `IntervalSolution` comes back at step T/2000 by Hermite dense
+    output, its gains recomputed there (`_pair_solution`, one gain path per
+    interval).  All grids are laid out first, and the pair's
     coefficients are sampled in two calls for the whole partition: at every
     interval's stages and at every output grid, each frozen at its t_k.
     """
@@ -95,8 +98,8 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     node_triples = np.full((N + 1, N, 3, n, n), np.nan)
     node_triples[N] = Tri
 
-    grids = [march_grids(problem, float(nodes[k]), float(nodes[k + 1]), h, nodes[:k + 1])
-             for k in range(N)]
+    grids = [march_grids(problem, float(nodes[k]), float(nodes[k + 1]), h, nodes[:k + 1],
+                         target) for k in range(N)]
     stages = [stage_times(times) for times, _ in grids]
     stage_coeffs = _by_interval(problem, nodes, stages)
     out_coeffs = _by_interval(problem, nodes, [out for _, out in grids], "BCDR")

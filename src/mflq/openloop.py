@@ -196,6 +196,10 @@ def verify_open_loop_equilibrium(problem: ProblemData, sol: OpenLoopSolution,
     for v in sorted(t + eps for t in check_times for eps in (0.0, *eps_list)):
         if nodes[-1] + tol < v < T - tol:
             nodes.append(v)
+    if mc.steps < len(nodes):
+        raise ConfigurationError(
+            f"{mc.steps} Euler steps cannot hold the {len(nodes) - 1} check times and "
+            f"spike ends t + eps inside (0, T) as nodes: give at least {len(nodes)} steps")
     grid = aligned_time_grid(0.0, T, mc.steps, nodes)
     dW = brownian_increments(mc, np.diff(grid))
 

@@ -26,68 +26,75 @@ from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair
 OUTPUT_STEPS = 2000
 #: the pilot's coarse march has T/PILOT_STEPS steps, the coarsest default step
 PILOT_STEPS = 64
-#: the pilot aims the finer march's error at STEP_TOL * (1 + max|Z|)
+#: the default target of `step_choice`: the step whose march error the pilot
+#: puts at STEP_TOL * (1 + max|Z|)
 STEP_TOL = 1e-12
 #: the pair's two factors, named in a loss of definiteness
 _PAIR_FACTORS = np.array(["R(t)+D'PD", "Rhat(t)+Dhat'PDhat"])
 
 
 class StepChoice(NamedTuple):
-    """The default march step of a problem and the pilot's error estimate
-    behind it (None when the pilot raised and the step fell back)."""
+    """The march step of a problem for a target error and the pilot's error
+    estimate behind it (None when the pilot raised and the step fell back)."""
 
     step: float
     pilot_error: float | None
 
 
-def step_choice(problem: ProblemData) -> StepChoice:
-    """The measured default step, computed once per problem object.
+def step_choice(problem: ProblemData, target: float = STEP_TOL) -> StepChoice:
+    """The measured step whose RK4 error is about target (1 + max|Z|), from one
+    pilot per problem object.
 
-    A pilot marches the pre-commitment pair at t = 0 with H = T/64 and again
-    with every step halved, the pair alone without its output gains.
-    |Z_H - Z_{H/2}|/15, the largest over the coarse nodes, estimates the
-    error of the finer march; RK4's h^4 law then gives the step that brings
-    it to 1e-12 (1 + max|Z|), clamped to [T/2000, T/64].  If the pilot
-    raises, the step falls back to T/2000, at which the solvers raise what
-    they raise there.
+    The pilot marches the pre-commitment pair at t = 0 with H = T/64 and
+    again with every step halved, the pair alone without its output gains.
+    err = |Z_H - Z_{H/2}|/15, the largest over the coarse nodes, estimates
+    the error of the finer march; RK4's h^4 law then gives the step
+    0.5 H (target (1 + max|Z_{H/2}|) / err)^(1/4), clamped to [T/2000, T/64].
+    The pilot runs once and is kept on the problem; each target is a few
+    flops on its two numbers.  If the pilot raises, the step falls back to
+    T/2000 for every target, at which the solvers raise what they raise
+    there.
     """
-    if "step" not in problem.memo:
-        T = problem.T
+    T = problem.T
+    if "pilot" not in problem.memo:
         try:
             coarse = march_times(0.0, T, T / PILOT_STEPS, problem.breakpoints((0.0,)))
             fine = stage_times(coarse)
             Zc, Zf = (_pair_march(problem, 0.0, x, x)[0] for x in (coarse, fine))
         except MFLQError:
-            choice = StepChoice(T / OUTPUT_STEPS, None)
+            problem.memo["pilot"] = None
         else:
-            err = float(np.abs(Zc - Zf[::2]).max()) / 15.0
-            tol = STEP_TOL * (1.0 + float(np.abs(Zf).max()))
-            h = 0.5 * T / PILOT_STEPS * (tol / err) ** 0.25 if err > 0 else np.inf
-            choice = StepChoice(float(np.clip(h, T / OUTPUT_STEPS, T / PILOT_STEPS)), err)
-        problem.memo["step"] = choice
-    return problem.memo["step"]
+            problem.memo["pilot"] = (float(np.abs(Zc - Zf[::2]).max()) / 15.0,
+                                     float(np.abs(Zf).max()))
+    pilot = problem.memo["pilot"]
+    if pilot is None:
+        return StepChoice(T / OUTPUT_STEPS, None)
+    err, size = pilot
+    h = 0.5 * T / PILOT_STEPS * (target * (1.0 + size) / err) ** 0.25 if err > 0 else np.inf
+    return StepChoice(min(max(h, T / OUTPUT_STEPS), T / PILOT_STEPS), err)
 
 
-def default_step(problem: ProblemData) -> float:
-    """The RK4 step every solve marches at when no h is given: measured by
-    `step_choice`, between T/2000 and T/64."""
-    return step_choice(problem).step
+def default_step(problem: ProblemData, target: float = STEP_TOL) -> float:
+    """The RK4 step a solve marches at when no h is given: `step_choice`'s
+    step for the target error, between T/2000 and T/64.  Every solve but the
+    refinement of `closedloop.solve_closed_loop` aims at STEP_TOL."""
+    return step_choice(problem, target).step
 
 
 def march_grids(problem: ProblemData, a: float, b: float, h: float | None,
-                anchors) -> tuple[np.ndarray, np.ndarray]:
+                anchors, target: float = STEP_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(march nodes, output nodes) of a solve over [a, b] whose weights are
     read at `anchors`, both holding every breakpoint.
 
     An explicit h marches and returns at h.  By default the march runs at
-    `default_step` and the output keeps the resolution T/2000; the two are
-    one array when the steps agree.
+    `default_step` for the target error and the output keeps the resolution
+    T/2000; the two are one array when the steps agree.
     """
     bps = problem.breakpoints(anchors)
     if h is not None:
         times = march_times(a, b, h, bps)
         return times, times
-    step, out = default_step(problem), problem.T / OUTPUT_STEPS
+    step, out = default_step(problem, target), problem.T / OUTPUT_STEPS
     times = march_times(a, b, step, bps)
     return times, times if step == out else march_times(a, b, out, bps)
 

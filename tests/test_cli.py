@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mflq import cli
+from mflq import bundled_problem, cli, precommit
 from mflq.cli import main
+from mflq.closedloop import MARCH_SHARE
 
 
 def run(argv):
@@ -199,12 +200,21 @@ class TestSimulate:
                                   ["simulate", "classical", "--paths", "200", "--steps", "50"],
                                   ["verify", "classical", "--paths", "200"]])
 def test_metadata_records_the_march_step(tmp_path, argv):
-    """By default march_step is the pilot's step, in [T/2000, T/64] (T = 1
-    for every bundled problem), with its error estimate; an explicit --h is
-    the step, with no estimate."""
+    """By default march_step is the step the command's solves marched at, in
+    [T/2000, T/64] (T = 1 for every bundled problem), with the pilot's error
+    estimate: closed-loop and simulate march their games at the step for
+    tol * MARCH_SHARE, every other command at the pilot's default step.  An
+    explicit --h is the step, with no estimate."""
     assert run(argv + ["--out", tmp_path / "a"]) == 0
     meta = json.loads((tmp_path / "a" / "metadata.json").read_text())
+    problem = bundled_problem(argv[1])
+    step = precommit.default_step(problem)
+    if argv[0] in ("closed-loop", "simulate"):
+        step = precommit.default_step(problem, 1e-4 * MARCH_SHARE)
+        assert step > precommit.default_step(problem)
+    assert meta["march_step"] == step
     assert 1 / 2000 <= meta["march_step"] <= 1 / 64
+    assert meta["pilot_error"] == precommit.step_choice(problem).pilot_error
     assert 0 < meta["pilot_error"] < 1e-8
     assert run(argv + ["--h", "0.004", "--out", tmp_path / "b"]) == 0
     meta = json.loads((tmp_path / "b" / "metadata.json").read_text())

@@ -1,13 +1,14 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mflq import (ConvergenceError, MatrixFn, PiecewiseGain, TwoTimeMatrixFn,
-                  ValidationError, direct_diagonal_solve, residual, solve_closed_loop,
-                  solve_precommitment)
+from mflq import (BUNDLED, ConvergenceError, MatrixFn, PiecewiseGain, TwoTimeMatrixFn,
+                  ValidationError, bundled_problem, direct_diagonal_solve, residual,
+                  solve_closed_loop, solve_precommitment)
 from mflq.cli import converge_study
-from mflq.closedloop import _assemble, _diagonal_gains
+from mflq.closedloop import MARCH_SHARE, _assemble, _diagonal_gains, refinements
 
 
 @pytest.mark.parametrize("kwargs", [{"h": -0.1}, {"h": 0.0}, {"h": float("nan")},
@@ -112,6 +113,27 @@ class TestRefinement:
         sol = solve_closed_loop(discounting, N0=4, tol=1e-4)
         asym = np.nanmax(np.abs(sol.Gamma - np.swapaxes(sol.Gamma, -1, -2)))
         assert asym <= 1e-9
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_tolerance_step_keeps_the_refinement(self, name):
+        """Marching the games at the step for tol * MARCH_SHARE instead of
+        the default step keeps N at every doubling and the accepted grid, and
+        moves the accepted fields and gains by less than tol * MARCH_SHARE:
+        against the same acceptance replayed on `refinements` at the default
+        target."""
+        problem, tol = bundled_problem(name), 1e-4
+        sol = solve_closed_loop(problem, tol=tol)
+        Ns, ref = [], None
+        for item in itertools.islice(refinements(problem), 7):
+            Ns.append(item.record["N"])
+            ref = item.accepted(tol)
+            if ref is not None:
+                break
+        assert [r["N"] for r in sol.trace] == Ns
+        assert np.array_equal(sol.nodes, ref.nodes) and sol.game.N == ref.game.N
+        for field in ("Gamma", "Gamma_hat", "Theta", "Theta_hat"):
+            gap = np.nanmax(np.abs(getattr(sol, field) - getattr(ref, field)))
+            assert gap <= tol * MARCH_SHARE, field
 
 
 class TestExtrapolation:

@@ -11,7 +11,8 @@ from mflq import (BUNDLED, IllPosedError, MatrixFn, TimeGrid, TwoTimeMatrixFn,
                   build_delta_equilibrium, bundled_document, bundled_problem,
                   direct_diagonal_solve, hat, parse_problem, solve_open_loop,
                   solve_precommitment)
-from mflq import integrators, precommit
+from mflq import integrators, precommit, solve_closed_loop
+from mflq.closedloop import MARCH_SHARE
 from mflq.integrators import march_times
 
 PATHS = ("P", "Phat", "Theta", "Theta_hat")
@@ -125,6 +126,21 @@ class TestPilot:
         assert 0 < choice.pilot_error < 1e-8
         assert precommit.default_step(problem) == choice.step
 
+    @pytest.mark.parametrize("name", BUNDLED + ("synthetic",))
+    def test_step_for_a_target_follows_the_h4_law(self, name):
+        """The step for a target e is the default step times
+        (e / STEP_TOL)^(1/4), clamped to [T/2000, T/64], with the same pilot
+        estimate; solve_closed_loop's target at the default tol gives T/64."""
+        problem = _problem(name)
+        choice = precommit.step_choice(problem)
+        for e in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7):
+            law = choice.step * (e / precommit.STEP_TOL) ** 0.25
+            step, err = precommit.step_choice(problem, e)
+            assert step == pytest.approx(min(max(law, problem.T / 2000), problem.T / 64),
+                                         rel=1e-12)
+            assert err == choice.pilot_error
+        assert precommit.default_step(problem, 1e-4 * MARCH_SHARE) == problem.T / 64
+
     def test_cached_per_problem_object(self, monkeypatch):
         problem = bundled_problem("ex12")
         marches = []
@@ -138,15 +154,21 @@ class TestPilot:
         step = precommit.default_step(problem)
         assert marches == [64, 128]
         assert precommit.default_step(problem) == step and marches == [64, 128]
+        # every target reads the same pilot
+        assert precommit.default_step(problem, 1e-7) == problem.T / 64
+        assert marches == [64, 128]
         # a copy is another problem object, with its own cache
         assert precommit.default_step(dataclasses.replace(problem)) == step
         assert marches == [64, 128] * 2
 
     def test_ill_posed_problem_falls_back(self):
-        """The pilot raises, so the step is T/2000 and the solve raises what
-        it raises there."""
+        """The pilot raises, so the step is T/2000 for every target, that of
+        solve_closed_loop's games included, and the solve raises what it
+        raises there."""
         problem = _ill_posed()
         assert precommit.step_choice(problem) == (problem.T / 2000, None)
+        assert precommit.step_choice(problem, 1e-4 * MARCH_SHARE) == (problem.T / 2000,
+                                                                      None)
         with pytest.raises(IllPosedError, match=r"Rhat\(t\)\+Dhat'PDhat lost definiteness"):
             solve_precommitment(problem, 0.0)
 
@@ -157,7 +179,8 @@ class TestDenseOutput:
         at least 12x per halving of the march step."""
         errs = []
         for steps in (8, 16, 32, 64):
-            monkeypatch.setattr(precommit, "default_step", lambda p, h=ex12.T / steps: h)
+            monkeypatch.setattr(precommit, "default_step",
+                                lambda p, target=precommit.STEP_TOL, h=ex12.T / steps: h)
             sol = solve_precommitment(ex12, 0.0)
             assert len(sol.times) == 2001
             errs.append(np.abs(sol.Phat[:, 0, 0] - 1.0 / (ex12.T - sol.times + 1.0)).max())
@@ -197,6 +220,36 @@ def test_every_pair_solve_runs_the_one_pair_march(monkeypatch):
     assert marches[2:] == [60]
     build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4), 0.01)
     assert marches[3:] == [25] * 4
+
+
+def test_refinement_games_march_at_the_tolerance_step(monkeypatch):
+    """Every game interval of solve_closed_loop(discounting) marches at the
+    step for tol * MARCH_SHARE, T/64 (every interval and knot of its
+    partitions lies on that grid), and returns on the T/2000 output grid; a
+    game built on its own marches at the default step."""
+    marches = []
+    march = precommit.dense_march
+
+    def spy(rhs, times, out, terminal, symmetric=False):
+        marches.append((np.diff(times).max(), np.diff(out).max()))
+        return march(rhs, times, out, terminal, symmetric)
+
+    problem = bundled_problem("discounting")
+    coarse, default = (precommit.default_step(problem, e)
+                       for e in (1e-4 * MARCH_SHARE, precommit.STEP_TOL))
+    assert coarse == problem.T / 64 > default
+    monkeypatch.setattr(precommit, "dense_march", spy)
+    sol = solve_closed_loop(problem)
+    assert len(marches) == sum(r["N"] for r in sol.trace) == 4 + 8 + 16
+    for step, out in marches:
+        assert step == pytest.approx(coarse, rel=1e-12)
+        assert out == pytest.approx(problem.T / 2000, rel=1e-9)
+    marches.clear()
+    build_delta_equilibrium(problem, TimeGrid.uniform(problem.T, 4))
+    assert len(marches) == 4
+    for step, out in marches:
+        assert default / 1.1 < step <= default
+        assert out == pytest.approx(problem.T / 2000, rel=1e-9)
 
 
 def _at(ref_times, times):

@@ -52,3 +52,18 @@ def test_spike_test_needs_n_entries(classical, open_loop, x0):
     with pytest.raises(ConfigurationError, match=f"x0 has {len(x0)} entries, "
                                                  f"the state has n = 2"):
         verify_open_loop_equilibrium(classical, open_loop, x0, mc=MC)
+
+
+def test_spike_test_needs_a_step_per_spike_node(classical, open_loop):
+    """Three check times and their spike ends are six nodes inside (0, T), so
+    the grid needs seven steps; the error names those nodes, not the gain
+    intervals of the grid builder."""
+    spikes = dict(check_times=[0.1, 0.3, 0.5], eps_list=[0.05])
+    message = (r"^3 Euler steps cannot hold the 6 check times and spike ends t \+ eps "
+               r"inside \(0, T\) as nodes: give at least 7 steps$")
+    with pytest.raises(ConfigurationError, match=message):
+        verify_open_loop_equilibrium(classical, open_loop, np.ones(2),
+                                     mc=MCConfig(paths=4, steps=3, seed=1), **spikes)
+    rep = verify_open_loop_equilibrium(classical, open_loop, np.ones(2),
+                                       mc=MCConfig(paths=4, steps=7, seed=1), **spikes)
+    assert {r["t"] for r in rep["records"]} == {0.1, 0.3, 0.5}
