@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .game import DeltaEquilibrium, build_delta_equilibrium
-from .integrators import gain_path, left, march_levels, right
+from .integrators import gain_path, march_levels
 from .precommit import STEP_TOL, default_step
 from .types import ProblemData, TimeGrid, _node_index, hat
 
@@ -227,35 +227,19 @@ def solve_closed_loop(problem: ProblemData, N0: int = 4, tol: float = 1e-4,
 
 def direct_diagonal_solve(problem: ProblemData, h: float | None = None,
                           t_nodes: int = 128) -> ClosedLoopSolution:
-    """The limit system on a t-grid of t_nodes intervals, by `march_levels`
-    at the step h (default `default_step`).
-
-    Every slice pair (Gamma(., t), Gamma_hat(., t)) shares the diagonal feedback
-    Theta_hat(s) = [Rhat(s,s) + Dhat' Gamma(s,s) Dhat]^{-1}
-    [Bhat' Gamma_hat(s,s) + Dhat' Gamma(s,s) Chat]; with M = Ahat - Bhat
-    Theta_hat and N = Chat - Dhat Theta_hat both equations read
+    """The limit system on a t-grid of t_nodes intervals, `march_levels`'
+    symmetric system at the step h (default `default_step`):
 
         Z' + Z M + M'Z + N' Gamma N + Q(s, t) + Theta_hat' R(s, t) Theta_hat = 0,
 
-    Z = Gamma, Gamma_hat (Qhat and Rhat for Gamma_hat), symmetrized every
-    step.  Level lev marches only the slices t_0..t_lev, the ones read on
-    [t_{lev-1}, t_lev] (s >= t); entries above the diagonal are NaN.
+    Z = Gamma, Gamma_hat (Qhat and Rhat for Gamma_hat), symmetrized every step,
+    with M = Ahat - Bhat Theta_hat and N = Chat - Dhat Theta_hat for the one
+    feedback Theta_hat(s) = [Rhat(s,s) + Dhat' Gamma(s,s) Dhat]^{-1}
+    [Bhat' Gamma_hat(s,s) + Dhat' Gamma(s,s) Chat].  Entries above the
+    diagonal are NaN.
     """
-    hp = hat(problem)
-
-    def rhs(f, q, Z):
-        Th, N, ZM, PN = f(q, Z)
-        Q, R = f.weights
-        out = ZM + ZM.transpose(0, 3, 2, 1)        # Z M + M'Z, slice by slice
-        out += left(N.T, PN)
-        out += Q[q]
-        out += left(Th.T, right(R[q], Th))
-        return -out
-
-    tg, (Gm, Gh) = march_levels(
-        problem, default_step(problem) if h is None else h, t_nodes,
-        (hp.A, hp.B, hp.C, hp.D), [(problem.Q, hp.Q), (problem.R, hp.R)], rhs,
-        symmetric=True)
+    tg, (Gm, Gh) = march_levels(problem, default_step(problem) if h is None else h,
+                                t_nodes, symmetric=True)
     return _field_solution(problem, TimeGrid(tg), Gm, Gh)
 
 

@@ -4,17 +4,16 @@ Provides the RK4 march every solver runs on (its right-hand side reads
 coefficients sampled once on the march's stage grid) with its node grids
 (`march_times`, breakpoints on nodes) and dense output, the feedback gain
 K^{-1} L with its definiteness check, and the three fields the solvers march:
-`LevelField`, the products the level systems (open-loop and closed-loop
-limit) share; `PairField`, the Riccati/Lyapunov field of the stacked pair
-(the pre-commitment pair, every game interval and the Lyapunov majorants); and
-`triple_field`, the Lyapunov cost triples.
+`LevelField`, the right-hand side of both level systems (the open loop and
+the closed-loop limit); `PairField`, the Riccati/Lyapunov field of the
+stacked pair (the pre-commitment pair, every game interval and the Lyapunov
+majorants); and `triple_field`, the Lyapunov cost triples.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from functools import partial
 
 import numpy as np
 
@@ -207,26 +206,31 @@ def left(L: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class LevelField:
-    """The products both level systems share, at the stages of one level.
+    """The right-hand side of both level systems at the stages of one level.
 
     Called at stage q on the live slices Z (2, n, k, n), row-interleaved
     (Z[c, a, j, b] is entry (a, b) of slice j of component c = plain, hat, so
     `right` and `left` are one product each), it interpolates the diagonal pair
-    (d, dh) between the last two slices and returns (Th, N, Z M, P N), P = Z[0]:
+    (d, dh) between the last two slices, takes the gain all slices share,
 
-        K = Rd + D'dD,  L = B'dh + D'dC,  Th = K^{-1} L,  M = A - B Th,  N = C - D Th.
+        K = Rd + D'dD,  L = B'dh + D'dC,  Th = K^{-1} L,  M = A - B Th,  N = C - D Th,
+
+    on the hat dynamics, and returns minus, on each slice pair (P = Z[0],
+    weights at the slice's t),
+
+        symmetric      Z M + M'Z + N'PN + Q + Th' R Th   (closed-loop limit)
+        not symmetric  Z M + A'Z + C'PN + Q              (open loop).
 
     [L, K] is one product Y Gw: Y = [D'P_i, B'Phat_i, I] over the last two
     slices i, and Gw stacks their interpolation weights w times [C D] and
     [I 0] over [0 Rd].  The constructor builds these over the stages of every
     level at once; `level` hands one level its slice, with that level's
-    sampled two-time `weights`.  The solvers read A, C and the weights for
-    the rest.
+    sampled two-time weights Q and, for the symmetric field, R.
     """
 
-    def __init__(self, A, B, C, D, Rd, w, delta: float):
+    def __init__(self, A, B, C, D, Rd, w, delta: float, symmetric: bool):
         n, m = B.shape[-2:]
-        self.n, self.A, self.C, self.delta = n, A, C, delta
+        self.n, self.delta, self.symmetric = n, delta, symmetric
         w = w[:, None, None]
         CD, E = np.concatenate([C, D], axis=-1), np.eye(n, n + m)
         self.Gw = np.concatenate([(1.0 - w) * CD, w * CD, (1.0 - w) * E, w * E,
@@ -236,13 +240,12 @@ class LevelField:
         self.Yv = self.Y[:, :4 * n].reshape(m, 2, 2 * n).swapaxes(0, 1)
         self.AC, self.BD = np.concatenate([A, C], axis=-2), np.concatenate([B, D], axis=-2)
 
-    def level(self, rows: slice, weights, ss) -> "LevelField":
+    def level(self, rows: slice, ss, Q, R=None) -> "LevelField":
         """The field on the stages `rows` of one level, at the times ss, with
         that level's sampled weights; views of this one's arrays."""
         f = copy.copy(self)
-        f.A, f.C, f.Gw, f.F, f.AC, f.BD = (x[rows] for x in (
-            self.A, self.C, self.Gw, self.F, self.AC, self.BD))
-        f.weights, f.ss = weights, ss.tolist()
+        f.Gw, f.F, f.AC, f.BD = (x[rows] for x in (self.Gw, self.F, self.AC, self.BD))
+        f.Q, f.R, f.ss = Q, R, ss.tolist()
         return f
 
     def __call__(self, q, Z):
@@ -251,12 +254,22 @@ class LevelField:
         LK = self.Y @ self.Gw[q]
         Th = feedback_gain(LK[:, n:], LK[:, :n], self.delta, "diagonal factor", self.ss[q])
         MN = self.AC[q] - self.BD[q] @ Th
-        return Th, MN[n:], right(Z, MN[:n]), right(Z[0], MN[n:])
+        ZM, PN = right(Z, MN[:n]), right(Z[0], MN[n:])
+        if self.symmetric:
+            out = ZM + ZM.transpose(0, 3, 2, 1)        # Z M + M'Z, slice by slice
+            out += left(MN[n:].T, PN)
+            out += self.Q[q]
+            out += left(Th.T, right(self.R[q], Th))
+        else:
+            out = ZM + left(self.AC[q, :n].T, Z)
+            out += left(self.AC[q, n:].T, PN)
+            out += self.Q[q]
+        return -out
 
 
-def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights,
-                 rhs, symmetric: bool = False):
-    """A two-parameter level system on the t-grid tg of t_nodes intervals.
+def march_levels(problem: ProblemData, h: float, t_nodes: int, symmetric: bool):
+    """`LevelField`'s level system on the t-grid tg of t_nodes intervals: the
+    closed-loop limit if symmetric, else the open loop.
 
     Slice j, the pair (plain, hat) at t = tg[j] as a function of s, starts from
     (G, Ghat)(tg[j]) at s = T.  Level lev marches s from tg[lev] down to
@@ -265,13 +278,13 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     diagonal, which interpolates between slices lev-1 and lev; the sub-steps
     put every breakpoint of the coefficients on a node, the weights' lags
     shifted by every live anchor (`ProblemData.breakpoints`).  Every level's
-    grid is laid out first: the MatrixFns `dynamics` (A, B, C, D) and hat
-    R(s, s) are sampled once at the stages of all levels, into one
-    `LevelField`, and per level each pair (plain, hat) of two-time `weights`
-    at (stage, tg[j]) for the live slices (`stack_pair`, so constant weights
-    stay views); `LevelField.level` gives the level's field f, and
-    rhs(f, q, Z) is the field.  `symmetric` projects every slice onto
-    symmetric matrices every step.
+    grid is laid out first: the hat dynamics (the plain ones for an open loop,
+    which has no mean-field dynamics) and hat R(s, s) are sampled once at the
+    stages of all levels, into one `LevelField`, and per level each pair
+    (plain, hat) of the two-time weights the field reads, Q and for the
+    symmetric field R, at (stage, tg[j]) for the live slices (`stack_pair`,
+    so constant weights stay views).  `symmetric` also projects every slice
+    onto symmetric matrices every step.
 
     Returns tg and levels (2, J, J, n, n): levels[:, i, j] is the pair at
     (s, t) = (tg[i], tg[j]) for j <= i, NaN above the diagonal.
@@ -289,8 +302,9 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
     cuts = np.cumsum([0] + [len(ss) for ss in stages])
     ss = np.concatenate(stages)
     w = np.concatenate([(x - a) / (b - a) for x, a, b in zip(stages, tg[:-1], tg[1:])])
-    field = LevelField(*(g.at_many(ss) for g in dynamics), hp.R.at_many(ss, ss), w,
-                       problem.delta)
+    field = LevelField(*(g.at_many(ss) for g in (hp.A, hp.B, hp.C, hp.D)),
+                       hp.R.at_many(ss, ss), w, problem.delta, symmetric)
+    weights = [(problem.Q, hp.Q), (problem.R, hp.R)][:1 + symmetric]
     levels = np.full((2, J, J, problem.n, problem.n), np.nan)
     levels[:, -1] = problem.G.at_many(tg), hp.G.at_many(tg)
     Z = levels[:, -1].transpose(0, 2, 1, 3)
@@ -298,8 +312,8 @@ def march_levels(problem: ProblemData, h: float, t_nodes: int, dynamics, weights
         ss = stages[lev - 1]
         W = [stack_pair(*(f.at_many(ss[:, None], tg[:lev + 1]).transpose(0, 2, 1, 3)
                           for f in pair)) for pair in weights]
-        f = field.level(slice(cuts[lev - 1], cuts[lev]), W, ss)
-        Z = rk4_march(partial(rhs, f), grids[lev - 1], Z[:, :, :lev + 1],
+        f = field.level(slice(cuts[lev - 1], cuts[lev]), ss, *W)
+        Z = rk4_march(f, grids[lev - 1], Z[:, :, :lev + 1],
                       symmetric=symmetric and (0, 3, 2, 1))[0]   # slice transpose
         levels[:, lev - 1, :lev] = Z[:, :, :lev].transpose(0, 2, 1, 3)
     return tg, levels
@@ -330,13 +344,6 @@ def pair_blocks(A, B, C, D, Q, R):
     return U
 
 
-def without_control(A, C, Q):
-    """(A, B, C, D, Q, R) with B, D and R of width zero, on which `pair_blocks`
-    and `PairField` give the linear part of the pair field alone."""
-    none = np.empty(A.shape[:-1] + (0,))
-    return A, none, C, none, Q, none[..., :0, :]
-
-
 #: stages per block of `pair_blocks`: their time hardly moves between 64 and
 #: 512 stages, and the regrouped coefficients of a whole march at once would
 #: raise the peak memory.
@@ -346,15 +353,14 @@ _PAIR_BLOCK = 128
 class PairField:
     """The Riccati/Lyapunov field of a stack of k equations on the stage grid
     of a backward RK4 march: the pre-commitment pair of every solve and game
-    interval (`precommit._pair_march`, k = 2, plain over hat) and, without
-    control, its Lyapunov majorants (`precommit.lyapunov_pair`).
+    interval (`precommit._pair_march`, k = 2, plain over hat) and, by its
+    linear part alone, the Lyapunov majorants (`precommit.lyapunov_pair`).
 
     `coefficients` are (A, B, C, D, Q, R) at every stage of the march,
-    stacked over the equations, (stages, k, ., .), with m = 0 for
-    `without_control` ones; they are regrouped (`pair_blocks`) block by block
-    as the march reaches them.  Called at stage q on the state Z (k, n, n),
-    the field gives the linear part, L and K as views of one buffer, which
-    the next call overwrites; every equation sandwiches P = Z[0].  The march
+    stacked over the equations, (stages, k, ., .); they are regrouped
+    (`pair_blocks`) block by block as the march reaches them.  Called at
+    stage q on the state Z (k, n, n), the field gives the linear part, L and
+    K as views of one buffer, which the next call overwrites; every equation sandwiches P = Z[0].  The march
     must visit the stages in non-increasing order, as `rk4_march` does.
     """
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import MFLQError, ValidationError
 from .integrators import (PairField, dense_march, feedback_gain, gain_path,
-                          march_times, march_triples, rk4_march, stage_times,
-                          without_control)
+                          march_times, march_triples, rk4_march, stage_times)
 from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair
 
 #: default solves return their paths on a grid of step T/OUTPUT_STEPS, the
@@ -134,10 +133,10 @@ def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
                   terminal: np.ndarray) -> np.ndarray:
     """March the Lyapunov majorants (Pi, Pi_hat) of the Riccati pair, weights
     frozen at t: each Riccati equation without its quadratic gain term, i.e.
-    the pair field without control, the hat one sandwiching Pi.  One stacked
-    (2, n, n) state from `terminal`; returns (len(times), 2, n, n)."""
-    field = PairField(without_control(*pair_coefficients(problem, stage_times(times), t,
-                                                         "ACQ")))
+    the linear part Z A + A'Z + C'PC + Q of the pair field, the hat one
+    sandwiching Pi.  One stacked (2, n, n) state from `terminal`; returns
+    (len(times), 2, n, n)."""
+    field = PairField(pair_coefficients(problem, stage_times(times), t))
     return rk4_march(lambda q, Z: -field(q, Z)[0], times, terminal, symmetric=True)
 
 

@@ -64,21 +64,28 @@ def brownian_increments(mc: MCConfig, dts: np.ndarray) -> np.ndarray:
 
 
 def aligned_time_grid(t: float, T: float, steps: int, nodes=()) -> np.ndarray:
-    """Euler grid from t to T whose nodes include every partition node in (t, T).
+    """Euler grid of `steps` steps from t to T whose nodes include every
+    partition node in (t, T).
 
-    Steps are distributed across the sub-intervals proportionally to length, at
-    least one per sub-interval.
+    Each sub-interval gets its length's share of the steps, rounded, at least
+    one.  Where the rounded shares miss `steps`, single steps move until they
+    total it: one is added where the step is longest, or taken where it is
+    shortest among sub-intervals with more than one.
     """
     anchors = [t] + [float(v) for v in nodes if t < v < T] + [T]
     if steps < len(anchors) - 1:
         raise ConfigurationError(
             f"{steps} steps cannot align with {len(anchors) - 1} gain intervals")
-    out = [np.array([t])]
-    total = T - t
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        k = max(1, int(round(steps * (b - a) / total)))
-        out.append(np.linspace(a, b, k + 1)[1:])
-    return np.concatenate(out)
+    lengths = np.diff(anchors)
+    ks = [max(1, int(round(steps * x / (T - t)))) for x in lengths]
+    while sum(ks) != steps:
+        dt = lengths / ks
+        if sum(ks) < steps:
+            ks[int(np.argmax(dt))] += 1
+        else:
+            ks[int(np.argmin(np.where(np.array(ks) > 1, dt, np.inf)))] -= 1
+    return np.concatenate([[t]] + [np.linspace(a, b, k + 1)[1:]
+                                   for a, b, k in zip(anchors[:-1], anchors[1:], ks)])
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -344,10 +344,12 @@ class ProblemData:
 
     @property
     def has_mean_field_dynamics(self) -> bool:
-        """True if any bar coefficient of the dynamics is nonzero on a sample grid."""
-        ss = np.linspace(0.0, self.T, 7)
-        return any(np.abs(f.at_many(ss)).max() > 0
-                   for f in (self.Abar, self.Bbar, self.Cbar, self.Dbar))
+        """True if any bar coefficient of the dynamics is nonzero on a sample
+        grid that holds the bars' own breakpoints: exact for constant and
+        sampled bars."""
+        bars = (self.Abar, self.Bbar, self.Cbar, self.Dbar)
+        ss = np.union1d(np.linspace(0.0, self.T, 7), _union(*(f.breakpoints for f in bars)))
+        return any(np.abs(f.at_many(ss)).max() > 0 for f in bars)
 
 
 def hat(problem: ProblemData) -> HatCoefficients:

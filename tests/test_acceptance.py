@@ -199,7 +199,10 @@ def test_criterion_08_conditioning_restart_gap():
 
 def test_criterion_09_open_loop_special_cases(classical):
     """Field collapse without mean-field costs, t-independence with constant
-    weights, and a vanishing pathwise stationarity residual."""
+    weights, and a vanishing pathwise stationarity residual.  The residual is
+    Theta_open's defining equation at the t-grid nodes, so it also vanishes on
+    a wrong field whose gain is recomputed from it
+    (`test_openloop.test_bsde_residual_passes_a_wrong_field`)."""
     budget = _Budget(30)
     sol1 = solve_open_loop(classical, t_nodes=16)
     assert np.abs(sol1.P.values - sol1.Phat.values).max() <= 1e-10

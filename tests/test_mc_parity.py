@@ -19,7 +19,9 @@ from mflq.errors import ConfigurationError
 
 RTOL = 1e-10
 
-# meanfield, N = 3 game gains (h = 1/200), x0 = (1, -0.5), 4 paths, 10 steps, seed 5
+# meanfield, N = 3 game gains (h = 1/200), x0 = (1, -0.5), 4 paths, 9 steps, seed 5
+# (asked as 10 steps, which the per-interval rounding of the time they were
+# made in turned into 3 per third: the grid these values are for)
 MF_STATES = np.array([[[1.0, -0.5],
                       [1.0943262647849819, -0.48586357816981746],
                       [1.1554109050136063, -0.4632762298833627],
@@ -175,7 +177,7 @@ def test_closed_loop_ensemble_and_cost(meanfield, discounting):
     eq = build_delta_equilibrium(meanfield, TimeGrid.uniform(meanfield.T, 3),
                                  h=meanfield.T / 200)
     ens = simulate_closed_loop(meanfield, eq.gains, 0.0, [1.0, -0.5],
-                               MCConfig(paths=4, steps=10, seed=5))
+                               MCConfig(paths=4, steps=9, seed=5))
     _close(ens.states, MF_STATES)
     _close(ens.cond_mean, MF_COND_MEAN)
     _close(estimate_cost(meanfield, ens, 0.0), MF_COST)

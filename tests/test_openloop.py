@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,11 @@ import pytest
 
 from mflq import (ConfigurationError, MCConfig, PiecewiseGain, TwoTimeMatrixFn,
                   ValidationError, MatrixFn, bsde_residual_check, solve_open_loop,
-                  solve_precommitment, verify_open_loop_equilibrium)
+                  parse_problem, solve_precommitment, verify_open_loop_equilibrium)
+from mflq.cli import main
+from mflq.integrators import gain_path
+from mflq.problem_io import resolve_document
+from mflq.types import TwoParamMatrixField, hat
 
 
 def _with_bar_weights(classical):
@@ -20,6 +25,20 @@ def _with_bar_weights(classical):
 def test_rejects_mean_field_dynamics(meanfield):
     with pytest.raises(ValidationError):
         solve_open_loop(meanfield)
+
+
+def test_rejects_a_bar_that_vanishes_at_seven_even_samples(tmp_path):
+    """Abar is 2I at t = 0.08 and zero at every k T / 6."""
+    abar = {"kind": "samples", "times": [0.05, 0.08, 0.11],
+            "values": [np.zeros((2, 2)).tolist(), (2 * np.eye(2)).tolist(),
+                       np.zeros((2, 2)).tolist()]}
+    doc = resolve_document("classical")
+    doc = {**doc, "coefficients": {**doc["coefficients"], "Abar": abar}}
+    with pytest.raises(ValidationError, match="mean-field terms in the dynamics"):
+        solve_open_loop(parse_problem(doc))
+    path = tmp_path / "abar.json"
+    path.write_text(json.dumps(doc))
+    assert main(["open-loop", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("kwargs", [{"h": -0.1}, {"h": 0.0}, {"h": float("nan")},
@@ -85,6 +104,25 @@ def test_bsde_residual_vanishes(classical):
                               mc=MCConfig(paths=500, steps=128, seed=11))
     assert rep["max_relative_residual"] <= 1e-8
     assert len(rep["per_time"]) > 0
+
+
+def test_bsde_residual_passes_a_wrong_field(classical):
+    """The residual is the defining equation of Theta_open at the t-grid
+    nodes, so any field with the gain recomputed from it passes: P x 3,
+    Phat x 0.2 gives a gain far off the equilibrium's and a residual of
+    rounding size; the spike test is the check that sees such a gain."""
+    sol = solve_open_loop(classical, t_nodes=16)
+    tg = sol.tgrid.nodes
+    P, Ph = (TwoParamMatrixField(sol.tgrid, k * F.values)
+             for F, k in ((sol.P, 3.0), (sol.Phat, 0.2)))
+    idx = np.arange(len(tg))
+    B, C, D = (f.at_many(tg) for f in (classical.B, classical.C, classical.D))
+    theta = gain_path(Ph.values[idx, idx], P.values[idx, idx], B, C, D,
+                      hat(classical).R.at_many(tg, tg), classical.delta, "K", tg)
+    assert np.abs(theta - sol.Theta_open).max() > 0.5
+    rep = bsde_residual_check(classical, replace(sol, P=P, Phat=Ph, Theta_open=theta),
+                              mc=MCConfig(paths=500, steps=128, seed=11))
+    assert rep["max_relative_residual"] <= 1e-12
 
 
 def test_spike_verification_passes(classical):

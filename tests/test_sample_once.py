@@ -10,7 +10,7 @@ import pytest
 
 from mflq import (MatrixFn, TimeGrid, build_delta_equilibrium, bundled_problem,
                   direct_diagonal_solve, parse_problem, solve_open_loop)
-from mflq import closedloop, game, openloop, precommit
+from mflq import closedloop, game, integrators, openloop, precommit
 from mflq.cli import write_csv
 from mflq.integrators import stage_times
 from mflq.types import stack_pair
@@ -60,6 +60,32 @@ def test_per_stage_anchors_equal_per_interval_calls(name):
              for g, t in zip(grids, nodes)]
     for i, x in enumerate(batched):
         assert np.array_equal(x, np.concatenate([a[i] for a in apart]))
+
+
+#: VARIED with the dynamics' bars zeroed, as the open loop requires
+NO_BAR_DYNAMICS = {**VARIED, "coefficients": {
+    **VARIED["coefficients"], "Abar": [[0.0, 0.0], [0.0, 0.0]], "Dbar": [[0.0], [0.0]]}}
+
+
+def test_open_loop_on_varied_dynamics_matches_parent():
+    """`solve_open_loop(NO_BAR_DYNAMICS, T/256, t_nodes=8)` as computed when the
+    level march sampled the plain dynamics it now reads as hat ones: the
+    diagonal gain, the asymmetry, and the sums of the fields weighted by
+    cos(1 + i + 2j + 3a + 5b) at entry (a, b) of node pair (i, j)."""
+    problem = parse_problem(NO_BAR_DYNAMICS)
+    sol = solve_open_loop(problem, problem.T / 256, t_nodes=8)
+    theta = [1.1424311852430644, 0.3729280946393704, 1.0405284758406552,
+             0.49928194317822455, 0.9170240205329943, 0.6419935735343794,
+             0.9058347763381308, 0.6871915467692574, 0.9793434154475299,
+             0.6540920177163734, 1.059182312892542, 0.6156639745176052,
+             1.150571080775352, 0.5713177205102756, 1.2626777643714555,
+             0.5215106689301491, 1.4128035320088301, 0.46799116997792495]
+    np.testing.assert_allclose(sol.Theta_open.ravel(), theta, rtol=0, atol=1.5e-12)
+    assert sol.max_asymmetry == pytest.approx(0.005853841357236956, rel=0, abs=1e-12)
+    for F, ref in ((sol.P.values, -0.4770324653569724), (sol.Phat.values, -0.6335997775079303)):
+        i, j, a, b = np.ix_(*(np.arange(k) for k in F.shape))
+        W = np.cos(1.0 + i + 2.0 * j + 3.0 * a + 5.0 * b)
+        assert abs(float(np.sum(W * F)) - ref) <= 1.5e-12 * np.abs(W).sum()
 
 
 class TestStackPair:
@@ -117,23 +143,23 @@ class TestCallCounts:
     @pytest.mark.parametrize("solve, module", [(solve_open_loop, openloop),
                                                (direct_diagonal_solve, closedloop)])
     def test_level_march_samples_dynamics_once(self, solve, module, t_nodes, monkeypatch):
-        problem = parse_problem({**VARIED, "coefficients": {
-            **VARIED["coefficients"], "Abar": [[0.0, 0.0], [0.0, 0.0]],
-            "Dbar": [[0.0], [0.0]]}})
-        calls = []
-        real = module.march_levels
+        problem = parse_problem(NO_BAR_DYNAMICS)
+        calls, marches = [], []
+        real_hat, real_march = integrators.hat, module.march_levels
 
-        def counted(f, i):
+        def counted(f, x):
             return dataclasses.replace(
-                f, many=lambda ss: (calls.append(i), f.at_many(ss))[1])
+                f, many=lambda ss: (calls.append(x), f.at_many(ss))[1])
 
-        def spy(problem, h, t_nodes, dynamics, *args, **kwargs):
-            return real(problem, h, t_nodes, [counted(f, i) for i, f in enumerate(dynamics)],
-                        *args, **kwargs)
+        def spy(problem):
+            hp = real_hat(problem)
+            return dataclasses.replace(hp, **{x: counted(getattr(hp, x), x) for x in "ABCD"})
 
-        monkeypatch.setattr(module, "march_levels", spy)
+        monkeypatch.setattr(integrators, "hat", spy)
+        monkeypatch.setattr(module, "march_levels",
+                            lambda *a, **k: (marches.append(1), real_march(*a, **k))[1])
         solve(problem, problem.T / 256, t_nodes=t_nodes)
-        assert sorted(calls) == [0, 1, 2, 3]
+        assert marches == [1] and sorted(calls) == ["A", "B", "C", "D"]
 
     #: the parent's measured steps; the pilot without gains must keep them
     STEPS = {"classical": 0.004842492039091371, "ex12": 0.004586038017318074,

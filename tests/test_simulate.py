@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import constant_gain, example_oracles
 
 from mflq import (MCConfig, brownian_increments, estimate_cost, semigroup_failure_demo,
@@ -65,6 +67,28 @@ class TestAlignedGrid:
     def test_step_count_respected(self):
         grid = aligned_time_grid(0.0, 1.0, 64, ())
         assert len(grid) == 65
+
+    @pytest.mark.parametrize("steps, nodes", [(10, (0.3, 0.5, 0.52)), (3, (0.5,)),
+                                              (5, (0.1, 0.2, 0.3, 0.4))])
+    def test_rounded_shares_that_overshoot_give_back_steps(self, steps, nodes):
+        grid = aligned_time_grid(0.0, 1.0, steps, nodes)
+        assert len(grid) == steps + 1 and set(nodes) <= set(grid)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(steps=st.integers(1, 40), t=st.floats(-1.0, 0.9),
+           nodes=st.lists(st.floats(-1.0, 1.0), max_size=8, unique=True))
+    def test_total_is_steps_and_rounded_shares_stay(self, steps, t, nodes):
+        inside = sorted(v for v in nodes if t < v < 1.0)
+        assume(steps > len(inside))
+        grid = aligned_time_grid(t, 1.0, steps, sorted(nodes))
+        assert len(grid) == steps + 1 and set(inside) <= set(grid)
+        assert np.all(np.diff(grid) > 0)
+        anchors = [t] + inside + [1.0]
+        rounded = np.concatenate([[t]] + [
+            np.linspace(a, b, max(1, int(round(steps * (b - a) / (1.0 - t)))) + 1)[1:]
+            for a, b in zip(anchors[:-1], anchors[1:])])
+        if len(rounded) == steps + 1:
+            assert np.array_equal(grid, rounded)
 
 
 class TestSemigroupDemo:
