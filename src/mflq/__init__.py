@@ -16,8 +16,7 @@ from .game import (DeltaEquilibrium, IntervalSolution, build_delta_equilibrium,
 from .integrators import rk4_backward, rk4_march, stage_times
 from .openloop import (OpenLoopSolution, bsde_residual_check, solve_open_loop,
                        verify_open_loop_equilibrium)
-from .precommit import (PrecommitSolution, cost_via_lyapunov, precommit_bounds,
-                        solve_precommitment)
+from .precommit import PrecommitSolution, precommit_bounds, solve_precommitment
 from .problem_io import (BUNDLED, apply_overrides, bundled_document,
                          bundled_problem, load_document, load_problem,
                          parse_problem, problem_hash, resolve_document)
@@ -44,7 +43,6 @@ __all__ = [
     "rk4_backward", "rk4_march", "stage_times",
     # solvers
     "solve_precommitment", "PrecommitSolution", "precommit_bounds",
-    "cost_via_lyapunov",
     "solve_open_loop", "OpenLoopSolution", "verify_open_loop_equilibrium",
     "bsde_residual_check",
     "build_delta_equilibrium", "DeltaEquilibrium", "IntervalSolution",

@@ -6,9 +6,10 @@ solve runs backward over the intervals.  On each one player k solves the
 pre-commitment pair frozen at t_k, by the same march (`precommit._pair_march`),
 from other terminal data; the Lyapunov triples that track every earlier
 player's cost under the composite feedback are linear once that march's stage
-gains are known, and advance by the affine maps of the same RK4 steps.  This
-module holds only those triple maps and the stitching: terminal data for
-player k-1 come from player (k-1)'s own triple at t_k.
+gains are known, and advance by the affine maps of the same RK4 steps
+(`cost_triples`, which prices any given feedback).  This module holds only
+those triples and the stitching: terminal data for player k-1 come from
+player (k-1)'s own triple at t_k.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     (Theta, Theta_hat) of its four stages in every step.  Given those gains
     the cost triples of players 0..k (player k's own included, which
     coincides with the pair) solve linear equations: they advance by the affine
-    maps of the same RK4 steps (`march_triples`).  The triples restart their
+    maps of the same RK4 steps (`cost_triples`).  The triples restart their
     first component from the second at every interval boundary.
 
     The march and output grids of every interval are `march_grids`': an
@@ -110,19 +111,12 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
 
     for k in range(N - 1, -1, -1):
         tk = float(nodes[k])
-        (times_k, out_k), ss, coeffs = grids[k], stages[k], stage_coeffs[k]
+        (times_k, out_k), coeffs = grids[k], stage_coeffs[k]
 
         # Entering this interval the tilde components restart from the plain
         # ones (both players' views agree at the boundary).
         Tri[:k + 1, 0] = Tri[:k + 1, 1]
 
-        # The stage coefficients serve the pair march and the triple maps; the
-        # tracked players' frozen weights are batched over the anchor axis l,
-        # player k's own anchor last.
-        (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in coeffs[:4])
-        ta = ss[:, None], nodes[:k + 1]
-        Ql, Rl = problem.Q.at_many(*ta), problem.R.at_many(*ta)
-        Qbl, Rbl = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
         what = np.array([f"R + D'PD (interval {k})",
                          f"Rhat + Dhat'P Dhat (interval {k})"])
         Z, record = _pair_march(problem, tk, times_k, out_k, pair, what, coeffs)
@@ -131,19 +125,11 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
         # row r: the four stages of the step from node r+1 down to node r
         steps = len(times_k) - 1
         gains4 = np.array(record[:4 * steps]).reshape(steps, 4, 2, m, n)[::-1]
-
-        def coefficients(rows, q):
-            Th, Thh = gains4[rows, :, 0], gains4[rows, :, 1]
-            ThT, ThhT = Th.swapaxes(-1, -2)[:, :, None], Thh.swapaxes(-1, -2)[:, :, None]
-            F = np.empty(q.shape + (3, k + 1, n, n))
-            F[:, :, 0] = Ql[q] + ThT @ Rl[q] @ Th[:, :, None]
-            F[:, :, 1] = Ql[q] + ThhT @ Rl[q] @ Thh[:, :, None]
-            F[:, :, 2] = Qbl[q] + ThhT @ Rbl[q] @ Thh[:, :, None]
-            return (A[q] - B[q] @ Th, C[q] - D[q] @ Th,
-                    Ah[q] - Bh[q] @ Thh, Ch[q] - Dh[q] @ Thh, F)
-
-        Tri[:k + 1] = march_triples(times_k, Tri[:k + 1].swapaxes(0, 1),
-                                    coefficients)[0].swapaxes(0, 1)
+        # players 0..k under these gains, each weighted at its own t_l
+        # (player k's anchor last), on the dynamics the pair march sampled
+        Tri[:k + 1] = cost_triples(problem, times_k, nodes[:k + 1],
+                                   Tri[:k + 1].swapaxes(0, 1), gains4,
+                                   coeffs[:4])[0].swapaxes(0, 1)
         node_triples[k, :k + 1] = Tri[:k + 1]
 
         if k:
@@ -161,6 +147,39 @@ def build_delta_equilibrium(problem: ProblemData, partition: TimeGrid,
     return DeltaEquilibrium(problem=problem, partition=partition,
                             intervals=intervals, gains=gains,
                             node_triples=node_triples, values=values)
+
+
+def cost_triples(problem: ProblemData, times: np.ndarray, anchors: np.ndarray,
+                 terminal: np.ndarray, gains: np.ndarray, coefficients) -> np.ndarray:
+    """The Lyapunov cost triples (tilde, plain, bar) of the players whose
+    weights are frozen at `anchors`, under one given feedback, marched over
+    `times` from `terminal` by `march_triples`' affine step maps.
+
+    gains (steps, 4, 2, m, n) holds (Theta, Theta_hat) at the four RK4 stages
+    of every step, row r the step from times[r+1] down to times[r]; zero
+    gains price the uncontrolled state.  coefficients are the dynamics
+    (A, B, C, D) at `stage_times(times)`, each plain over hat
+    (`pair_coefficients`).  The weights Q, R, Qbar and Rbar are read at
+    (stage, anchor), one anchor per triple.  terminal is (3, p, n, n),
+    p = len(anchors); returns (len(times), 3, p, n, n).
+    """
+    ta = stage_times(times)[:, None], anchors
+    Q, R = problem.Q.at_many(*ta), problem.R.at_many(*ta)
+    Qb, Rb = problem.Qbar.at_many(*ta), problem.Rbar.at_many(*ta)
+    (A, Ah), (B, Bh), (C, Ch), (D, Dh) = (x.swapaxes(0, 1) for x in coefficients)
+    p, n = len(anchors), problem.n
+
+    def step_coefficients(rows, q):
+        Th, Thh = gains[rows, :, 0], gains[rows, :, 1]
+        ThT, ThhT = Th.swapaxes(-1, -2)[:, :, None], Thh.swapaxes(-1, -2)[:, :, None]
+        F = np.empty(q.shape + (3, p, n, n))
+        F[:, :, 0] = Q[q] + ThT @ R[q] @ Th[:, :, None]
+        F[:, :, 1] = Q[q] + ThhT @ R[q] @ Thh[:, :, None]
+        F[:, :, 2] = Qb[q] + ThhT @ Rb[q] @ Thh[:, :, None]
+        return (A[q] - B[q] @ Th, C[q] - D[q] @ Th,
+                Ah[q] - Bh[q] @ Thh, Ch[q] - Dh[q] @ Thh, F)
+
+    return march_triples(times, terminal, step_coefficients)
 
 
 def _by_interval(problem: ProblemData, nodes: np.ndarray, grids: list,
@@ -238,8 +257,9 @@ def jump_magnitudes(eq: DeltaEquilibrium) -> dict:
 
     For each k, compares player k against player k-1 at every node of the common
     domain [t_{k+1}, T] and reports the data-variation majorant
-    |G_k - G_{k-1}| + integral of |Q_k - Q_{k-1}| + |R_k - R_{k-1}|, with a
-    fixed safety factor of 10 on the comparison.
+    |G_k - G_{k-1}| + |Gbar_k - Gbar_{k-1}| + the integral of the same gaps of
+    Q, R, Qbar and Rbar (the bar weights drive the triples' bar component),
+    with a fixed safety factor of 10 on the comparison.
     """
     problem = eq.problem
     nodes = eq.partition.nodes
@@ -253,11 +273,11 @@ def jump_magnitudes(eq: DeltaEquilibrium) -> dict:
                 d = eq.node_triples[j, k, comp] - eq.node_triples[j, k - 1, comp]
                 jump = max(jump, float(np.abs(d).max()))
         tk, tk1 = float(nodes[k]), float(nodes[k - 1])
-        dG = float(np.abs(np.atleast_2d(problem.G(tk) - problem.G(tk1))).max())
+        dG = sum(float(np.abs(np.atleast_2d(f(tk) - f(tk1))).max())
+                 for f in (problem.G, problem.Gbar))
         ss = np.linspace(nodes[k + 1], nodes[N], 33)
-        dq = np.array([np.abs(problem.Q(s, tk) - problem.Q(s, tk1)).max()
-                       + np.abs(problem.R(s, tk) - problem.R(s, tk1)).max()
-                       for s in ss])
+        dq = sum(np.abs(f.at_many(ss, tk) - f.at_many(ss, tk1)).max(axis=(-2, -1))
+                 for f in (problem.Q, problem.R, problem.Qbar, problem.Rbar))
         majorant = dG + float(trapezoid_weights(ss) @ dq)
         bound = 10.0 * majorant + 1e-9
         worst_ratio = max(worst_ratio, jump / bound)

@@ -1,5 +1,6 @@
-"""Pre-commitment solution at a fixed initial time, its Lyapunov upper bounds,
-and the quadratic-cost representation by a triple of Lyapunov equations.
+"""Pre-commitment solution at a fixed initial time and its Lyapunov upper
+bounds.  The cost of a given feedback, a triple of Lyapunov equations, is
+`game.cost_triples`.
 
 The Riccati pair (P, Phat) is marched as one stacked (2, n, n) state, plain
 coefficients over hat ones (`pair_coefficients`), on `integrators.PairField`
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import MFLQError, ValidationError
 from .integrators import (PairField, dense_march, feedback_gain, gain_path,
-                          march_times, march_triples, rk4_march, stage_times)
-from .types import MatrixFn, ProblemData, hat, min_eig, stack_pair
+                          march_times, rk4_march, stage_times)
+from .types import ProblemData, hat, min_eig, stack_pair
 
 #: default solves return their paths on a grid of step T/OUTPUT_STEPS, the
 #: finest step the pilot of `default_step` may choose
@@ -135,7 +136,9 @@ def lyapunov_pair(problem: ProblemData, times: np.ndarray, t: float,
     frozen at t: each Riccati equation without its quadratic gain term, i.e.
     the linear part Z A + A'Z + C'PC + Q of the pair field, the hat one
     sandwiching Pi.  One stacked (2, n, n) state from `terminal`; returns
-    (len(times), 2, n, n)."""
+    (len(times), 2, n, n).  This is `game.cost_triples` at zero gains, but
+    that march builds its step maps from n(n+1)/2 basis triples, which for
+    one triple is about 3x slower at n = 8 and over 10x at n = 16."""
     field = PairField(pair_coefficients(problem, stage_times(times), t))
     return rk4_march(lambda q, Z: -field(q, Z)[0], times, terminal, symmetric=True)
 
@@ -235,79 +238,3 @@ def precommit_bounds(problem: ProblemData, t: float, h: float | None = None
                        min_gap_P=min_eig(Pi - sol.P),
                        min_gap_Phat=min_eig(Pi_hat - sol.Phat),
                        min_eig_P=min_eig(sol.P), min_eig_Phat=min_eig(sol.Phat))
-
-
-@dataclass(frozen=True)
-class MeanFieldGenerator:
-    """Homogeneous mean-field dynamics dX = (A X + Abar E[X]) ds + (C X + Cbar E[X]) dW."""
-
-    A: MatrixFn
-    Abar: MatrixFn
-    C: MatrixFn
-    Cbar: MatrixFn
-
-
-@dataclass(frozen=True)
-class QuadraticWeights:
-    """Three running-cost layers (plain, E_t-squared, E_tau-squared) plus terminals."""
-
-    Q: MatrixFn
-    Qtilde: MatrixFn
-    Qbar: MatrixFn
-    G: np.ndarray
-    Gbar: np.ndarray
-
-
-@dataclass(frozen=True)
-class LyapunovTriple:
-    times: np.ndarray
-    Gamma_tilde: np.ndarray
-    Gamma: np.ndarray
-    Gamma_bar: np.ndarray
-
-    @property
-    def Gamma_hat(self) -> np.ndarray:
-        return self.Gamma + self.Gamma_bar
-
-
-@dataclass(frozen=True)
-class CostRepresentation:
-    """Exact quadratic representation of a conditional-expectation cost functional."""
-
-    Gamma0: np.ndarray
-    Gammabar0: np.ndarray
-    triple: LyapunovTriple
-
-    def evaluate(self, x, ex) -> float:
-        """Cost given the state x at the interval start and its E_tau mean ex."""
-        x = np.asarray(x, float).reshape(-1)
-        ex = np.asarray(ex, float).reshape(-1)
-        return float(x @ self.Gamma0 @ x + ex @ self.Gammabar0 @ ex)
-
-
-def cost_via_lyapunov(generator: MeanFieldGenerator, weights: QuadraticWeights,
-                      interval: tuple[float, float], h: float) -> CostRepresentation:
-    """Represent the quadratic cost over [t, T] by three coupled Lyapunov equations.
-
-    The middle equation consumes the first one inside its sandwich term; the
-    triple is marched by the affine maps of its RK4 steps (`march_triples`).
-    """
-    times = march_times(*interval, h)
-    ss = stage_times(times)
-    A, C, Ah, Ch, Q, Qt, Qb = (f.at_many(ss) for f in (
-        generator.A, generator.C, generator.A + generator.Abar,
-        generator.C + generator.Cbar, weights.Q, weights.Qtilde, weights.Qbar))
-    F = np.stack([Q, Q + Qt, Qb], axis=1)[:, :, None]
-
-    def coefficients(rows, q):
-        return A[q], C[q], Ah[q], Ch[q], F[q]
-
-    terminal = np.stack([
-        np.atleast_2d(np.asarray(weights.G, float)),
-        np.atleast_2d(np.asarray(weights.G, float)),
-        np.atleast_2d(np.asarray(weights.Gbar, float)),
-    ])
-    Z = march_triples(times, terminal[:, None], coefficients)[:, :, 0]
-    triple = LyapunovTriple(times=times, Gamma_tilde=Z[:, 0], Gamma=Z[:, 1],
-                            Gamma_bar=Z[:, 2])
-    return CostRepresentation(Gamma0=Z[0, 1], Gammabar0=Z[0, 2], triple=triple)

@@ -225,13 +225,6 @@ class TwoTimeMatrixFn:
         return np.array([self(a, b) for a, b in zip(s.ravel(), ts.ravel())],
                         float).reshape(s.shape + self.shape)
 
-    def frozen(self, t: float) -> MatrixFn:
-        """The one-time function s -> self(s, t) at a fixed anchor t, its
-        breakpoints the lags shifted by t."""
-        return MatrixFn(lambda s, f=self: f(s, t), self.shape, self.T, self.name,
-                        lambda ss, f=self: f.at_many(ss, t),
-                        _union([t + u for u in self.breakpoints]))
-
     @classmethod
     def constant(cls, M, T: float, name: str = "") -> "TwoTimeMatrixFn":
         M = np.atleast_2d(np.asarray(M, dtype=float))

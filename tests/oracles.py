@@ -1,5 +1,5 @@
-"""Closed forms of the two scalar motivating examples, and constant gains,
-shared by the tests."""
+"""Closed forms of the two scalar motivating examples, constant gains and the
+cost triple of the zero feedback, shared by the tests."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from typing import Callable
 import numpy as np
 
 from mflq import PiecewiseGain, rk4_march, stage_times
+from mflq.game import cost_triples
+from mflq.precommit import pair_coefficients
 
 
 @dataclass(frozen=True)
@@ -61,3 +63,16 @@ def constant_gain(T: float, theta, theta_hat) -> PiecewiseGain:
     theta, theta_hat = (np.atleast_2d(np.asarray(x, float)) for x in (theta, theta_hat))
     return PiecewiseGain.single(0.0, T, [0.0, T], np.stack([theta, theta]),
                                 np.stack([theta_hat, theta_hat]))
+
+
+def uncontrolled_triple(problem, times) -> np.ndarray:
+    """(Gamma_tilde, Gamma, Gamma_bar) on `times`, (len(times), 3, n, n): the
+    cost triple of the zero feedback with the weights frozen at t = times[0],
+    by the game's march (`game.cost_triples`).  The cost from a state x with
+    E_t-mean ex at t is x'Gamma x + ex'Gamma_bar ex."""
+    t = float(times[0])
+    terminal = np.stack([problem.G(t), problem.G(t), problem.Gbar(t)])[:, None]
+    gains = np.zeros((len(times) - 1, 4, 2, problem.m, problem.n))
+    coefficients = pair_coefficients(problem, stage_times(times), t, "ABCD")
+    return cost_triples(problem, times, np.array([t]), terminal, gains,
+                        coefficients)[:, :, 0]

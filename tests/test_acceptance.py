@@ -9,17 +9,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import constant_gain, example_oracles
+from oracles import constant_gain, example_oracles, uncontrolled_triple
 
 from mflq import (MatrixFn, MCConfig, TimeGrid,
                   TwoTimeMatrixFn, bsde_residual_check,
-                  build_delta_equilibrium, cost_via_lyapunov,
+                  build_delta_equilibrium,
                   delta_local_optimality_check, direct_diagonal_solve,
                   estimate_cost, jump_magnitudes,
                   ordering_report, semigroup_failure_demo,
                   simulate_closed_loop, solve_closed_loop, solve_open_loop,
                   solve_precommitment)
 from mflq.cli import converge_study
+from mflq.integrators import march_times
 from mflq.types import PiecewiseGain, ProblemData
 
 
@@ -140,24 +141,18 @@ def _random_uncontrolled(rng, n):
 
 
 def test_criterion_06_quadratic_cost_oracle_equivalence():
-    """Lyapunov-triple cost representation equals the Monte Carlo estimate on
-    100 random uncontrolled instances (scalar and 2x2)."""
-    from mflq.precommit import MeanFieldGenerator, QuadraticWeights
+    """The cost x'(Gamma + Gamma_bar)(0) x of the game's Lyapunov-triple
+    march at the zero feedback (`game.cost_triples`) equals the Monte Carlo
+    estimate on 100 random uncontrolled instances (scalar and 2x2)."""
     budget = _Budget(120)
     failures = []
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
         n = 1 if i % 2 == 0 else 2
         prob = _random_uncontrolled(rng, n)
-        gen = MeanFieldGenerator(A=prob.A, Abar=prob.Abar, C=prob.C,
-                                 Cbar=prob.Cbar)
-        w = QuadraticWeights(
-            Q=prob.Q.frozen(0.0),
-            Qtilde=MatrixFn.constant(np.zeros((n, n)), prob.T),
-            Qbar=prob.Qbar.frozen(0.0),
-            G=prob.G(0.0), Gbar=prob.Gbar(0.0))
         x0 = rng.normal(size=n)
-        exact = cost_via_lyapunov(gen, w, (0.0, prob.T), 2e-3).evaluate(x0, x0)
+        Z = uncontrolled_triple(prob, march_times(0.0, prob.T, 2e-3))[0]
+        exact = float(x0 @ (Z[1] + Z[2]) @ x0)
 
         # independent (non-antithetic) sampling: the pairing would shrink the
         # stderr of these nearly-deterministic costs below the Euler bias

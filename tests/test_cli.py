@@ -148,6 +148,18 @@ class TestGame:
         gains = (out / "gains.csv").read_text().splitlines()
         assert gains[0] == "s,Theta_00,Theta_hat_00"
 
+    @pytest.mark.parametrize("weight", ["Gbar", "Qbar"])
+    def test_jumps_bounded_under_discounted_bar_weights(self, tmp_path, weight):
+        """A discounted bar weight moves the players' triples, and the jump
+        majorant counts its gap."""
+        out = tmp_path / "game"
+        bar = '{"kind":"exp_discount","lambda":2.0,"base":[[0.5,0],[0,0.5]]}'
+        assert run(["game", "classical", "--N0", "4", "--set", f"weights.{weight}={bar}",
+                    "--out", out]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert all(r["majorant"] > 0 for r in diag["jump_norms"])
+        assert diag["jumps_within_bound"]
+
 
 class TestOpenLoop:
     def test_artifacts(self, tmp_path):

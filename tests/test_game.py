@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,11 +110,22 @@ class TestTimeConsistentCollapse:
         assert np.abs(eq2.values[0] - eq4.values[0]).max() < 1e-9
 
 
-def test_ordering_report(disc_eq):
+def test_ordering_report(disc_eq, meanfield):
     rep = ordering_report(disc_eq)
     assert rep["passed"], rep["min_margin"]
     assert rep["min_margin"] >= -1e-8
     assert len(rep["per_interval"]) == disc_eq.N
+    # the tilde components scaled by 1.5 rise above the players' own P
+    for eq, margin in ((disc_eq, -0.457),
+                       (build_delta_equilibrium(meanfield, TimeGrid.uniform(1.0, 4)), -0.971)):
+        nt = eq.node_triples.copy()
+        nt[:, :, 0] *= 1.5
+        rep = ordering_report(replace(eq, node_triples=nt))
+        worst = min((c for r in rep["per_interval"] for c in r["checks"]),
+                    key=lambda c: c["margin"])
+        assert not rep["passed"]
+        assert worst["name"] == "P - Gtilde_0"
+        assert rep["min_margin"] == worst["margin"] == pytest.approx(margin, abs=1e-3)
 
 
 def test_jump_magnitudes(disc_eq):
@@ -122,8 +135,9 @@ def test_jump_magnitudes(disc_eq):
     assert all(r["within_bound"] for r in rep["records"])
 
 
-#: the majorants of jump_magnitudes(disc_eq) as np.trapezoid computed them
-DISC_MAJORANTS = [0.06704352910212905, 0.051543370174080706]
+#: the majorants of jump_magnitudes(disc_eq) as np.trapezoid computes them
+#: from the gaps of G, Gbar, Q, R, Qbar and Rbar
+DISC_MAJORANTS = [0.08296073689437905, 0.061305274936080706]
 
 
 def test_jump_magnitudes_without_np_trapezoid(disc_eq, monkeypatch):

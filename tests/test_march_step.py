@@ -62,12 +62,11 @@ class TestBreakpoints:
         assert (f + MatrixFn.constant([[1.0]], 1.0)).breakpoints == f.breakpoints
         assert MatrixFn.polynomial([[[1.0]], [[2.0]]], 1.0).breakpoints == ()
 
-    def test_lags_carried_through_sums_and_shifted_by_frozen(self):
+    def test_lags_carried_through_sums(self):
         w = TwoTimeMatrixFn.from_lag_samples([0.0, 0.125, 1.0], [1.0, 0.5, 0.25], 1.0)
         assert w.breakpoints == (0.0, 0.125, 1.0)
         assert (w + TwoTimeMatrixFn.exp_discount(0.3, [[1.0]], 1.0)).breakpoints \
             == w.breakpoints
-        assert w.frozen(0.5).breakpoints == (0.5, 0.625, 1.5)
 
     def test_carried_through_hat(self, discounting):
         knots = tuple(np.arange(9) / 8)        # Qbar samples the lag at k/8

@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from oracles import example_oracles
+from oracles import example_oracles, uncontrolled_triple
 
 from mflq import (IllPosedError, MatrixFn, MCConfig, PiecewiseGain, ProblemData,
-                  TwoTimeMatrixFn, cost_via_lyapunov, estimate_cost, precommit_bounds,
-                  rk4_march, simulate_closed_loop, solve_precommitment, stage_times)
-from mflq.precommit import MeanFieldGenerator, QuadraticWeights
+                  TwoTimeMatrixFn, estimate_cost, precommit_bounds,
+                  simulate_closed_loop, solve_precommitment, stage_times)
+from mflq.game import cost_triples
+from mflq.integrators import march_times
+from mflq.precommit import pair_coefficients
 
 
 class TestScalarTerminalOracle:
@@ -149,22 +151,31 @@ class TestTimeVaryingPair:
             solve_precommitment(p, 0.0, h)
 
 
+def _uncontrolled(T, A, Abar, C, Cbar, Q, Qbar, G, Gbar):
+    """A scalar problem with constant data whose control does not enter the
+    dynamics (B = D = 0, R = 1)."""
+    def c(x):
+        return MatrixFn.constant([[x]], T)
+
+    def w(x):
+        return TwoTimeMatrixFn.constant([[x]], T)
+
+    z = c(0.0)
+    return ProblemData(n=1, m=1, T=T, A=c(A), Abar=c(Abar), B=z, Bbar=z, C=c(C),
+                       Cbar=c(Cbar), D=z, Dbar=z, Q=w(Q), Qbar=w(Qbar), R=w(1.0),
+                       Rbar=w(0.0), G=c(G), Gbar=c(Gbar), delta=1e-3)
+
+
 class TestCostRepresentation:
-    def test_uncontrolled_scalar_against_mc(self, ex12):
+    """The game's cost triples (`game.cost_triples`) of a given feedback."""
+
+    def test_uncontrolled_scalar_against_mc(self):
         # dX = 0.1 X ds + 0.3 X dW, cost  int <X,X> + <E[X],E[X]> + terminal
         T = 1.0
-        gen = MeanFieldGenerator(
-            A=MatrixFn.constant([[0.1]], T),
-            Abar=MatrixFn.constant([[0.0]], T),
-            C=MatrixFn.constant([[0.3]], T),
-            Cbar=MatrixFn.constant([[0.0]], T))
-        w = QuadraticWeights(
-            Q=MatrixFn.constant([[1.0]], T),
-            Qtilde=MatrixFn.constant([[0.0]], T),
-            Qbar=MatrixFn.constant([[0.5]], T),
-            G=np.array([[1.0]]), Gbar=np.array([[0.5]]))
-        rep = cost_via_lyapunov(gen, w, (0.0, T), 1e-3)
-        exact = rep.evaluate([1.0], [1.0])
+        p = _uncontrolled(T, A=0.1, Abar=0.0, C=0.3, Cbar=0.0, Q=1.0, Qbar=0.5,
+                          G=1.0, Gbar=0.5)
+        Z = uncontrolled_triple(p, march_times(0.0, T, 1e-3))[0]
+        exact = float(Z[1, 0, 0] + Z[2, 0, 0])
 
         rng = np.random.default_rng(5)
         paths, steps = 20000, 400
@@ -186,56 +197,93 @@ class TestCostRepresentation:
 
     def test_triple_components_consistent(self):
         T = 1.0
-        gen = MeanFieldGenerator(
-            A=MatrixFn.constant([[0.2]], T), Abar=MatrixFn.constant([[0.1]], T),
-            C=MatrixFn.constant([[0.0]], T), Cbar=MatrixFn.constant([[0.0]], T))
-        w = QuadraticWeights(
-            Q=MatrixFn.constant([[1.0]], T),
-            Qtilde=MatrixFn.constant([[0.0]], T),
-            Qbar=MatrixFn.constant([[0.0]], T),
-            G=np.array([[1.0]]), Gbar=np.array([[0.0]]))
-        rep = cost_via_lyapunov(gen, w, (0.0, T), 1e-3)
-        # deterministic dynamics (C = 0): Gamma solves the hat-Lyapunov equation
-        a_hat = 0.3
-        exact = np.exp(2 * a_hat * T) + (np.exp(2 * a_hat * T) - 1) / (2 * a_hat)
-        assert rep.Gamma0[0, 0] == pytest.approx(exact, abs=1e-8)
-        assert np.abs(rep.triple.Gamma_bar).max() == 0.0
-        np.testing.assert_allclose(rep.triple.Gamma_hat,
-                                   rep.triple.Gamma + rep.triple.Gamma_bar)
+        p = _uncontrolled(T, A=0.2, Abar=0.1, C=0.0, Cbar=0.0, Q=1.0, Qbar=0.0,
+                          G=1.0, Gbar=0.0)
+        Z = uncontrolled_triple(p, march_times(0.0, T, 1e-3))
+
+        def lyapunov(a):
+            return np.exp(2 * a * T) + (np.exp(2 * a * T) - 1) / (2 * a)
+
+        # deterministic dynamics (C = 0): Gamma_tilde solves the plain
+        # Lyapunov equation, Gamma the hat one, and Gamma_bar has no forcing
+        assert Z[0, 0, 0, 0] == pytest.approx(lyapunov(0.2), abs=1e-8)
+        assert Z[0, 1, 0, 0] == pytest.approx(lyapunov(0.3), abs=1e-8)
+        assert np.abs(Z[:, 2]).max() == 0.0
 
     def test_matches_joint_rk4_march(self):
-        """The affine step maps reproduce one RK4 march of the three coupled
-        equations on time-varying 2x2 data."""
-        T = 1.0
-        gen = MeanFieldGenerator(
-            A=MatrixFn(lambda s: np.array([[0.1, 0.3 * s], [-0.2, 0.05]]), (2, 2), T),
-            Abar=MatrixFn.constant([[0.05, 0.0], [0.1, 0.02]], T),
-            C=MatrixFn(lambda s: np.array([[0.2, 0.0], [0.1 * s, 0.15]]), (2, 2), T),
-            Cbar=MatrixFn.constant([[0.0, 0.05], [0.0, 0.1]], T))
-        w = QuadraticWeights(
-            Q=MatrixFn(lambda s: np.array([[1.0 + s, 0.2], [0.2, 0.5]]), (2, 2), T),
-            Qtilde=MatrixFn.constant([[0.3, 0.0], [0.0, 0.1]], T),
-            Qbar=MatrixFn(lambda s: np.exp(-s) * np.eye(2), (2, 2), T),
-            G=np.array([[1.0, 0.1], [0.1, 2.0]]), Gbar=np.array([[0.2, 0.0], [0.0, 0.3]]))
-        rep = cost_via_lyapunov(gen, w, (0.0, T), 1e-2)
+        """The affine step maps under random stage gains (Theta != Theta_hat,
+        each RK4 stage its own) reproduce one explicit RK4 march of the three
+        coupled equations for two anchors, on time-varying 2x2 dynamics with
+        nonzero bars and discounted weights; a reference whose plain equation
+        sandwiches its own component instead of the tilde one is far off."""
+        T, n, m = 1.0, 2, 2
+        rng = np.random.default_rng(11)
+        Ab, Bb, Cb, Db = (rng.normal(scale=0.2, size=s)
+                          for s in [(n, n), (n, m), (n, n), (n, m)])
 
-        times = rep.triple.times
+        def fn(f, shape):
+            return MatrixFn(f, shape, T)
+
+        def disc(lam, base):
+            return TwoTimeMatrixFn.exp_discount(lam, base, T)
+
+        p = ProblemData(
+            n=n, m=m, T=T,
+            A=fn(lambda s: np.array([[0.1, 0.3 * s], [-0.2, 0.05]]), (n, n)),
+            Abar=MatrixFn.constant(Ab, T),
+            B=fn(lambda s: np.array([[1.0, 0.0], [s, 0.5]]), (n, m)),
+            Bbar=MatrixFn.constant(Bb, T),
+            C=fn(lambda s: np.array([[0.2, 0.0], [0.1 * s, 0.15]]), (n, n)),
+            Cbar=MatrixFn.constant(Cb, T),
+            D=fn(lambda s: np.array([[0.3, 0.1 * s], [0.0, 0.2]]), (n, m)),
+            Dbar=MatrixFn.constant(Db, T),
+            Q=disc(0.5, [[1.0, 0.2], [0.2, 0.5]]), Qbar=disc(1.0, [[0.4, 0.1], [0.1, 0.3]]),
+            R=disc(0.3, [[1.0, 0.1], [0.1, 0.8]]), Rbar=disc(2.0, [[0.2, 0.0], [0.0, 0.1]]),
+            G=MatrixFn.constant([[1.0, 0.1], [0.1, 2.0]], T),
+            Gbar=MatrixFn.constant([[0.2, 0.0], [0.0, 0.3]], T), delta=1e-3)
+        anchors = np.array([0.0, 0.3])
+        times = march_times(0.3, T, 1e-2)
+        steps = len(times) - 1
+        gains = rng.normal(scale=0.5, size=(steps, 4, 2, m, n))
+        terminal = np.empty((3, 2, n, n))
+        for c in range(3):
+            for l in range(2):
+                M = rng.normal(scale=0.5, size=(n, n))
+                terminal[c, l] = M @ M.T
         ss = stage_times(times)
-        A, C = gen.A.at_many(ss), gen.C.at_many(ss)
-        Ah, Ch = (gen.A + gen.Abar).at_many(ss), (gen.C + gen.Cbar).at_many(ss)
-        Q, Qt, Qb = w.Q.at_many(ss), w.Qtilde.at_many(ss), w.Qbar.at_many(ss)
+        got = cost_triples(p, times, anchors, terminal, gains,
+                           pair_coefficients(p, ss, 0.0, "ABCD"))
 
-        def rhs(q, Z):
+        def field(q, Th, Thh, t, sandwich, Z):
+            s = ss[q]
+            M1, N1 = p.A(s) - p.B(s) @ Th, p.C(s) - p.D(s) @ Th
+            M2 = p.A(s) + p.Abar(s) - (p.B(s) + p.Bbar(s)) @ Thh
+            N2 = p.C(s) + p.Cbar(s) - (p.D(s) + p.Dbar(s)) @ Thh
+            Q, R, Qb, Rb = (f(s, t) for f in (p.Q, p.R, p.Qbar, p.Rbar))
             Gt, Gm, Gb = Z
             return -np.stack([
-                Gt @ A[q] + A[q].T @ Gt + C[q].T @ Gt @ C[q] + Q[q],
-                Gm @ Ah[q] + Ah[q].T @ Gm + Ch[q].T @ Gt @ Ch[q] + Q[q] + Qt[q],
-                Gb @ Ah[q] + Ah[q].T @ Gb + Qb[q]])
+                Gt @ M1 + M1.T @ Gt + N1.T @ Gt @ N1 + Q + Th.T @ R @ Th,
+                Gm @ M2 + M2.T @ Gm + N2.T @ Z[sandwich] @ N2 + Q + Thh.T @ R @ Thh,
+                Gb @ M2 + M2.T @ Gb + Qb + Thh.T @ Rb @ Thh])
 
-        Z = rk4_march(rhs, times, np.stack([w.G, w.G, w.Gbar]), symmetric=True)
-        for got, ref in ((rep.triple.Gamma_tilde, Z[:, 0]), (rep.triple.Gamma, Z[:, 1]),
-                         (rep.triple.Gamma_bar, Z[:, 2])):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        def reference(l, sandwich):
+            ref = np.empty((len(times), 3, n, n))
+            Z = ref[-1] = terminal[:, l]
+            for r in range(steps - 1, -1, -1):
+                dt = times[r] - times[r + 1]
+                (q1, q2, q3, q4), g = 2 * r + np.array([2, 1, 1, 0]), gains[r]
+                k1 = field(q1, *g[0], anchors[l], sandwich, Z)
+                k2 = field(q2, *g[1], anchors[l], sandwich, Z + 0.5 * dt * k1)
+                k3 = field(q3, *g[2], anchors[l], sandwich, Z + 0.5 * dt * k2)
+                k4 = field(q4, *g[3], anchors[l], sandwich, Z + dt * k3)
+                Z = Z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                Z = ref[r] = 0.5 * (Z + Z.swapaxes(-1, -2))
+            return ref
+
+        for l in range(2):
+            right, wrong = reference(l, 0), reference(l, 1)
+            assert np.abs(got[:, :, l] - right).max() <= 1e-12 * np.abs(right).max()
+            assert np.abs(got[:, :, l] - wrong).max() > 1e-3 * np.abs(wrong).max()
 
 
 def test_precommit_control_reproduces_oracle_mean(ex12):
